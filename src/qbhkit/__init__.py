@@ -4,7 +4,7 @@ symbolic claim cross-checked numerically at seeded sample points."""
 
 __version__ = "0.1.0"
 
-from .chart import CoordinateChart, Point
+from .chart import CoordinateChart, Point, PointCloud
 from .errors import (
     AllPointsSkippedError,
     ChartMismatchError,

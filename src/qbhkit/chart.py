@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ChartMismatchError, UnknownCoordinateError
 
@@ -100,6 +103,46 @@ class Point:
 
     def __str__(self):
         return "(" + ", ".join(f"{v:.6g}" for v in self.values) + ")"
+
+
+class PointCloud(Sequence):
+    """Points of one chart held as a read-only (m, n) float array, stored
+    column-major so that each coordinate's values are contiguous.
+
+    Indexing with an integer builds that one Point; a slice or a boolean
+    mask gives another PointCloud. Evaluators read ``values`` directly,
+    so Point objects exist only where a report names one.
+    """
+
+    __slots__ = ("chart", "values")
+
+    def __init__(self, chart: CoordinateChart, values):
+        values = np.array(values, dtype=float, order="F").reshape(
+            -1, chart.dimension
+        )
+        values.flags.writeable = False
+        self.chart = chart
+        self.values = values
+
+    @classmethod
+    def of(cls, chart: CoordinateChart, points) -> "PointCloud":
+        """``points`` itself when it is a PointCloud, else a cloud of
+        the given Point objects, in order."""
+        if isinstance(points, PointCloud):
+            return points
+        return cls(chart, [p.values for p in points])
+
+    def __len__(self):
+        return self.values.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Point(self.chart, tuple(self.values[key]))
+        return PointCloud(self.chart, self.values[key])
+
+    def __iter__(self):
+        for row in self.values:
+            yield Point(self.chart, tuple(row))
 
 
 def require_same_chart(*objs):

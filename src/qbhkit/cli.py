@@ -191,6 +191,17 @@ def _resolve_xh(args, spec):
     return contract_hamiltonian(H, wedge(x1, x2))
 
 
+def _config(spec, args):
+    """The run's VerifyConfig; out-of-range --samples, --seed or
+    --tolerance values are usage errors."""
+    try:
+        return spec.config(
+            samples=args.samples, seed=args.seed, residual=args.tolerance
+        )
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
+
+
 def _execute(args):
     """Returns (command string, spec, [CriterionReport, ...])."""
     if args.command == "example":
@@ -203,16 +214,12 @@ def _execute(args):
                 f"unknown fixture {args.name!r}; known: {fixture_names()}"
             )
         spec = load_fixture(args.name)
-        cfg = spec.config(
-            samples=args.samples, seed=args.seed, residual=args.tolerance
-        )
+        cfg = _config(spec, args)
         reports = FIXTURES[args.name].runner(spec, cfg)
         return (f"example run {args.name}", spec, reports)
 
     spec = _resolve_spec(args)
-    cfg = spec.config(
-        samples=args.samples, seed=args.seed, residual=args.tolerance
-    )
+    cfg = _config(spec, args)
 
     if args.command == "check":
         x1 = _require_field(args, spec, "X1")
@@ -313,9 +320,7 @@ def run_command(argv, stdout=None, stderr=None):
         return (0, None)
 
     wall = time.perf_counter() - started
-    cfg = spec.config(
-        samples=args.samples, seed=args.seed, residual=args.tolerance
-    )
+    cfg = _config(spec, args)
     run = build_run_report(
         command=command,
         digest=spec.digest(),

@@ -8,11 +8,12 @@ the comparison report) both values are reported and neither is patched.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import Point, require_same_chart
+from .chart import Point, PointCloud, require_same_chart
 from .errors import (
     AllPointsSkippedError,
     PreconditionResidualError,
@@ -97,52 +98,130 @@ def _grid_values(arr: np.ndarray) -> np.ndarray:
     return values
 
 
+def _basis_stack(fields, points) -> np.ndarray:
+    """Shape (m, n, k): entry i is the n x k matrix whose column j is
+    fields[j] at point i."""
+    return np.stack([X.components_at(points) for X in fields], axis=-1)
+
+
+def _singular_values(stack: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """Singular values, largest first, of each matrix of the stack where
+    ``defined`` (NaN rows elsewhere), from one batched values-only SVD.
+    They are bit-identical to one ``svd(matrix, compute_uv=False)`` call
+    per matrix, so threshold decisions match a per-point loop."""
+    values = np.full((len(stack), min(stack.shape[1:])), np.nan)
+    if defined.any():
+        values[defined] = np.linalg.svd(stack[defined], compute_uv=False)
+    return values
+
+
+def _independent_rows(stack: np.ndarray, tol) -> np.ndarray:
+    """True where a matrix of the stack is defined and its smallest
+    singular value exceeds the independence tolerance."""
+    defined = np.isfinite(stack).all(axis=(1, 2))
+    return defined & (_singular_values(stack, defined)[:, -1] > tol.independence)
+
+
 def _independent_mask(fields, points, tol) -> np.ndarray:
     """True where the given fields are pointwise linearly independent."""
-    arrays = [X.components_at(points) for X in fields]
-    m = len(points)
-    mask = np.zeros(m, dtype=bool)
-    for i in range(m):
-        matrix = np.column_stack([a[i] for a in arrays])
-        if not np.isfinite(matrix).all():
-            continue
-        smallest = np.linalg.svd(matrix, compute_uv=False)[-1]
-        mask[i] = smallest > tol.independence
-    return mask
+    return _independent_rows(_basis_stack(fields, points), tol)
+
+
+def _least_squares(A: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Least-squares solutions c of the stacked systems A[i] c = v[i],
+    given the singular values ``sigma`` of each A[i].
+
+    Systems of full column rank are solved from one batched QR
+    factorisation. The rest go through ``np.linalg.lstsq`` itself, which
+    returns their minimum-norm solution: systems with more unknowns than
+    equations, and those whose smallest singular value is at or below
+    eps * max(n, k) times the largest, the cutoff of ``lstsq(...,
+    rcond=None)``.
+    """
+    n, k = A.shape[1:]
+    c = np.empty((len(A), k))
+    full = sigma[:, -1] > np.finfo(float).eps * max(n, k) * sigma[:, 0]
+    if n < k:
+        full[:] = False
+    if full.any():
+        Q, R = np.linalg.qr(A[full])
+        y = np.einsum("mji,mj->mi", Q, v[full])
+        solved = np.empty_like(y)
+        for j in reversed(range(k)):
+            tail = np.einsum("mi,mi->m", R[:, j, j + 1 :], solved[:, j + 1 :])
+            solved[:, j] = (y[:, j] - tail) / R[:, j, j]
+        c[full] = solved
+    for i in np.flatnonzero(~full):
+        c[i] = np.linalg.lstsq(A[i], v[i], rcond=None)[0]
+    return c
 
 
 # ---------------------------------------------------------------------------
 # span expansion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanDecomposition:
     """Pointwise least-squares expansion of a field in a basis of fields.
 
-    coefficients[i] and residuals[i] are None exactly at skipped points
-    (degenerate basis or undefined expressions there).
+    ``coefficient_array`` (m, k) and ``residual_array`` (m,) are NaN
+    exactly at skipped points (degenerate basis or undefined expressions
+    there). The tuple views ``coefficients`` and ``residuals`` hold None
+    at those points instead.
     """
 
-    points: tuple[Point, ...]
-    coefficients: tuple[tuple[float, ...] | None, ...]
-    residuals: tuple[float | None, ...]
+    points: Sequence[Point]
+    coefficient_array: np.ndarray
+    residual_array: np.ndarray
     skipped: tuple[int, ...]
     notes: tuple[str, ...] = ()
 
+    @property
+    def coefficients(self) -> tuple[tuple[float, ...] | None, ...]:
+        return tuple(
+            None if np.isnan(r) else tuple(float(x) for x in row)
+            for row, r in zip(self.coefficient_array, self.residual_array)
+        )
+
+    @property
+    def residuals(self) -> tuple[float | None, ...]:
+        return tuple(None if np.isnan(r) else float(r) for r in self.residual_array)
+
     def max_residual(self) -> float | None:
-        usable = [r for r in self.residuals if r is not None]
-        return max(usable) if usable else None
+        usable = self.residual_array[~np.isnan(self.residual_array)]
+        return float(usable.max()) if usable.size else None
 
     def residual_values(self) -> np.ndarray:
-        return np.array(
-            [np.nan if r is None else r for r in self.residuals], dtype=float
-        )
+        return self.residual_array.copy()
 
     def coefficient_values(self, j: int) -> np.ndarray:
-        return np.array(
-            [np.nan if c is None else c[j] for c in self.coefficients],
-            dtype=float,
-        )
+        return self.coefficient_array[:, j].copy()
+
+
+def _expand_rows(stack: np.ndarray, target: np.ndarray, tol):
+    """Least-squares expansion of each target[i] in the columns of
+    stack[i]: (coefficients (m, k), residual norms (m,), notes). Rows
+    that are undefined or whose basis is degenerate (smallest singular
+    value at or below the independence tolerance) are NaN and counted
+    in the notes."""
+    defined = np.isfinite(stack).all(axis=(1, 2)) & np.isfinite(target).all(axis=1)
+    sigma = _singular_values(stack, defined)
+    solvable = defined & (sigma[:, -1] > tol.independence)
+    coeffs = np.full((len(stack), stack.shape[2]), np.nan)
+    residuals = np.full(len(stack), np.nan)
+    if solvable.any():
+        A, v = stack[solvable], target[solvable]
+        c = _least_squares(A, v, sigma[solvable])
+        coeffs[solvable] = c
+        residuals[solvable] = np.linalg.norm(v - np.einsum("mik,mk->mi", A, c), axis=1)
+    degenerate = int((defined & ~solvable).sum())
+    undefined = int((~defined).sum())
+    notes = []
+    if degenerate:
+        notes.append(f"degenerate basis at {degenerate} point(s)")
+    if undefined:
+        notes.append(f"undefined expressions at {undefined} point(s)")
+    return coeffs, residuals, notes
 
 
 def span_expand(V: VectorField, basis, points, tol) -> SpanDecomposition:
@@ -152,48 +231,19 @@ def span_expand(V: VectorField, basis, points, tol) -> SpanDecomposition:
     the independence tolerance) or where some component is undefined are
     skipped and counted; if no point survives, AllPointsSkippedError.
     """
-    basis = list(basis)
-    points = list(points)
+    points = PointCloud.of(V.chart, points)
     target = V.components_at(points)
-    arrays = [b.components_at(points) for b in basis]
-    coeffs: list = []
-    residuals: list = []
-    skipped: list[int] = []
-    degenerate = 0
-    undefined = 0
-    for i in range(len(points)):
-        matrix = np.column_stack([a[i] for a in arrays])
-        v = target[i]
-        if not (np.isfinite(matrix).all() and np.isfinite(v).all()):
-            undefined += 1
-            skipped.append(i)
-            coeffs.append(None)
-            residuals.append(None)
-            continue
-        smallest = np.linalg.svd(matrix, compute_uv=False)[-1]
-        if smallest <= tol.independence:
-            degenerate += 1
-            skipped.append(i)
-            coeffs.append(None)
-            residuals.append(None)
-            continue
-        c, *_ = np.linalg.lstsq(matrix, v, rcond=None)
-        coeffs.append(tuple(float(x) for x in c))
-        residuals.append(float(np.linalg.norm(v - matrix @ c)))
-    notes = []
-    if degenerate:
-        notes.append(f"degenerate basis at {degenerate} point(s)")
-    if undefined:
-        notes.append(f"undefined expressions at {undefined} point(s)")
+    coeffs, residuals, notes = _expand_rows(_basis_stack(basis, points), target, tol)
+    skipped = np.flatnonzero(np.isnan(residuals))
     if len(skipped) == len(points):
         raise AllPointsSkippedError(
             "span expansion skipped every sampled point: " + "; ".join(notes)
         )
     return SpanDecomposition(
-        points=tuple(points),
-        coefficients=tuple(coeffs),
-        residuals=tuple(residuals),
-        skipped=tuple(skipped),
+        points=points,
+        coefficient_array=coeffs,
+        residual_array=residuals,
+        skipped=tuple(int(i) for i in skipped),
         notes=tuple(notes),
     )
 
@@ -309,7 +359,7 @@ def check_compatibility(
     mask = _independent_mask((X1, X2), points, cfg.tol) & _independent_mask(
         (XH, X3), points, cfg.tol
     )
-    usable = [p for p, ok in zip(points, mask) if ok]
+    usable = points[mask]
     dropped = len(points) - len(usable)
     if not usable:
         raise AllPointsSkippedError(
@@ -638,7 +688,7 @@ def check_jacobi(
     """
     points = cfg.points()
     mask = _independent_mask((X1, X2), points, cfg.tol)
-    usable = [p for p, ok in zip(points, mask) if ok]
+    usable = points[mask]
     dropped = len(points) - len(usable)
     if not usable:
         raise AllPointsSkippedError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import CoordinateChart, Point, require_same_chart
+from .chart import CoordinateChart, Point, PointCloud, require_same_chart
 from .errors import EvaluationDomainError, UnknownCoordinateError
 
 UNARY_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "atan")
@@ -491,30 +491,39 @@ def _eval_scalar(node: Node, env: dict, memo: dict) -> float:
     return value
 
 
-def _eval_array(node: Node, env: dict, memo: dict) -> np.ndarray:
+def _eval_array(node: Node, env: dict, memo: dict):
+    """Array twin of ``_eval_scalar``: NaN marks undefined entries.
+
+    Constants stay numpy scalars and broadcast, so a result can be a
+    scalar; ``ScalarExpr.sample`` expands it. Sums and products start
+    from a fresh array and accumulate in place in term order.
+    """
     key = id(node)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if isinstance(node, Const):
-        value = np.full(env["__size__"], node.value)
+        value = _undefined_to_nan(np.float64(node.value))
     elif isinstance(node, Coord):
         value = env[node.name]
     elif isinstance(node, Neg):
-        value = -_eval_array(node.arg, env, memo)
+        value = _undefined_to_nan(-_eval_array(node.arg, env, memo))
     elif isinstance(node, Sum):
-        value = _eval_array(node.terms[0], env, memo).copy()
-        for term in node.terms[1:]:
-            value += _eval_array(term, env, memo)
+        terms = [_eval_array(t, env, memo) for t in node.terms]
+        value = terms[0] + terms[1]
+        for term in terms[2:]:
+            value += term
+        value = _undefined_to_nan(value)
     elif isinstance(node, Product):
-        value = _eval_array(node.factors[0], env, memo).copy()
-        for factor in node.factors[1:]:
-            value *= _eval_array(factor, env, memo)
+        factors = [_eval_array(f, env, memo) for f in node.factors]
+        value = factors[0] * factors[1]
+        for factor in factors[2:]:
+            value *= factor
+        value = _undefined_to_nan(value)
     elif isinstance(node, Quotient):
         num = _eval_array(node.numerator, env, memo)
         den = _eval_array(node.denominator, env, memo)
-        value = num / den
-        value = np.where(np.isfinite(value), value, np.nan)
+        value = _undefined_to_nan(num / den)
     elif isinstance(node, Power):
         base = _eval_array(node.base, env, memo)
         exponent = _eval_array(node.exponent, env, memo)
@@ -526,6 +535,14 @@ def _eval_array(node: Node, env: dict, memo: dict) -> np.ndarray:
         value = _apply_function_array(node.func, args)
     memo[key] = value
     return value
+
+
+def _undefined_to_nan(value):
+    """NaN wherever ``value`` is not finite. ``_eval_scalar`` raises at
+    every non-finite node, so an infinity that a later node would map
+    back to a finite value (1/inf, atan(inf)) must not read as defined."""
+    finite = np.isfinite(value)
+    return value if finite.all() else np.where(finite, value, np.nan)
 
 
 def _apply_function_array(func, args):
@@ -550,7 +567,7 @@ def _apply_function_array(func, args):
         value = np.where((args[0] == 0.0) & (args[1] == 0.0), np.nan, value)
     else:
         raise ValueError(f"unknown function {func!r}")
-    return np.where(np.isfinite(value), value, np.nan)
+    return _undefined_to_nan(value)
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +666,17 @@ class ScalarExpr:
         return _eval_scalar(self.node, env, {})
 
     def sample(self, points) -> np.ndarray:
-        """Evaluate at many points at once; NaN marks undefined points."""
-        points = list(points)
-        env = {"__size__": len(points)}
-        for i, name in enumerate(self.chart.names):
-            env[name] = np.array([p.values[i] for p in points], dtype=float)
+        """Evaluate at many points at once (a PointCloud or Point
+        objects); NaN marks undefined points, exactly where ``at``
+        raises EvaluationDomainError."""
+        cloud = PointCloud.of(self.chart, points)
+        env = {name: cloud.values[:, i] for i, name in enumerate(self.chart.names)}
         with np.errstate(all="ignore"):
-            return _eval_array(self.node, env, {})
+            value = _eval_array(self.node, env, {})
+        if np.ndim(value) == 0:
+            return np.full(len(cloud), value)
+        # a bare coordinate evaluates to a read-only view of the cloud
+        return value if value.flags.writeable else value.copy()
 
     # -- inspection -------------------------------------------------------
     def depends_on(self) -> frozenset[str]:

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .chart import CoordinateChart, Point, require_same_chart
+from .chart import CoordinateChart, Point, PointCloud, require_same_chart
 from .expr import ScalarExpr, constant, nprod, nsum, evaluate_at_points
 
 
@@ -81,8 +81,8 @@ class VectorField:
     def components_at(self, points) -> np.ndarray:
         """Component values, shape (len(points), dimension). NaN marks
         points where a component is undefined."""
-        cols = [evaluate_at_points(c, points) for c in self.components]
-        return np.column_stack(cols)
+        cloud = PointCloud.of(self.chart, points)
+        return np.column_stack([evaluate_at_points(c, cloud) for c in self.components])
 
     def at(self, point: Point) -> np.ndarray:
         return np.array([c.at(point) for c in self.components])
@@ -336,7 +336,7 @@ def schouten_bb(B1: DecomposableBivector, B2: DecomposableBivector) -> Trivector
 def bivector_components_at(B, points) -> np.ndarray:
     """Components B^{ij}, shape (len(points), n, n), antisymmetric."""
     B = _as_bivector_sum(B)
-    points = list(points)
+    points = PointCloud.of(B.chart, points)
     n = B.chart.dimension
     out = np.zeros((len(points), n, n))
     for coeff, biv in B.terms:
@@ -359,7 +359,7 @@ def _det3(u, v, w, i, j, k):
 
 def trivector_components_at(T: TrivectorSum, points) -> np.ndarray:
     """Components T^{ijk}, shape (len(points), n, n, n), antisymmetric."""
-    points = list(points)
+    points = PointCloud.of(T.chart, points)
     n = T.chart.dimension
     out = np.zeros((len(points), n, n, n))
     for coeff, (U, V, W) in T.terms:

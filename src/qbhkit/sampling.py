@@ -2,9 +2,12 @@
 
 Everything numeric in the package is certified at points drawn here.
 Sampling is uniform over a box with rejection guards; the generator is
-numpy's seeded PCG64, drawn one point at a time so the stream does not
-depend on batch sizes. Identical (seed, domain) inputs therefore give
-identical points, and reports built from them are reproducible.
+numpy's seeded PCG64. Candidates are drawn in blocks, and a block of k
+draws continues the stream exactly as k single draws would, so the
+points do not depend on block sizes: candidates are taken in stream
+order and surplus draws are discarded. Identical (seed, domain) inputs
+therefore give identical points, and reports built from them are
+reproducible.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .chart import CoordinateChart, Point
+from .chart import CoordinateChart, Point, PointCloud
 from .errors import EvaluationDomainError, GuardTooRestrictiveError
 from .expr import Coord, Const, ScalarExpr, nprod, nsum
 from .fields import VectorField
@@ -91,40 +94,71 @@ class SampleDomain:
         )
 
 
+def _guard_limit(guard: Guard) -> float:
+    return DEFAULT_GUARD_EPS if guard.min_abs is None else guard.min_abs
+
+
 def _passes_guards(point: Point, guards) -> bool:
+    """Scalar guard test of one point; ``sample_points`` applies the same
+    test to whole blocks with the array evaluator."""
     for guard in guards:
-        limit = DEFAULT_GUARD_EPS if guard.min_abs is None else guard.min_abs
         try:
             value = guard.expression.at(point)
         except EvaluationDomainError:
             return False
-        if abs(value) < limit:
+        if abs(value) < _guard_limit(guard):
             return False
     return True
 
 
-def sample_points(domain: SampleDomain) -> list[Point]:
+def _guard_mask(cloud: PointCloud, guards) -> np.ndarray:
+    """True where every guard is defined and at least its limit in
+    absolute value (NaN, the array evaluator's undefined, fails)."""
+    mask = np.ones(len(cloud), dtype=bool)
+    for guard in guards:
+        mask &= np.abs(guard.expression.sample(cloud)) >= _guard_limit(guard)
+    return mask
+
+
+def sample_points(domain: SampleDomain) -> PointCloud:
     """Deterministic uniform samples over the box, rejecting guard
     violations. Raises GuardTooRestrictiveError once the rejection
-    budget (100x the requested count) is exhausted."""
+    budget (100x the requested count) is exhausted.
+
+    Each block holds about as many candidates as are expected to yield
+    the points still missing at the acceptance rate seen so far, so the
+    whole budget is never drawn at once.
+    """
     rng = np.random.default_rng(domain.seed)
     lows = np.array([lo for lo, _ in domain.box])
     highs = np.array([hi for _, hi in domain.box])
-    points: list[Point] = []
-    attempts = 0
     budget = _REJECTION_BUDGET * domain.samples
-    while len(points) < domain.samples:
+    accepted = []
+    found = 0
+    attempts = 0
+    while found < domain.samples:
         if attempts >= budget:
             raise GuardTooRestrictiveError(
                 f"rejected {attempts} candidate points while looking for "
                 f"{domain.samples}; guards are too restrictive for the box"
             )
-        attempts += 1
-        values = rng.uniform(lows, highs)
-        point = Point(domain.chart, tuple(values))
-        if _passes_guards(point, domain.guards):
-            points.append(point)
-    return points
+        missing = domain.samples - found
+        if found:
+            # enough candidates for the missing points at the rate so far
+            wanted = -(-missing * attempts // found)
+        else:
+            # nothing accepted yet: double the candidates drawn
+            wanted = max(missing, attempts)
+        block = min(wanted, budget - attempts)
+        candidates = rng.uniform(lows, highs, size=(block, len(lows)))
+        attempts += block
+        if domain.guards:
+            candidates = candidates[
+                _guard_mask(PointCloud(domain.chart, candidates), domain.guards)
+            ]
+        accepted.append(candidates[:missing])
+        found += len(accepted[-1])
+    return PointCloud(domain.chart, np.concatenate(accepted))
 
 
 @dataclass(frozen=True)
@@ -134,7 +168,7 @@ class VerifyConfig:
     domain: SampleDomain
     tol: ToleranceConfig = field(default_factory=ToleranceConfig)
 
-    def points(self) -> list[Point]:
+    def points(self) -> PointCloud:
         return sample_points(self.domain)
 
 

@@ -89,6 +89,21 @@ def test_unknown_fixture():
     assert "nope" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--samples", "0", "samples must be >= 1"),
+        ("--seed", "-1", "seed must fit in 64 unsigned bits"),
+        ("--tolerance", "-1", "residual must be positive"),
+    ],
+)
+def test_out_of_range_number_is_usage_error(flag, value, message):
+    code, run, _, err = invoke(["example", "run", "hojman-2d", flag, value])
+    assert code == 2
+    assert run is None
+    assert err.strip() == f"qbhkit: error: {message}"
+
+
 def test_vanishing_rho_exit_code(exp_path):
     code, run, _, err = invoke(
         ["build", "qbh", "--input", exp_path, "--F", "y"]

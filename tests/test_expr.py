@@ -241,6 +241,52 @@ def test_batch_evaluation_matches_scalar():
             assert value == pytest.approx(e.at(p), abs=1e-12, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/(exp(400*x)*exp(400*x))",
+        "atan(exp(400*x)*exp(400*x))",
+        "exp(400*x)*exp(400*x)-exp(400*x)*exp(400*x)",
+        "-(exp(400*x)*exp(400*x))",
+    ],
+)
+def test_batch_evaluation_is_nan_where_an_intermediate_overflows(text):
+    # exp(400)^2 overflows to inf inside the product; the scalar
+    # evaluator raises there, so the array evaluator must not turn the
+    # infinity back into a finite value further up
+    e = qk.parse_expression(text, CHART)
+    p = CHART.point(1.0, 0.0, 0.0)
+    with pytest.raises(qk.EvaluationDomainError):
+        e.at(p)
+    values = e.sample([p, CHART.point(0.1, 0.0, 0.0)])
+    assert np.isnan(values[0])
+    assert np.isfinite(values[1])
+
+
+def test_batch_evaluation_shapes_and_ownership():
+    points = corpus_points(5)
+    constant = qk.parse_expression("7", CHART).sample(points)
+    assert constant.shape == (5,) and (constant == 7.0).all()
+    x = qk.parse_expression("x", CHART).sample(points)
+    x[:] = 0.0  # the result is the caller's, not a view of the points
+    assert points[0]["x"] != 0.0
+    assert qk.parse_expression("x", CHART).sample(points)[0] == points[0]["x"]
+
+
+def test_point_cloud_indexing():
+    points = corpus_points(6)
+    assert isinstance(points, qk.PointCloud)
+    assert len(points) == 6 and points.values.shape == (6, 3)
+    assert points[2].values == tuple(points.values[2])
+    assert points[-1].values == list(points)[-1].values
+    assert [p.values for p in points[1:3]] == [points[1].values, points[2].values]
+    mask = np.array([True, False, True, False, False, True])
+    assert [p.values for p in points[mask]] == [points[i].values for i in (0, 2, 5)]
+    assert qk.PointCloud.of(CHART, list(points)).values.tolist() == points.values.tolist()
+    with pytest.raises(ValueError):
+        points.values[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # simplification
 
