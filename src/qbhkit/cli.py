@@ -203,10 +203,10 @@ def _config(spec, args):
 
 
 def _execute(args):
-    """Returns (command string, spec, [CriterionReport, ...])."""
+    """Returns (command string, spec, VerifyConfig, [CriterionReport, ...])."""
     if args.command == "example":
         if args.what == "list":
-            return ("example list", None, None)
+            return ("example list", None, None, None)
         if not args.name:
             raise _Usage("example run needs a fixture name")
         if args.name not in FIXTURES:
@@ -216,7 +216,7 @@ def _execute(args):
         spec = load_fixture(args.name)
         cfg = _config(spec, args)
         reports = FIXTURES[args.name].runner(spec, cfg)
-        return (f"example run {args.name}", spec, reports)
+        return (f"example run {args.name}", spec, cfg, reports)
 
     spec = _resolve_spec(args)
     cfg = _config(spec, args)
@@ -227,7 +227,7 @@ def _execute(args):
             x3 = _require_field(args, spec, "X3")
             H = _function(args, spec, args.H, "H")
             reports = [hojman_check(x1, x3, H, cfg).report]
-            return ("check hojman", spec, reports)
+            return ("check hojman", spec, cfg, reports)
         x2 = _require_field(args, spec, "X2")
         if args.what == "poisson":
             reports = [check_poisson_pair(x1, x2, cfg)]
@@ -252,7 +252,7 @@ def _execute(args):
                     "--field or define [field XH]"
                 )
             reports = [check_jacobi(x1, x2, xh, cfg)]
-        return (f"check {args.what}", spec, reports)
+        return (f"check {args.what}", spec, cfg, reports)
 
     if args.command == "coeffs":
         x1 = _require_field(args, spec, "X1")
@@ -266,7 +266,7 @@ def _execute(args):
             free = delta_structure_functions(x1, x2, H)
         result = lemma4_coefficients(x1, x2, x3, H, free, cfg)
         residuals = lemma4_residuals(result.coefficients, x1, x2, x3, H, cfg)
-        return ("coeffs lemma4", spec, [residuals, result.comparison])
+        return ("coeffs lemma4", spec, cfg, [residuals, result.comparison])
 
     if args.command == "build":
         x1 = _require_field(args, spec, "X1")
@@ -275,7 +275,7 @@ def _execute(args):
         H = _function(args, spec, args.H, "H")
         F = _function(args, spec, args.F, "F")
         system = build_qbh(x1, x2, x3, H, F, cfg)
-        return ("build qbh", spec, [system.report])
+        return ("build qbh", spec, cfg, [system.report])
 
     raise _Usage(f"unknown command {args.command!r}")
 
@@ -299,7 +299,7 @@ def run_command(argv, stdout=None, stderr=None):
 
     started = time.perf_counter()
     try:
-        command, spec, reports = _execute(args)
+        command, spec, cfg, reports = _execute(args)
     except _Usage as exc:
         complain(str(exc))
         return (2, None)
@@ -320,7 +320,6 @@ def run_command(argv, stdout=None, stderr=None):
         return (0, None)
 
     wall = time.perf_counter() - started
-    cfg = _config(spec, args)
     run = build_run_report(
         command=command,
         digest=spec.digest(),

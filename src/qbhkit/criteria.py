@@ -76,19 +76,6 @@ def _condition(name, values, points, informative=False, extra_skipped=0, notes=(
     )
 
 
-def _scalar_values(expr: ScalarExpr, points) -> np.ndarray:
-    return np.abs(evaluate_at_points(expr, points))
-
-
-def _field_values(X: VectorField, points) -> np.ndarray:
-    """Per-point max |component|; NaN where any component is undefined."""
-    comps = X.components_at(points)
-    bad = ~np.isfinite(comps).all(axis=1)
-    values = np.max(np.abs(comps), axis=1)
-    values[bad] = np.nan
-    return values
-
-
 def _grid_values(arr: np.ndarray) -> np.ndarray:
     """Collapse (m, ...) component arrays to per-point max |entry|."""
     flat = arr.reshape(arr.shape[0], -1)
@@ -404,18 +391,14 @@ def check_delta(
     still produce honest residuals rather than an abort.
     """
     points = cfg.points()
-    conditions = (
-        _condition(
-            "bracket-x1-x2", _field_values(lie_bracket(X1, X2), points), points
-        ),
-        _condition(
-            "bracket-x3-x1-minus-target",
-            _field_values(lie_bracket(X3, X1) - (X1 - X2), points),
-            points,
-        ),
-        _condition(
-            "bracket-x3-x2", _field_values(lie_bracket(X3, X2), points), points
-        ),
+    residuals = (
+        ("bracket-x1-x2", lie_bracket(X1, X2)),
+        ("bracket-x3-x1-minus-target", lie_bracket(X3, X1) - (X1 - X2)),
+        ("bracket-x3-x2", lie_bracket(X3, X2)),
+    )
+    conditions = tuple(
+        _condition(name, _grid_values(field.components_at(points)), points)
+        for name, field in residuals
     )
     return make_report("delta", conditions, len(points), cfg.tol)
 
@@ -427,7 +410,7 @@ def hamiltonian_condition(
     and a report of its max |value| over the sampled points."""
     points = cfg.points()
     expr = X1.apply(X2.apply(H))
-    cond = _condition("x1-x2-H", _scalar_values(expr, points), points)
+    cond = _condition("x1-x2-H", evaluate_at_points(expr, points), points)
     report = make_report(
         "hamiltonian-condition",
         (cond,),
@@ -452,17 +435,17 @@ def separable_hamiltonian(
     points and a violation raises PreconditionResidualError.
     """
     points = cfg.points()
-    inv1 = _condition("x1-invariance", _scalar_values(X1.apply(I1), points), points)
-    inv2 = _condition("x2-invariance", _scalar_values(X2.apply(I2), points), points)
+    inv1 = _condition("x1-invariance", evaluate_at_points(X1.apply(I1), points), points)
+    inv2 = _condition("x2-invariance", evaluate_at_points(X2.apply(I2), points), points)
     for cond in (inv1, inv2):
         if not cond.within(cfg.tol.residual):
             raise PreconditionResidualError(cond.name, cond.max_residual or np.inf)
     commute = _condition(
-        "bracket-x1-x2", _field_values(lie_bracket(X1, X2), points), points
+        "bracket-x1-x2", _grid_values(lie_bracket(X1, X2).components_at(points)), points
     )
     H = (I1 + I2).simplified()
     expr = X1.apply(X2.apply(H))
-    main = _condition("x1-x2-H", _scalar_values(expr, points), points)
+    main = _condition("x1-x2-H", evaluate_at_points(expr, points), points)
     report = make_report(
         "separable-hamiltonian",
         (inv1, inv2, commute, main),
@@ -522,7 +505,12 @@ def delta_structure_functions(X1, X2, H):
     return (zero, d1, d2, zero, zero)
 
 
-def _check_guard(h2: ScalarExpr, points, tol):
+def _guarded_derivatives(X1, X2, X3, H, points, tol):
+    """(h1, h2, h11, h12, h21, h22, h31, h32) with h1 = X1(H), h2 = X2(H)
+    and hij = Xi(hj), after checking that |X2(H)| stays at least the
+    guard epsilon at the sampled points."""
+    h1 = X1.apply(H)
+    h2 = X2.apply(H)
     values = evaluate_at_points(h2, points)
     bad = ~np.isfinite(values) | (np.abs(values) < tol.guard_eps)
     if bad.any():
@@ -531,6 +519,7 @@ def _check_guard(h2: ScalarExpr, points, tol):
             f"|X2(H)| < {tol.guard_eps:g} (or undefined) at sampled point "
             f"{points[index]}"
         )
+    return (h1, h2) + tuple(X.apply(h) for X in (X1, X2, X3) for h in (h1, h2))
 
 
 def lemma4_coefficients(
@@ -555,15 +544,9 @@ def lemma4_coefficients(
     n1, d1, d2, e1, e2 = (
         f if isinstance(f, ScalarExpr) else constant(chart, f) for f in free
     )
-    h1 = X1.apply(H)
-    h2 = X2.apply(H)
-    _check_guard(h2, points, cfg.tol)
-    h11 = X1.apply(h1)
-    h12 = X1.apply(h2)
-    h21 = X2.apply(h1)
-    h22 = X2.apply(h2)
-    h31 = X3.apply(h1)
-    h32 = X3.apply(h2)
+    h1, h2, h11, h12, h21, h22, h31, h32 = _guarded_derivatives(
+        X1, X2, X3, H, points, cfg.tol
+    )
 
     c1 = (h2 * n1 - h22).simplified()
     c2 = (h12 - h1 * n1).simplified()
@@ -640,15 +623,9 @@ def lemma4_residuals(
     satisfy; residuals vanish when coeffs come from
     lemma4_coefficients (checked on the fixtures)."""
     points = cfg.points()
-    h1 = X1.apply(H)
-    h2 = X2.apply(H)
-    _check_guard(h2, points, cfg.tol)
-    h11 = X1.apply(h1)
-    h12 = X1.apply(h2)
-    h21 = X2.apply(h1)
-    h22 = X2.apply(h2)
-    h31 = X3.apply(h1)
-    h32 = X3.apply(h2)
+    h1, h2, h11, h12, h21, h22, h31, h32 = _guarded_derivatives(
+        X1, X2, X3, H, points, cfg.tol
+    )
     c = coeffs
     residuals = (
         ("consistency-c2", h1 * c.n1 + c.c2 - h12),
@@ -665,7 +642,7 @@ def lemma4_residuals(
         ),
     )
     conditions = [
-        _condition(name, _scalar_values(expr.simplified(), points), points)
+        _condition(name, evaluate_at_points(expr.simplified(), points), points)
         for name, expr in residuals
     ]
     return make_report("lemma4-residuals", conditions, len(points), cfg.tol)
@@ -700,7 +677,7 @@ def check_jacobi(
 
     bracket_cond = _condition(
         "bracket-plus-xh",
-        _field_values(lie_bracket(X1, X2) + XH, usable),
+        _grid_values((lie_bracket(X1, X2) + XH).components_at(usable)),
         usable,
         extra_skipped=dropped,
     )
@@ -777,7 +754,7 @@ def hojman_check(
     points = cfg.points()
     algebra = _condition(
         "bracket-x3-x1-minus-x1",
-        _field_values(lie_bracket(X3, X1) - X1, points),
+        _grid_values((lie_bracket(X3, X1) - X1).components_at(points)),
         points,
     )
     if not algebra.within(cfg.tol.residual):
@@ -785,14 +762,14 @@ def hojman_check(
             "[X3,X1] = X1", algebra.max_residual or np.inf
         )
     invariance = _condition(
-        "x1-H", _scalar_values(X1.apply(H), points), points
+        "x1-H", evaluate_at_points(X1.apply(H), points), points
     )
     if not invariance.within(cfg.tol.residual):
         raise PreconditionResidualError(
             "X1(H) = 0", invariance.max_residual or np.inf
         )
     rho = X3.apply(H)
-    main = _condition("x1-rho", _scalar_values(X1.apply(rho), points), points)
+    main = _condition("x1-rho", evaluate_at_points(X1.apply(rho), points), points)
     report = make_report(
         "hojman",
         (algebra, invariance, main),
@@ -888,7 +865,7 @@ def check_linear_realization(
     points = cfg.points()
     residuals = realization.residual_expressions(P)
     conditions = [
-        _condition(f"candidate-eq-{i + 1}", _scalar_values(expr, points), points)
+        _condition(f"candidate-eq-{i + 1}", evaluate_at_points(expr, points), points)
         for i, expr in enumerate(residuals)
     ]
     return make_report("linear-realization", conditions, len(points), cfg.tol)

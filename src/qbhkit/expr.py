@@ -162,62 +162,67 @@ def npow(base: Node, exponent: Node) -> Node:
         if exponent.value == 1.0:
             return base
         if isinstance(base, Const):
-            try:
-                return Const(_checked(math.pow(base.value, exponent.value)))
-            except (ValueError, OverflowError, _DomainViolation):
-                pass
+            value = _finite_or_none(math.pow, base.value, exponent.value)
+            if value is not None:
+                return Const(value)
     return Power(base, exponent)
 
 
 def ncall(func: str, args) -> Node:
     args = tuple(args)
     if all(isinstance(a, Const) for a in args):
-        try:
-            return Const(_apply_function(func, [a.value for a in args]))
-        except _DomainViolation:
-            pass
+        value = _finite_or_none(_MATH_FUNCTIONS[func], *(a.value for a in args))
+        if value is not None:
+            return Const(value)
     return Call(func, args)
 
 
-class _DomainViolation(Exception):
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
+def _math_atan2(y, x):
+    """``math.atan2``, undefined at (0, 0) as in evaluation."""
+    if y == 0.0 and x == 0.0:
+        raise ValueError("atan2(0, 0)")
+    return math.atan2(y, x)
 
 
-def _checked(value: float) -> float:
-    if not math.isfinite(value):
-        raise _DomainViolation("non-finite value")
-    return value
+# Constant folding uses ``math``, not numpy: the two differ in the last
+# bit for some arguments, and folded constants are printed in notes and
+# hashed into problem digests.
+_MATH_FUNCTIONS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+    "atan": math.atan,
+    "atan2": _math_atan2,
+}
 
 
-def _apply_function(func, args):
-    if func == "sin":
-        return _checked(math.sin(args[0]))
-    if func == "cos":
-        return _checked(math.cos(args[0]))
-    if func == "tan":
-        return _checked(math.tan(args[0]))
-    if func == "exp":
-        try:
-            return _checked(math.exp(args[0]))
-        except OverflowError:
-            raise _DomainViolation("exp overflow") from None
-    if func == "ln":
-        if args[0] <= 0.0:
-            raise _DomainViolation("ln of non-positive value")
-        return _checked(math.log(args[0]))
-    if func == "sqrt":
-        if args[0] < 0.0:
-            raise _DomainViolation("sqrt of negative value")
-        return _checked(math.sqrt(args[0]))
-    if func == "atan":
-        return _checked(math.atan(args[0]))
-    if func == "atan2":
-        if args[0] == 0.0 and args[1] == 0.0:
-            raise _DomainViolation("atan2(0, 0)")
-        return _checked(math.atan2(args[0], args[1]))
-    raise ValueError(f"unknown function {func!r}")
+def _finite_or_none(func, *args):
+    """``func(*args)`` where it is defined and finite, else None."""
+    try:
+        value = func(*args)
+    except (ValueError, OverflowError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def operands(node: Node) -> tuple:
+    """The direct subexpressions of ``node``, in order."""
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Quotient):
+        return (node.numerator, node.denominator)
+    if isinstance(node, Power):
+        return (node.base, node.exponent)
+    if isinstance(node, Call):
+        return node.args
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -448,51 +453,9 @@ def _nsimplify(node, memo, fp_memo):
 # evaluation
 
 
-def _eval_scalar(node: Node, env: dict, memo: dict) -> float:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, Const):
-        value = node.value
-    elif isinstance(node, Coord):
-        value = env[node.name]
-    elif isinstance(node, Neg):
-        value = -_eval_scalar(node.arg, env, memo)
-    elif isinstance(node, Sum):
-        value = 0.0
-        for term in node.terms:
-            value += _eval_scalar(term, env, memo)
-    elif isinstance(node, Product):
-        value = 1.0
-        for factor in node.factors:
-            value *= _eval_scalar(factor, env, memo)
-    elif isinstance(node, Quotient):
-        den = _eval_scalar(node.denominator, env, memo)
-        if den == 0.0:
-            raise EvaluationDomainError(node, "division by zero")
-        value = _eval_scalar(node.numerator, env, memo) / den
-    elif isinstance(node, Power):
-        base = _eval_scalar(node.base, env, memo)
-        exponent = _eval_scalar(node.exponent, env, memo)
-        try:
-            value = math.pow(base, exponent)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationDomainError(node, f"power undefined: {exc}") from None
-    else:
-        args = [_eval_scalar(a, env, memo) for a in node.args]
-        try:
-            value = _apply_function(node.func, args)
-        except _DomainViolation as exc:
-            raise EvaluationDomainError(node, exc.reason) from None
-    if not math.isfinite(value):
-        raise EvaluationDomainError(node, "non-finite value")
-    memo[key] = value
-    return value
-
-
 def _eval_array(node: Node, env: dict, memo: dict):
-    """Array twin of ``_eval_scalar``: NaN marks undefined entries.
+    """Evaluate over columns of coordinate values; NaN marks undefined
+    entries.
 
     Constants stay numpy scalars and broadcast, so a result can be a
     scalar; ``ScalarExpr.sample`` expands it. Sums and products start
@@ -532,42 +495,71 @@ def _eval_array(node: Node, env: dict, memo: dict):
         value = np.where(bad, np.nan, value)
     else:
         args = [_eval_array(a, env, memo) for a in node.args]
-        value = _apply_function_array(node.func, args)
+        value = _NUMPY_FUNCTIONS[node.func](*args)
+        if node.func == "atan2":
+            value = np.where((args[0] == 0.0) & (args[1] == 0.0), np.nan, value)
+        value = _undefined_to_nan(value)
     memo[key] = value
     return value
 
 
+_NUMPY_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "atan": np.arctan,
+    "atan2": np.arctan2,
+}
+
+
 def _undefined_to_nan(value):
-    """NaN wherever ``value`` is not finite. ``_eval_scalar`` raises at
-    every non-finite node, so an infinity that a later node would map
-    back to a finite value (1/inf, atan(inf)) must not read as defined."""
+    """NaN wherever ``value`` is not finite. An infinity is undefined
+    even where a later node would map it back to a finite value (1/inf,
+    atan(inf)), so it must not propagate as a number."""
     finite = np.isfinite(value)
     return value if finite.all() else np.where(finite, value, np.nan)
 
 
-def _apply_function_array(func, args):
-    if func == "sin":
-        value = np.sin(args[0])
-    elif func == "cos":
-        value = np.cos(args[0])
-    elif func == "tan":
-        value = np.tan(args[0])
-    elif func == "exp":
-        value = np.exp(args[0])
-    elif func == "ln":
-        with np.errstate(all="ignore"):
-            value = np.log(args[0])
-    elif func == "sqrt":
-        with np.errstate(all="ignore"):
-            value = np.sqrt(args[0])
-    elif func == "atan":
-        value = np.arctan(args[0])
-    elif func == "atan2":
-        value = np.arctan2(args[0], args[1])
-        value = np.where((args[0] == 0.0) & (args[1] == 0.0), np.nan, value)
-    else:
-        raise ValueError(f"unknown function {func!r}")
-    return _undefined_to_nan(value)
+def _evaluate(node: Node, cloud: PointCloud):
+    """``node`` over ``cloud`` with the memo of every subexpression's
+    value, which ``_domain_error`` reads."""
+    env = {name: cloud.values[:, i] for i, name in enumerate(cloud.chart.names)}
+    memo = {}
+    with np.errstate(all="ignore"):
+        value = _eval_array(node, env, memo)
+    return value, memo
+
+
+def _domain_error(root: Node, memo: dict) -> EvaluationDomainError:
+    """The error for a one-point evaluation of ``root`` that gave NaN. It
+    names an innermost undefined node, reached from ``root`` through
+    undefined operands, so every operand of that node is defined."""
+    node = root
+    while True:
+        inner = [a for a in operands(node) if math.isnan(memo[id(a)].item())]
+        if not inner:
+            break
+        node = inner[0]
+    reason = "non-finite value"
+    if isinstance(node, Call):
+        reason = _UNDEFINED_CALLS.get(node.func, reason)
+    elif isinstance(node, Quotient) and memo[id(node.denominator)].item() == 0.0:
+        reason = "division by zero"
+    elif isinstance(node, Power):
+        reason = "power undefined"
+    return EvaluationDomainError(node, reason)
+
+
+# why a call of each function is undefined at finite arguments
+_UNDEFINED_CALLS = {
+    "ln": "ln of non-positive value",
+    "sqrt": "sqrt of negative value",
+    "atan2": "atan2(0, 0)",
+    "exp": "exp overflow",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +653,21 @@ class ScalarExpr:
         return ScalarExpr(self.chart, nsimplify(self.node, {}, {}))
 
     def at(self, point: Point) -> float:
+        """The value at one point, bit for bit ``sample([point])[0]``;
+        raises EvaluationDomainError exactly where that is NaN."""
         require_same_chart(self, point)
-        env = dict(zip(self.chart.names, point.values))
-        return _eval_scalar(self.node, env, {})
+        value, memo = _evaluate(self.node, PointCloud(self.chart, [point.values]))
+        value = value.item()
+        if math.isnan(value):
+            raise _domain_error(self.node, memo)
+        return value
 
     def sample(self, points) -> np.ndarray:
         """Evaluate at many points at once (a PointCloud or Point
         objects); NaN marks undefined points, exactly where ``at``
         raises EvaluationDomainError."""
         cloud = PointCloud.of(self.chart, points)
-        env = {name: cloud.values[:, i] for i, name in enumerate(self.chart.names)}
-        with np.errstate(all="ignore"):
-            value = _eval_array(self.node, env, {})
+        value, _ = _evaluate(self.node, cloud)
         if np.ndim(value) == 0:
             return np.full(len(cloud), value)
         # a bare coordinate evaluates to a read-only view of the cloud
@@ -690,18 +685,7 @@ class ScalarExpr:
             seen.add(id(node))
             if isinstance(node, Coord):
                 names.add(node.name)
-            elif isinstance(node, Neg):
-                stack.append(node.arg)
-            elif isinstance(node, Sum):
-                stack.extend(node.terms)
-            elif isinstance(node, Product):
-                stack.extend(node.factors)
-            elif isinstance(node, Quotient):
-                stack.extend((node.numerator, node.denominator))
-            elif isinstance(node, Power):
-                stack.extend((node.base, node.exponent))
-            elif isinstance(node, Call):
-                stack.extend(node.args)
+            stack.extend(operands(node))
         return frozenset(names)
 
     def is_zero(self) -> bool:

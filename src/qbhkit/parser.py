@@ -12,6 +12,13 @@ Grammar (whitespace insignificant):
 ``-(x^2)`` while ``x^-2`` parses as expected.  Identifiers followed by
 '(' must be one of the known function names; bare identifiers must be
 chart coordinates.
+
+Input may nest at most ``MAX_DEPTH`` levels, counted two ways: the
+parser's own nesting (parentheses, calls, unary minus and '^') and the
+operator depth of the result, which a left-associative chain such as
+``x/2/2/2`` builds without parser nesting. Every later walk of the
+tree (differentiation, simplification, evaluation, printing) recurses
+per level, so deeper input is rejected here as a syntax error.
 """
 from __future__ import annotations
 
@@ -32,7 +39,10 @@ from .expr import (
     nprod,
     nquot,
     nsum,
+    operands,
 )
+
+MAX_DEPTH = 100
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -86,6 +96,7 @@ class _Parser:
         self.chart = chart
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
     def peek(self) -> _Token:
@@ -104,6 +115,15 @@ class _Parser:
 
     def fail(self, message: str):
         raise ExprSyntaxError(message, _byte_offset(self.text, self.peek().pos))
+
+    def nested(self, parse):
+        """``parse()`` one level deeper; fails beyond MAX_DEPTH levels."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
+        node = parse()
+        self.depth -= 1
+        return node
 
     # -- grammar ------------------------------------------------------------
     def parse(self):
@@ -131,14 +151,14 @@ class _Parser:
     def factor(self):
         if self.peek().kind == "-":
             self.advance()
-            return nneg(self.factor())
+            return nneg(self.nested(self.factor))
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            return npow(base, self.factor())
+            return npow(base, self.nested(self.factor))
         return base
 
     def atom(self):
@@ -157,7 +177,7 @@ class _Parser:
             return Coord(token.text)
         if token.kind == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect(")")
             return node
         self.fail(f"expected expression, found {token.text or 'end of input'!r}")
@@ -172,10 +192,10 @@ class _Parser:
                 name.text, _byte_offset(self.text, name.pos)
             )
         self.expect("(")
-        args = [self.expr()]
+        args = [self.nested(self.expr)]
         while self.peek().kind == ",":
             self.advance()
-            args.append(self.expr())
+            args.append(self.nested(self.expr))
         self.expect(")")
         if len(args) != arity:
             raise ExprSyntaxError(
@@ -188,8 +208,27 @@ class _Parser:
 def parse_expression(text: str, chart: CoordinateChart) -> ScalarExpr:
     """Parse UTF-8 expression text over ``chart``.
 
-    Raises ExprSyntaxError (with a byte offset) on malformed input and
+    Raises ExprSyntaxError (with a byte offset) on malformed input or
+    input nested deeper than MAX_DEPTH levels, and
     UnknownIdentifierError for identifiers that are neither chart
     coordinates nor known functions.
     """
-    return ScalarExpr(chart, _Parser(text, chart).parse())
+    node = _Parser(text, chart).parse()
+    if _operator_depth(node) > MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression nested deeper than {MAX_DEPTH} levels",
+            _byte_offset(text, len(text)),
+        )
+    return ScalarExpr(chart, node)
+
+
+def _operator_depth(root) -> int:
+    """Operators on the longest path from ``root`` down to a leaf. The
+    walk keeps its own stack, because the depth is not yet known to be
+    small; parsed trees share no operator node, so it visits each once."""
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((a, depth + 1) for a in operands(node))
+    return deepest

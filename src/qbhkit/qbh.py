@@ -32,8 +32,7 @@ from .fields import (
 )
 from .criteria import (
     _condition,
-    _field_values,
-    _scalar_values,
+    _grid_values,
     check_delta,
     hamiltonian_condition,
 )
@@ -112,15 +111,12 @@ def build_qbh(
     rho = (-X3.apply(F)).simplified()
     hf = poisson_bracket(wedge(X1, X2), H, F)
 
-    conditions = []
     # the contraction identity XF = {H,F} X3 + rho XH holds for any F
-    identity_field = xf - (X3.scaled(hf) + xh.scaled(rho))
-    conditions.append(
-        _condition("contraction-identity", _field_values(identity_field, points), points)
-    )
+    identity = (xf - (X3.scaled(hf) + xh.scaled(rho))).components_at(points)
+    conditions = [_condition("contraction-identity", _grid_values(identity), points)]
 
     integral_cond = _condition(
-        "integral", _scalar_values(hf, points), points,
+        "integral", evaluate_at_points(hf, points), points,
         informative=not require_exact,
     )
     conditions.append(integral_cond)
@@ -145,18 +141,18 @@ def build_qbh(
     conditions.append(
         _condition(
             "exactness",
-            _field_values(xf - xh.scaled(rho), points),
+            _grid_values((xf - xh.scaled(rho)).components_at(points)),
             points,
             informative=not exact,
         )
     )
     conditions.append(
-        _condition("xf-of-F", _scalar_values(xf.apply(F), points), points)
+        _condition("xf-of-F", evaluate_at_points(xf.apply(F), points), points)
     )
 
     bi_cond = _condition(
         "x3-F-plus-1",
-        _scalar_values(X3.apply(F) + constant(chart, 1.0), points),
+        evaluate_at_points(X3.apply(F) + constant(chart, 1.0), points),
         points,
         informative=True,
     )
@@ -165,7 +161,7 @@ def build_qbh(
     if bi_hamiltonian:
         conditions.append(
             _condition(
-                "bi-degeneration", _field_values(xf - xh, points), points
+                "bi-degeneration", _grid_values((xf - xh).components_at(points)), points
             )
         )
 

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .chart import CoordinateChart, Point, PointCloud
-from .errors import EvaluationDomainError, GuardTooRestrictiveError
+from .errors import GuardTooRestrictiveError
 from .expr import Coord, Const, ScalarExpr, nprod, nsum
 from .fields import VectorField
 
@@ -99,16 +99,8 @@ def _guard_limit(guard: Guard) -> float:
 
 
 def _passes_guards(point: Point, guards) -> bool:
-    """Scalar guard test of one point; ``sample_points`` applies the same
-    test to whole blocks with the array evaluator."""
-    for guard in guards:
-        try:
-            value = guard.expression.at(point)
-        except EvaluationDomainError:
-            return False
-        if abs(value) < _guard_limit(guard):
-            return False
-    return True
+    """The guard test of one point: ``_guard_mask`` on a one-row cloud."""
+    return bool(_guard_mask(PointCloud(point.chart, [point.values]), guards)[0])
 
 
 def _guard_mask(cloud: PointCloud, guards) -> np.ndarray:

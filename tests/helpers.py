@@ -79,3 +79,13 @@ def random_fields(chart, rng, degree=2, count=2):
         )
         fields.append(qk.VectorField(chart, comps))
     return fields
+
+
+# Expressions nested past the parser's depth limit of 100, in the three
+# ways input can nest: parentheses, calls, and a left-associative chain
+# that the parser builds without recursing.
+DEEP_EXPRESSIONS = {
+    "parentheses-198": "(" * 198 + "y" + ")" * 198,
+    "sin-chain-165": "sin(" * 165 + "y" + ")" * 165,
+    "division-chain-2000": "y" + "/2" * 2000,
+}

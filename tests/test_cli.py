@@ -8,6 +8,8 @@ import qbhkit as qk
 from qbhkit.cli import run_command
 from qbhkit.reports import render_json
 
+from helpers import DEEP_EXPRESSIONS
+
 NON_POISSON = """
 [space]
 coordinates = x1 x2 x3
@@ -25,17 +27,20 @@ seed = 4
 """
 
 
-@pytest.fixture
-def exp_path(tmp_path):
+def fixture_text(name):
     from importlib import resources
 
-    text = (
+    return (
         resources.files("qbhkit")
-        .joinpath("problems/exp-realization.prob")
+        .joinpath(f"problems/{name}.prob")
         .read_text(encoding="utf-8")
     )
+
+
+@pytest.fixture
+def exp_path(tmp_path):
     path = tmp_path / "exp.prob"
-    path.write_text(text)
+    path.write_text(fixture_text("exp-realization"))
     return str(path)
 
 
@@ -73,6 +78,33 @@ def test_parse_error_exit_code(tmp_path):
     code, run, _, err = invoke(["check", "delta", "--input", str(path)])
     assert code == 2
     assert "duplicate" in err
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_EXPRESSIONS))
+def test_deeply_nested_input_is_usage_error(tmp_path, name):
+    text = fixture_text("hojman-2d").replace(
+        "[function H]\nexpr = y\n", f"[function H]\nexpr = {DEEP_EXPRESSIONS[name]}\n"
+    )
+    assert DEEP_EXPRESSIONS[name] in text
+    path = tmp_path / "deep.prob"
+    path.write_text(text)
+    code, run, _, err = invoke(["check", "hojman", "--input", str(path)])
+    assert code == 2 and run is None
+    assert err.startswith("qbhkit: error: ") and err.count("\n") == 1
+    assert "nested deeper than 100 levels" in err
+
+
+def test_depth_100_chain_still_runs(tmp_path):
+    # exp(z)/2^99 still satisfies the algebra; the chain is 99 quotients
+    # around one call, 100 operators deep
+    text = fixture_text("exp-realization").replace(
+        "x = exp(z)\n", "x = exp(z)" + "/2" * 99 + "\n"
+    )
+    assert text.count("/2") == 99
+    path = tmp_path / "deep.prob"
+    path.write_text(text)
+    code, run, _, _ = invoke(["check", "delta", "--input", str(path)])
+    assert code == 0 and run.passed
 
 
 def test_unknown_field_name(exp_path):

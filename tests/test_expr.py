@@ -1,15 +1,17 @@
 """Expression core: parsing, printing, differentiation, evaluation,
 simplification. The derivative oracle is a central finite difference
 with step h * max(1, |p_c|)."""
+import ast
 import math
+import operator
 
 import numpy as np
 import pytest
 
 import qbhkit as qk
-from qbhkit.expr import Call, Coord
+from qbhkit.expr import Call, Coord, node_to_text
 
-from helpers import make_cfg
+from helpers import DEEP_EXPRESSIONS, make_cfg
 
 CHART = qk.CoordinateChart(("x", "y", "z"))
 CHART_N = qk.CoordinateChart(("x1", "x2", "x3"))
@@ -117,6 +119,29 @@ def test_syntax_error_reports_byte_offset():
 def test_trailing_input_rejected():
     with pytest.raises(qk.ExprSyntaxError):
         qk.parse_expression("x y", CHART)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_EXPRESSIONS))
+def test_parse_rejects_deep_nesting(name):
+    with pytest.raises(qk.ExprSyntaxError, match="nested deeper than 100 levels"):
+        qk.parse_expression(DEEP_EXPRESSIONS[name], CHART)
+
+
+NESTINGS = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "calls": lambda n: "atan2(1, " * n + "x" + ")" * n,
+    "unary-minus": lambda n: "-" * n + "x",
+    "powers": lambda n: "x^" * n + "x",
+    "left-associative-chain": lambda n: "x" + "/2" * n,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_parse_depth_limit_is_100(shape):
+    deepest = qk.parse_expression(NESTINGS[shape](100), CHART)
+    assert math.isfinite(deepest.at(CHART.point(0.5, 0.5, 0.5)))
+    with pytest.raises(qk.ExprSyntaxError, match="nested deeper than 100 levels"):
+        qk.parse_expression(NESTINGS[shape](101), CHART)
 
 
 @pytest.mark.parametrize("text", CORPUS)
@@ -232,13 +257,119 @@ def test_batch_evaluation_marks_undefined_points_nan():
     assert values[2] == pytest.approx(1.0)
 
 
-def test_batch_evaluation_matches_scalar():
-    points = corpus_points(20)
+# An evaluator independent of qbhkit: Python's ``math`` on the Python
+# syntax tree of the same text, raising at every undefined or
+# non-finite intermediate value.
+_MATH = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+    "atan": math.atan,
+    "atan2": math.atan2,
+}
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: math.pow,
+}
+
+
+class _Undefined(Exception):
+    pass
+
+
+def math_oracle(text, point):
+    env = point.as_dict()
+
+    def ev(node):
+        try:
+            if isinstance(node, ast.Constant):
+                value = float(node.value)
+            elif isinstance(node, ast.Name):
+                value = env[node.id]
+            elif isinstance(node, ast.UnaryOp):
+                value = -ev(node.operand)
+            elif isinstance(node, ast.BinOp):
+                value = _BINARY[type(node.op)](ev(node.left), ev(node.right))
+            else:
+                args = [ev(a) for a in node.args]
+                if node.func.id == "atan2" and args == [0.0, 0.0]:
+                    raise _Undefined
+                value = _MATH[node.func.id](*args)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            raise _Undefined from None
+        if not math.isfinite(value):
+            raise _Undefined
+        return value
+
+    # '^' is Python's '**': right associative, binding tighter than a
+    # unary minus on its left, as in the expression grammar
+    return ev(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
+def test_sample_matches_math_oracle():
+    # the wide box puts some points outside the domains of x^y and
+    # sqrt(x + 1), so undefined points are compared too
+    wide = make_cfg(CHART, lo=-1.5, hi=1.5, samples=20).points()
+    points = [*corpus_points(20), *wide]
+    undefined = 0
     for text in CORPUS:
-        e = qk.parse_expression(text, CHART)
-        batch = qk.evaluate_at_points(e, points)
-        for value, p in zip(batch, points):
-            assert value == pytest.approx(e.at(p), abs=1e-12, rel=1e-12)
+        values = qk.parse_expression(text, CHART).sample(points)
+        for value, p in zip(values, points):
+            try:
+                want = math_oracle(text, p)
+            except _Undefined:
+                undefined += 1
+                assert np.isnan(value), (text, p)
+                continue
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0), (text, p)
+    assert undefined > 0
+
+
+@pytest.mark.parametrize("text", CORPUS + ["x / y", "ln(x)"])
+def test_at_is_sample_at_one_point(text):
+    e = qk.parse_expression(text, CHART)
+    points = [
+        *make_cfg(CHART, lo=-1.5, hi=1.5, samples=20).points(),
+        CHART.point(1.0, 0.0, 1.0),
+        CHART.point(0.0, 1.0, 1.0),
+    ]
+    for p, value in zip(points, e.sample(points)):
+        if np.isnan(value):
+            with pytest.raises(qk.EvaluationDomainError):
+                e.at(p)
+        else:
+            assert np.float64(e.at(p)).tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text,point,reason,innermost",
+    [
+        ("x / y", (1.0, 0.0, 0.0), "division by zero", "x / y"),
+        ("ln(x)", (0.0, 1.0, 1.0), "ln of non-positive value", "ln(x)"),
+        ("2 + y * sqrt(x - 3)", (1, 1, 1), "sqrt of negative value", "sqrt(x - 3.0)"),
+        ("1 + atan2(x, y)^2", (0.0, 0.0, 1.0), "atan2(0, 0)", "atan2(x, y)"),
+        ("sin(exp(x) / 2)", (1000.0, 1.0, 1.0), "exp overflow", "exp(x)"),
+        ("x^y + z", (0.0, -2.0, 1.0), "power undefined", "x^y"),
+        (
+            "exp(400*x)*exp(400*x) - 1",
+            (1.0, 0.0, 0.0),
+            "non-finite value",
+            "exp(400.0 * x) * exp(400.0 * x)",
+        ),
+    ],
+)
+def test_domain_error_names_innermost_undefined_node(text, point, reason, innermost):
+    e = qk.parse_expression(text, CHART)
+    with pytest.raises(qk.EvaluationDomainError) as err:
+        e.at(CHART.point(*point))
+    assert err.value.reason == reason
+    assert node_to_text(err.value.node) == innermost
 
 
 @pytest.mark.parametrize(
@@ -251,9 +382,9 @@ def test_batch_evaluation_matches_scalar():
     ],
 )
 def test_batch_evaluation_is_nan_where_an_intermediate_overflows(text):
-    # exp(400)^2 overflows to inf inside the product; the scalar
-    # evaluator raises there, so the array evaluator must not turn the
-    # infinity back into a finite value further up
+    # exp(400)^2 overflows to inf inside the product, so the product is
+    # undefined and no later node may turn the infinity back into a
+    # finite value
     e = qk.parse_expression(text, CHART)
     p = CHART.point(1.0, 0.0, 0.0)
     with pytest.raises(qk.EvaluationDomainError):

@@ -1,9 +1,9 @@
 """Array code against the per-point loops it replaced.
 
 The references below are the sequential implementations: the sampler
-drew one candidate at a time and tested it with the scalar guard
-evaluator, and span expansion and the independence test ran one SVD
-(and one lstsq) per point. The batched versions must give bit-identical
+drew one candidate at a time and tested it alone (``_passes_guards``,
+a one-row guard mask), and span expansion and the independence test
+ran one SVD (and one lstsq) per point. The batched versions must give bit-identical
 points and identical skip decisions and notes; least-squares
 coefficients come from another factorisation, so they are compared
 within 1e-12 in units of each system's condition number times the size
@@ -28,7 +28,7 @@ TOL = qk.ToleranceConfig()
 
 
 def sequential_sample_points(domain):
-    """One candidate per draw, tested with the scalar guard evaluator."""
+    """One candidate per draw, each tested alone."""
     rng = np.random.default_rng(domain.seed)
     lows = np.array([lo for lo, _ in domain.box])
     highs = np.array([hi for _, hi in domain.box])
