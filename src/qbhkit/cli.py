@@ -56,7 +56,6 @@ from .problem import load_problem
 from .qbh import build_qbh
 from .reports import build_run_report, render_json, render_text
 
-_USAGE_ERRORS = (QbhError,)
 _SINGULAR_ERRORS = (
     NonVanishingRhoError,
     SingularFactorError,
@@ -138,8 +137,6 @@ class _Usage(Exception):
 
 
 def _resolve_spec(args):
-    if args.command == "example":
-        raise AssertionError("fixtures are resolved separately")
     if not args.input:
         raise _Usage("--input PATH is required for this command")
     return load_problem(args.input)

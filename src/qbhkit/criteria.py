@@ -564,45 +564,49 @@ def lemma4_coefficients(
     )
 
     xh = contract_hamiltonian(H, wedge(X1, X2))
-    bracket_xh_x3 = lie_bracket(xh, X3)
-    bracket_xh_x1 = lie_bracket(xh, X1)
-    bracket_xh_x2 = lie_bracket(xh, X2)
     comparisons = (
-        # (symbol, condition name, bracket, basis, column, printed coefficient)
-        ("A1", "a1-vs-direct", bracket_xh_x3, (xh, X3), 0, a1),
-        ("A2", "a2-vs-direct", bracket_xh_x3, (xh, X3), 1, a2),
-        ("-C2", "neg-c2-vs-direct", bracket_xh_x1, (X1, X2), 0, (-c2).simplified()),
-        ("B2", "b2-vs-direct", bracket_xh_x1, (X1, X2), 1, b2),
-        ("C1", "c1-vs-direct", bracket_xh_x2, (X1, X2), 0, c1),
-        ("C2", "c2-vs-direct", bracket_xh_x2, (X1, X2), 1, c2),
+        # (bracket, basis, one (symbol, condition name, printed
+        # coefficient) per column of the bracket's expansion)
+        (
+            lie_bracket(xh, X3),
+            (xh, X3),
+            (("A1", "a1-vs-direct", a1), ("A2", "a2-vs-direct", a2)),
+        ),
+        (
+            lie_bracket(xh, X1),
+            (X1, X2),
+            (
+                ("-C2", "neg-c2-vs-direct", (-c2).simplified()),
+                ("B2", "b2-vs-direct", b2),
+            ),
+        ),
+        (
+            lie_bracket(xh, X2),
+            (X1, X2),
+            (("C1", "c1-vs-direct", c1), ("C2", "c2-vs-direct", c2)),
+        ),
     )
     conditions = []
     notes = []
-    span_cache: dict = {}
-    for symbol, cond_name, bracket, basis, column, printed in comparisons:
-        key = id(bracket)
-        if key not in span_cache:
-            try:
-                span_cache[key] = span_expand(bracket, basis, points, cfg.tol)
-            except AllPointsSkippedError as exc:
-                span_cache[key] = exc
-        decomp = span_cache[key]
-        if isinstance(decomp, AllPointsSkippedError):
-            conditions.append(
-                ConditionResult(
-                    cond_name, None, None, len(points), True, (str(decomp),)
-                )
+    for bracket, basis, columns in comparisons:
+        try:
+            decomp = span_expand(bracket, basis, points, cfg.tol)
+        except AllPointsSkippedError as exc:
+            conditions.extend(
+                ConditionResult(cond_name, None, None, len(points), True, (str(exc),))
+                for _, cond_name, _ in columns
             )
             continue
-        printed_values = evaluate_at_points(printed, points)
-        deviation = np.abs(printed_values - decomp.coefficient_values(column))
-        cond = _condition(cond_name, deviation, points, informative=True)
-        conditions.append(cond)
-        if cond.max_residual is not None and cond.max_residual > cfg.tol.residual:
-            notes.append(
-                f"printed {symbol} disagrees with direct bracket expansion "
-                f"(max deviation {cond.max_residual:.3e})"
-            )
+        for column, (symbol, cond_name, printed) in enumerate(columns):
+            printed_values = evaluate_at_points(printed, points)
+            deviation = np.abs(printed_values - decomp.coefficient_values(column))
+            cond = _condition(cond_name, deviation, points, informative=True)
+            conditions.append(cond)
+            if cond.max_residual is not None and cond.max_residual > cfg.tol.residual:
+                notes.append(
+                    f"printed {symbol} disagrees with direct bracket expansion "
+                    f"(max deviation {cond.max_residual:.3e})"
+                )
     comparison = make_report(
         "lemma4-comparison", conditions, len(points), cfg.tol, notes=notes
     )

@@ -13,6 +13,7 @@ vanishes exactly when [X,Y] lies in the pointwise span of X and Y.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -87,25 +88,21 @@ class VectorField:
     def at(self, point: Point) -> np.ndarray:
         return np.array([c.at(point) for c in self.components])
 
-    def __add__(self, other: "VectorField") -> "VectorField":
+    def _componentwise(self, other: "VectorField", op) -> "VectorField":
         require_same_chart(self, other)
         return VectorField(
             self.chart,
             tuple(
-                (a + b).simplified()
+                op(a, b).simplified()
                 for a, b in zip(self.components, other.components)
             ),
         )
 
+    def __add__(self, other: "VectorField") -> "VectorField":
+        return self._componentwise(other, operator.add)
+
     def __sub__(self, other: "VectorField") -> "VectorField":
-        require_same_chart(self, other)
-        return VectorField(
-            self.chart,
-            tuple(
-                (a - b).simplified()
-                for a, b in zip(self.components, other.components)
-            ),
-        )
+        return self._componentwise(other, operator.sub)
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, tuple(-c for c in self.components))
@@ -174,8 +171,32 @@ def wedge(X: VectorField, Y: VectorField) -> DecomposableBivector:
     return DecomposableBivector(X, Y)
 
 
+class _WedgeSum:
+    """Arithmetic shared by the formal sums of coefficient-weighted
+    wedges: ``terms`` holds (coefficient, wedge) pairs."""
+
+    @classmethod
+    def zero(cls, chart: CoordinateChart):
+        return cls(chart, ())
+
+    def __add__(self, other):
+        require_same_chart(self, other)
+        return type(self)(self.chart, self.terms + other.terms)
+
+    def scaled(self, factor):
+        if isinstance(factor, (int, float)):
+            factor = constant(self.chart, factor)
+        return type(self)(
+            self.chart,
+            tuple(((factor * c).simplified(), w) for c, w in self.terms),
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
 @dataclass(frozen=True, eq=False)
-class BivectorSum:
+class BivectorSum(_WedgeSum):
     """Formal sum of coefficient-weighted decomposable bivectors.
 
     The empty sum is the zero bivector. Terms whose coefficient or
@@ -196,29 +217,10 @@ class BivectorSum:
         object.__setattr__(self, "terms", tuple(kept))
 
     @classmethod
-    def zero(cls, chart: CoordinateChart) -> "BivectorSum":
-        return cls(chart, ())
-
-    @classmethod
     def of(cls, *bivectors: DecomposableBivector) -> "BivectorSum":
         chart = bivectors[0].chart
         one = constant(chart, 1.0)
         return cls(chart, tuple((one, b) for b in bivectors))
-
-    def __add__(self, other: "BivectorSum") -> "BivectorSum":
-        require_same_chart(self, other)
-        return BivectorSum(self.chart, self.terms + other.terms)
-
-    def scaled(self, factor) -> "BivectorSum":
-        if isinstance(factor, (int, float)):
-            factor = constant(self.chart, factor)
-        return BivectorSum(
-            self.chart,
-            tuple(((factor * c).simplified(), b) for c, b in self.terms),
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self):
         if not self.terms:
@@ -271,7 +273,7 @@ def lie_derivative_bivector(X: VectorField, B: DecomposableBivector) -> Bivector
 
 
 @dataclass(frozen=True, eq=False)
-class TrivectorSum:
+class TrivectorSum(_WedgeSum):
     """Formal sum of coefficient-weighted wedges of three vector fields."""
 
     chart: CoordinateChart
@@ -286,27 +288,8 @@ class TrivectorSum:
             kept.append((coeff, (u, v, w)))
         object.__setattr__(self, "terms", tuple(kept))
 
-    @classmethod
-    def zero(cls, chart: CoordinateChart) -> "TrivectorSum":
-        return cls(chart, ())
-
-    def __add__(self, other: "TrivectorSum") -> "TrivectorSum":
-        require_same_chart(self, other)
-        return TrivectorSum(self.chart, self.terms + other.terms)
-
     def __sub__(self, other: "TrivectorSum") -> "TrivectorSum":
         return self + other.scaled(-1.0)
-
-    def scaled(self, factor) -> "TrivectorSum":
-        if isinstance(factor, (int, float)):
-            factor = constant(self.chart, factor)
-        return TrivectorSum(
-            self.chart,
-            tuple(((factor * c).simplified(), fields) for c, fields in self.terms),
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def wedge3(U: VectorField, V: VectorField, W: VectorField, coefficient=1.0) -> TrivectorSum:
@@ -321,12 +304,12 @@ def schouten_bb(B1: DecomposableBivector, B2: DecomposableBivector) -> Trivector
     require_same_chart(B1.left, B2.left)
     x, y = B1.left, B1.right
     z, w = B2.left, B2.right
-    result = TrivectorSum.zero(x.chart)
-    result = result + wedge3(lie_bracket(x, z), y, w, 1.0)
-    result = result + wedge3(lie_bracket(x, w), y, z, -1.0)
-    result = result + wedge3(lie_bracket(y, z), x, w, -1.0)
-    result = result + wedge3(lie_bracket(y, w), x, z, 1.0)
-    return result
+    return (
+        wedge3(lie_bracket(x, z), y, w, 1.0)
+        + wedge3(lie_bracket(x, w), y, z, -1.0)
+        + wedge3(lie_bracket(y, z), x, w, -1.0)
+        + wedge3(lie_bracket(y, w), x, z, 1.0)
+    )
 
 
 # ---------------------------------------------------------------------------

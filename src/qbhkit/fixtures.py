@@ -33,11 +33,12 @@ from .reports import as_informative
 from .sampling import VerifyConfig, random_polynomial
 
 
-def _run_exp(spec: ProblemSpec, cfg: VerifyConfig):
+def _algebra_reports(spec: ProblemSpec, cfg: VerifyConfig):
+    """The first five reports of the exp and rotation fixtures: the
+    commutation algebra, compatibility, the Hamiltonian condition and
+    the Lemma 4 residuals and comparison."""
     x1, x2, x3 = spec.fields["X1"], spec.fields["X2"], spec.fields["X3"]
     H = spec.functions["H"]
-    F = spec.functions["F"]
-    F2 = spec.functions["F2"]
     xh = contract_hamiltonian(H, wedge(x1, x2))
 
     reports = [check_delta(x1, x2, x3, cfg)]
@@ -48,10 +49,17 @@ def _run_exp(spec: ProblemSpec, cfg: VerifyConfig):
     result = lemma4_coefficients(x1, x2, x3, H, free, cfg)
     reports.append(lemma4_residuals(result.coefficients, x1, x2, x3, H, cfg))
     reports.append(result.comparison)
+    return reports
 
-    system = build_qbh(x1, x2, x3, H, F, cfg)
+
+def _run_exp(spec: ProblemSpec, cfg: VerifyConfig):
+    x1, x2, x3 = spec.fields["X1"], spec.fields["X2"], spec.fields["X3"]
+    H = spec.functions["H"]
+    reports = _algebra_reports(spec, cfg)
+
+    system = build_qbh(x1, x2, x3, H, spec.functions["F"], cfg)
     reports.append(system.report.renamed("qbh-exact"))
-    system2 = build_qbh(x1, x2, x3, H, F2, cfg)
+    system2 = build_qbh(x1, x2, x3, H, spec.functions["F2"], cfg)
     reports.append(system2.report.renamed("qbh-bihamiltonian"))
 
     rng = np.random.default_rng(cfg.domain.seed)
@@ -68,18 +76,8 @@ def _run_exp(spec: ProblemSpec, cfg: VerifyConfig):
 
 
 def _run_rotation(spec: ProblemSpec, cfg: VerifyConfig):
-    x1, x2, x3 = spec.fields["X1"], spec.fields["X2"], spec.fields["X3"]
-    H = spec.functions["H"]
-    xh = contract_hamiltonian(H, wedge(x1, x2))
-
-    reports = [check_delta(x1, x2, x3, cfg)]
-    reports.append(check_compatibility(x1, x2, xh, x3, cfg))
-    reports.append(hamiltonian_condition(x1, x2, H, cfg)[1])
-
-    free = delta_structure_functions(x1, x2, H)
-    result = lemma4_coefficients(x1, x2, x3, H, free, cfg)
-    reports.append(lemma4_residuals(result.coefficients, x1, x2, x3, H, cfg))
-    reports.append(result.comparison)
+    reports = _algebra_reports(spec, cfg)
+    x1, x2 = spec.fields["X1"], spec.fields["X2"]
 
     # the textbook closed-form candidate (arbitrary functions set to
     # A=1, B=0, C=0) does not satisfy the algebra; record its residuals
@@ -101,16 +99,12 @@ def _run_rotation(spec: ProblemSpec, cfg: VerifyConfig):
     return reports
 
 
-def _run_so3(spec: ProblemSpec, cfg: VerifyConfig):
+def _run_jacobi_structure(spec: ProblemSpec, cfg: VerifyConfig):
     return [
         check_jacobi(
             spec.fields["X1"], spec.fields["X2"], spec.fields["XH"], cfg
         )
     ]
-
-
-def _run_heisenberg(spec: ProblemSpec, cfg: VerifyConfig):
-    return _run_so3(spec, cfg)
 
 
 def _run_linear(spec: ProblemSpec, cfg: VerifyConfig):
@@ -159,9 +153,11 @@ FIXTURES = {
             "planar rotation realization with documented candidate residuals",
             _run_rotation,
         ),
-        Fixture("so3-jacobi", "rotation-algebra Jacobi structure", _run_so3),
         Fixture(
-            "heisenberg-jacobi", "Heisenberg Jacobi structure", _run_heisenberg
+            "so3-jacobi", "rotation-algebra Jacobi structure", _run_jacobi_structure
+        ),
+        Fixture(
+            "heisenberg-jacobi", "Heisenberg Jacobi structure", _run_jacobi_structure
         ),
         Fixture(
             "linear-abelian",

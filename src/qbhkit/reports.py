@@ -12,7 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .chart import Point
 from .sampling import GENERATOR_NAME, ToleranceConfig
@@ -142,16 +142,6 @@ def _point_list(point: Point | None):
     return [float(v) for v in point.values]
 
 
-def _tolerance_dict(tol: ToleranceConfig) -> dict:
-    return {
-        "residual": tol.residual,
-        "fd": tol.fd,
-        "independence": tol.independence,
-        "guard_eps": tol.guard_eps,
-        "max_skip_fraction": tol.max_skip_fraction,
-    }
-
-
 def render_json(run: RunReport) -> str:
     criteria = []
     for report in run.reports:
@@ -176,7 +166,7 @@ def render_json(run: RunReport) -> str:
         "criteria": criteria,
         "samples": run.samples,
         "seed": run.seed,
-        "tolerances": _tolerance_dict(run.tolerances),
+        "tolerances": asdict(run.tolerances),
         "version": run.version,
     }
     return json.dumps(obj)
@@ -188,7 +178,7 @@ def render_text(run: RunReport) -> str:
         f"digest: {run.digest}",
         f"generator: {run.generator} seed={run.seed} samples={run.samples}",
         "tolerances: "
-        + " ".join(f"{k}={v:g}" for k, v in _tolerance_dict(run.tolerances).items()),
+        + " ".join(f"{k}={v:g}" for k, v in asdict(run.tolerances).items()),
     ]
     for report in run.reports:
         verdict = "PASS" if report.passed else "FAIL"

@@ -40,8 +40,11 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("residual", "fd", "independence", "guard_eps"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not 0 <= self.max_skip_fraction <= 1:
             raise ValueError("max_skip_fraction must lie in [0, 1]")
 
@@ -74,6 +77,8 @@ class SampleDomain:
         for lo, hi in box:
             if not lo < hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"interval [{lo}, {hi}] is not of finite width")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0 <= self.seed < 2**64:

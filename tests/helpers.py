@@ -81,6 +81,18 @@ def random_fields(chart, rng, degree=2, count=2):
     return fields
 
 
+def nested_cyclic_sums(B, triples, points):
+    """{{F,G},K} + {{G,K},F} + {{K,F},G} from nested symbolic Poisson
+    brackets, one row per triple (NaN where undefined): an oracle for
+    jacobi_identity_check, which contracts the Schouten bracket instead."""
+    pb = qk.poisson_bracket
+    rows = []
+    for F, G, K in triples:
+        cyclic = pb(B, pb(B, F, G), K) + pb(B, pb(B, G, K), F) + pb(B, pb(B, K, F), G)
+        rows.append(qk.evaluate_at_points(cyclic.simplified(), points))
+    return np.vstack(rows)
+
+
 # Expressions nested past the parser's depth limit of 100, in the three
 # ways input can nest: parentheses, calls, and a left-associative chain
 # that the parser builds without recursing.

@@ -136,6 +136,42 @@ def test_out_of_range_number_is_usage_error(flag, value, message):
     assert err.strip() == f"qbhkit: error: {message}"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_flag_is_usage_error(value):
+    # nan failed every gating check and inf passed every one
+    code, run, _, err = invoke(["example", "run", "hojman-2d", "--tolerance", value])
+    assert code == 2
+    assert run is None
+    assert err.strip() == "qbhkit: error: residual must be finite"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["residual", "fd", "independence", "guard_eps"])
+def test_non_finite_tolerance_in_problem_file_is_usage_error(tmp_path, key, value):
+    path = tmp_path / "hojman.prob"
+    path.write_text(fixture_text("hojman-2d") + f"\n[tolerances]\n{key} = {value}\n")
+    code, run, _, err = invoke(["check", "hojman", "--input", str(path)])
+    assert code == 2
+    assert run is None
+    assert err.strip() == (
+        f"qbhkit: error: ProblemFormatError: line 1: bad tolerances: "
+        f"{key} must be finite"
+    )
+
+
+@pytest.mark.parametrize("box", ["x:-inf:1", "x:-1e308:1e308"])
+def test_box_of_infinite_width_is_usage_error(tmp_path, box):
+    path = tmp_path / "hojman.prob"
+    path.write_text(fixture_text("hojman-2d").replace("x:-1:1", box))
+    code, run, _, err = invoke(["check", "hojman", "--input", str(path)])
+    assert code == 2
+    assert run is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("qbhkit: error: ProblemFormatError: line 1: bad domain")
+    assert "finite width" in lines[0]
+
+
 def test_vanishing_rho_exit_code(exp_path):
     code, run, _, err = invoke(
         ["build", "qbh", "--input", exp_path, "--F", "y"]

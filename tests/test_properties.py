@@ -1,4 +1,5 @@
-"""Property tests of the expression core on generated expression trees.
+"""Property tests of the expression core on generated expression trees,
+and of the brackets on generated polynomial vector fields.
 
 Trees are grown from the grammar (coordinates, constants, unary minus,
 the four arithmetic operators, '^' and every function) through the
@@ -8,8 +9,14 @@ example budget, so every run checks the same trees.
 
 Values are compared within 1e-9 of the largest intermediate value at
 each point, the scale at which regrouped sums round differently.
+
+Vector fields have polynomial components of degree at most 1 or 2
+with small integer coefficients, so every bracket is defined
+everywhere; bracket identities are compared within 1e-9 of the largest
+value involved.
 """
 import operator
+from itertools import combinations_with_replacement
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -18,7 +25,7 @@ from hypothesis import strategies as st
 import qbhkit as qk
 from qbhkit.expr import ScalarExpr, operands
 
-from helpers import make_cfg
+from helpers import make_cfg, nested_cyclic_sums
 
 CHART = qk.CoordinateChart(("x", "y", "z"))
 # the narrow box keeps most generated trees defined, for the derivative
@@ -118,3 +125,91 @@ def test_simplify_preserves_values(e):
     defined = ~np.isnan(want)
     assert not np.isnan(got[defined]).any()
     assert_close(got[defined], want[defined], scale(e, WIDE)[defined])
+
+
+# ---------------------------------------------------------------------------
+# brackets of polynomial vector fields
+
+BRACKET_CFG = make_cfg(CHART, samples=8, seed=23)
+BRACKET_POINTS = BRACKET_CFG.points()
+BRACKET_PROPERTY = settings(
+    max_examples=6, derandomize=True, database=None, deadline=None
+)
+
+
+def polynomials(degree):
+    """Polynomials of total degree <= degree with coefficients in -3..3."""
+    monomials = [
+        combo
+        for total in range(degree + 1)
+        for combo in combinations_with_replacement(CHART.coordinates(), total)
+    ]
+
+    def build(coefficients):
+        terms = [CHART.constant(float(c)) for c in coefficients]
+        for i, combo in enumerate(monomials):
+            for coordinate in combo:
+                terms[i] = terms[i] * coordinate
+        return sum(terms[1:], terms[0]).simplified()
+
+    size = len(monomials)
+    return st.lists(st.integers(-3, 3), min_size=size, max_size=size).map(build)
+
+
+def fields(degree):
+    component = polynomials(degree)
+    return st.tuples(component, component, component).map(
+        lambda comps: qk.VectorField(CHART, comps)
+    )
+
+
+LINEAR = fields(1)
+QUADRATIC = fields(2)
+
+
+def assert_all_close(got, want):
+    bound = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-9 * bound
+
+
+@BRACKET_PROPERTY
+@given(QUADRATIC, QUADRATIC)
+def test_lie_bracket_is_antisymmetric(X, Y):
+    assert_all_close(
+        qk.lie_bracket(X, Y).components_at(BRACKET_POINTS),
+        -qk.lie_bracket(Y, X).components_at(BRACKET_POINTS),
+    )
+
+
+@BRACKET_PROPERTY
+@given(LINEAR, QUADRATIC, QUADRATIC)
+def test_lie_bracket_jacobi_identity(X, Y, Z):
+    terms = [
+        qk.lie_bracket(U, qk.lie_bracket(V, W)).components_at(BRACKET_POINTS)
+        for U, V, W in ((X, Y, Z), (Y, Z, X), (Z, X, Y))
+    ]
+    scale = max(1.0, float(np.max(np.abs(terms))))
+    assert np.max(np.abs(sum(terms))) <= 1e-9 * scale
+
+
+@BRACKET_PROPERTY
+@given(QUADRATIC, QUADRATIC, LINEAR, LINEAR)
+def test_schouten_bracket_of_bivectors_is_symmetric(X, Y, Z, W):
+    P, Q = qk.wedge(X, Y), qk.wedge(Z, W)
+    assert_all_close(
+        qk.trivector_components_at(qk.schouten_bb(P, Q), BRACKET_POINTS),
+        qk.trivector_components_at(qk.schouten_bb(Q, P), BRACKET_POINTS),
+    )
+
+
+@BRACKET_PROPERTY
+@given(polynomials(1), LINEAR, LINEAR, LINEAR, LINEAR)
+def test_schouten_route_matches_nested_brackets(c, X, Y, Z, W):
+    # c X^Y + Z^W with a polynomial coefficient c; the coordinate triple
+    # picks out the one independent component of [[B,B]] on a 3-D chart
+    B = qk.wedge(X, Y).as_sum(c) + qk.wedge(Z, W).as_sum()
+    triple = CHART.coordinates()
+    oracle = np.abs(nested_cyclic_sums(B, [triple], BRACKET_POINTS)).max()
+    got = qk.jacobi_identity_check(B, [triple], BRACKET_CFG).condition("cyclic-sum")
+    assert got.skipped == 0
+    assert abs(got.max_residual - oracle) <= 1e-9 * max(1.0, oracle)

@@ -5,7 +5,14 @@ import pytest
 
 import qbhkit as qk
 
-from helpers import exp_cfg, make_cfg, max_field_deviation, non_poisson_pair
+from helpers import (
+    exp_cfg,
+    make_cfg,
+    max_field_deviation,
+    nested_cyclic_sums,
+    non_poisson_pair,
+    random_fields,
+)
 
 
 def exp_system(F_text, **kwargs):
@@ -176,6 +183,55 @@ def test_cyclic_sum_detects_non_poisson():
     assert report.condition("cyclic-sum").max_residual == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+def test_cyclic_sum_accepts_a_decomposable_bivector():
+    chart, X, Y = non_poisson_pair()
+    cfg = make_cfg(chart, samples=30, seed=6)
+    coords = chart.coordinates()
+    single = qk.jacobi_identity_check(qk.wedge(X, Y), [coords], cfg)
+    assert single == qk.jacobi_identity_check(qk.wedge(X, Y).as_sum(), [coords], cfg)
+
+
+@pytest.mark.parametrize(
+    "names", [("x", "y"), ("x", "y", "z"), ("x", "y", "z", "w")], ids=["2d", "3d", "4d"]
+)
+def test_cyclic_sum_matches_nested_brackets(names):
+    # a non-Poisson sum whose ln(x) coefficient is undefined on about
+    # half the box: the Schouten contraction must give the nested
+    # brackets' maximum and skip the same points
+    chart = qk.CoordinateChart(names)
+    rng = np.random.default_rng(len(names))
+    a, b, c, d = random_fields(chart, rng, degree=1, count=4)
+    B = qk.wedge(a, b).as_sum(qk.ln(chart.coordinate("x"))) + qk.wedge(c, d).as_sum()
+    cfg = make_cfg(chart, samples=60, seed=11)
+    triples = [tuple(qk.random_polynomial(chart, rng, degree=2) for _ in range(3))]
+    oracle = np.abs(nested_cyclic_sums(B, triples, cfg.points())).max(axis=0)
+    defined = np.isfinite(oracle)
+    cond = qk.jacobi_identity_check(B, triples, cfg).condition("cyclic-sum")
+    assert 0 < cond.skipped == int((~defined).sum()) < 60
+    if len(names) < 3:
+        # every bivector on a 2-D chart is Poisson
+        assert cond.max_residual == 0.0
+        assert oracle[defined].max() <= 1e-12
+    else:
+        assert oracle[defined].max() > 1.0
+        assert cond.max_residual == pytest.approx(oracle[defined].max(), rel=1e-9)
+
+
+def test_cyclic_sum_skips_where_the_bivector_is_undefined():
+    # the Schouten bracket of ln(x) d/dy ^ d/dz has no terms at all, but
+    # the points with x <= 0 are still skipped
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    B = qk.wedge(
+        qk.coordinate_field(chart, "y"), qk.coordinate_field(chart, "z")
+    ).as_sum(qk.ln(chart.coordinate("x")))
+    cfg = make_cfg(chart, samples=40, seed=3)
+    cond = qk.jacobi_identity_check(B, [chart.coordinates()], cfg).condition(
+        "cyclic-sum"
+    )
+    assert cond.skipped == sum(p["x"] <= 0 for p in cfg.points()) > 0
+    assert cond.max_residual == 0.0
 
 
 def test_cyclic_sum_requires_triples():

@@ -61,6 +61,20 @@ def test_tolerance_validation():
         qk.ToleranceConfig(max_skip_fraction=1.5)
 
 
+@pytest.mark.parametrize("interval", [(-np.inf, 1.0), (-1e308, 1e308)])
+def test_domain_rejects_an_interval_of_infinite_width(interval):
+    # numpy's uniform draw overflows on such an interval
+    with pytest.raises(ValueError, match="finite width"):
+        qk.SampleDomain(CHART, (interval, (0.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["residual", "fd", "independence", "guard_eps"])
+def test_tolerance_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        qk.ToleranceConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
