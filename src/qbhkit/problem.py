@@ -34,7 +34,13 @@ from .errors import ProblemFormatError, QbhError
 from .expr import ScalarExpr
 from .fields import VectorField
 from .parser import parse_expression
-from .sampling import Guard, SampleDomain, ToleranceConfig, VerifyConfig
+from .sampling import (
+    Guard,
+    SampleDomain,
+    ToleranceConfig,
+    VerifyConfig,
+    _check_interval,
+)
 
 _TOLERANCE_KEYS = ("residual", "fd", "independence", "guard_eps", "max_skip_fraction")
 
@@ -147,6 +153,12 @@ def _parse_number(text: str, lineno: int, kind=float):
         raise ProblemFormatError(lineno, f"bad number {text!r}") from None
 
 
+def _named_line(message: str, lines: dict[str, int], default: int) -> int:
+    """The line of the entry whose key a validation message starts with,
+    else ``default``."""
+    return lines.get(message.split(None, 1)[0], default)
+
+
 def parse_problem(text: str) -> ProblemSpec:
     sections = _split_sections(text)
 
@@ -168,24 +180,31 @@ def parse_problem(text: str) -> ProblemSpec:
     fields: dict[str, VectorField] = {}
     functions: dict[str, ScalarExpr] = {}
     tolerances_kwargs: dict[str, float] = {}
+    tolerance_lines: dict[str, int] = {}
+    tolerances_header = 1
 
     for section in sections:
         if section.kind == "tolerances":
+            tolerances_header = section.line
             for lineno, key, value in section.entries:
                 if key not in _TOLERANCE_KEYS:
                     raise ProblemFormatError(
                         lineno, f"unknown tolerance {key!r}"
                     )
                 tolerances_kwargs[key] = _parse_number(value, lineno)
+                tolerance_lines[key] = lineno
     try:
         tolerances = ToleranceConfig(**tolerances_kwargs)
     except ValueError as exc:
-        raise ProblemFormatError(1, f"bad tolerances: {exc}") from exc
+        line = _named_line(str(exc), tolerance_lines, tolerances_header)
+        raise ProblemFormatError(line, f"bad tolerances: {exc}") from exc
 
     box_map: dict[str, tuple[float, float]] = {}
     guards: list[Guard] = []
     samples = 100
     seed = 0
+    domain_lines: dict[str, int] = {}
+    domain_header = 1
 
     for section in sections:
         if section.kind == "field":
@@ -224,7 +243,9 @@ def parse_problem(text: str) -> ProblemSpec:
                 )
             functions[section.name] = expr
         elif section.kind == "domain":
+            domain_header = section.line
             for lineno, key, value in section.entries:
+                domain_lines[key] = lineno
                 if key == "box":
                     for token in value.split():
                         pieces = token.split(":")
@@ -237,10 +258,17 @@ def parse_problem(text: str) -> ProblemSpec:
                             raise ProblemFormatError(
                                 lineno, f"{name!r} is not a coordinate"
                             )
-                        box_map[name] = (
+                        interval = (
                             _parse_number(lo, lineno),
                             _parse_number(hi, lineno),
                         )
+                        try:
+                            _check_interval(*interval)
+                        except ValueError as exc:
+                            raise ProblemFormatError(
+                                lineno, f"bad domain: {exc}"
+                            ) from exc
+                        box_map[name] = interval
                 elif key == "guard":
                     guards.append(
                         Guard(_parse_expr(value, chart, lineno), None)
@@ -261,7 +289,8 @@ def parse_problem(text: str) -> ProblemSpec:
             chart, box, tuple(guards), samples=samples, seed=seed
         )
     except ValueError as exc:
-        raise ProblemFormatError(1, f"bad domain: {exc}") from exc
+        line = _named_line(str(exc), domain_lines, domain_header)
+        raise ProblemFormatError(line, f"bad domain: {exc}") from exc
 
     return ProblemSpec(
         chart=chart,

@@ -59,6 +59,14 @@ class Guard:
     min_abs: float | None = None
 
 
+def _check_interval(lo: float, hi: float) -> None:
+    """Raise ValueError unless [lo, hi] is non-empty and of finite width."""
+    if not lo < hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"interval [{lo}, {hi}] is not of finite width")
+
+
 @dataclass(frozen=True)
 class SampleDomain:
     """A box with guards, a sample count, and a seed."""
@@ -75,10 +83,7 @@ class SampleDomain:
         if len(box) != self.chart.dimension:
             raise ValueError("box must give one interval per coordinate")
         for lo, hi in box:
-            if not lo < hi:
-                raise ValueError(f"empty interval [{lo}, {hi}]")
-            if not np.isfinite(hi - lo):
-                raise ValueError(f"interval [{lo}, {hi}] is not of finite width")
+            _check_interval(lo, hi)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0 <= self.seed < 2**64:

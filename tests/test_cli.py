@@ -149,26 +149,32 @@ def test_non_finite_tolerance_flag_is_usage_error(value):
 @pytest.mark.parametrize("key", ["residual", "fd", "independence", "guard_eps"])
 def test_non_finite_tolerance_in_problem_file_is_usage_error(tmp_path, key, value):
     path = tmp_path / "hojman.prob"
-    path.write_text(fixture_text("hojman-2d") + f"\n[tolerances]\n{key} = {value}\n")
+    text = fixture_text("hojman-2d") + f"\n[tolerances]\n{key} = {value}\n"
+    path.write_text(text)
     code, run, _, err = invoke(["check", "hojman", "--input", str(path)])
     assert code == 2
     assert run is None
+    # the offending entry is the file's last line
     assert err.strip() == (
-        f"qbhkit: error: ProblemFormatError: line 1: bad tolerances: "
-        f"{key} must be finite"
+        f"qbhkit: error: ProblemFormatError: line {len(text.splitlines())}: "
+        f"bad tolerances: {key} must be finite"
     )
 
 
 @pytest.mark.parametrize("box", ["x:-inf:1", "x:-1e308:1e308"])
 def test_box_of_infinite_width_is_usage_error(tmp_path, box):
     path = tmp_path / "hojman.prob"
-    path.write_text(fixture_text("hojman-2d").replace("x:-1:1", box))
+    text = fixture_text("hojman-2d").replace("x:-1:1", box)
+    path.write_text(text)
     code, run, _, err = invoke(["check", "hojman", "--input", str(path)])
     assert code == 2
     assert run is None
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("qbhkit: error: ProblemFormatError: line 1: bad domain")
+    box_line = text.splitlines().index(f"box = {box} y:-1:1") + 1
+    assert lines[0].startswith(
+        f"qbhkit: error: ProblemFormatError: line {box_line}: bad domain"
+    )
     assert "finite width" in lines[0]
 
 

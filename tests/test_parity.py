@@ -9,6 +9,8 @@ coefficients come from another factorisation, so they are compared
 within 1e-12 in units of each system's condition number times the size
 of its solution.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -172,11 +174,12 @@ def test_independent_rows_match_per_point_svd(n, k):
     )
 
 
-@pytest.mark.parametrize("n, k", SHAPES)
-def test_expand_rows_match_per_point_lstsq(n, k):
-    stack, target = planted_stack(np.random.default_rng(10 * n + k), 400, n, k)
-    want_c, want_r, want_skipped, want_notes = sequential_expand(stack, target, TOL)
-    got_c, got_r, got_notes = _expand_rows(stack, target, TOL)
+def assert_expand_matches(stack, target, tol, scale=1.0):
+    """_expand_rows against sequential_expand on the same systems, with
+    coefficients compared in units of 1 / ``scale``, the scale of the
+    stack."""
+    want_c, want_r, want_skipped, want_notes = sequential_expand(stack, target, tol)
+    got_c, got_r, got_notes = _expand_rows(stack, target, tol)
     assert np.flatnonzero(np.isnan(got_r)).tolist() == want_skipped
     assert got_notes == want_notes
     assert np.isnan(got_c).all(axis=1).tolist() == np.isnan(want_c).all(axis=1).tolist()
@@ -185,12 +188,101 @@ def test_expand_rows_match_per_point_lstsq(n, k):
     # tolerance), so differences are measured in units of cond(A) * |c|
     ok = ~np.isnan(want_r)
     sigma = np.linalg.svd(stack[ok], compute_uv=False)
-    size = np.maximum(1.0, np.abs(want_c[ok]).max(axis=1))
-    scale = sigma[:, 0] / sigma[:, -1] * size
+    got_c, want_c = got_c[ok] * scale, want_c[ok] * scale
+    size = np.maximum(1.0, np.abs(want_c).max(axis=1))
+    unit = sigma[:, 0] / sigma[:, -1] * size
     np.testing.assert_allclose(
-        got_c[ok] / scale[:, None], want_c[ok] / scale[:, None], rtol=0, atol=1e-12
+        got_c / unit[:, None], want_c / unit[:, None], rtol=0, atol=1e-12
     )
-    np.testing.assert_allclose(got_r[ok] / scale, want_r[ok] / scale, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_r[ok] / unit, want_r[ok] / unit, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, k", SHAPES)
+def test_expand_rows_match_per_point_lstsq(n, k):
+    stack, target = planted_stack(np.random.default_rng(10 * n + k), 400, n, k)
+    assert_expand_matches(stack, target, TOL)
+
+
+def threshold_stack(rng, m, n, tol):
+    """(m, n, 2) systems whose smallest singular value is the
+    independence tolerance times 1 +- up to 1e-13: closer to it than
+    the rounding error of either the closed form or LAPACK."""
+    stack = np.empty((m, n, 2))
+    for i in range(m):
+        u, _, vh = np.linalg.svd(rng.standard_normal((n, 2)), full_matrices=False)
+        largest = 10 ** rng.uniform(-2, 2)
+        smallest = tol.independence * (1 + rng.uniform(-1e-13, 1e-13))
+        stack[i] = (u * [largest, smallest]) @ vh
+    return stack, rng.uniform(-1.0, 1.0, size=(m, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_two_column_rows_at_the_threshold_match_lapack(n):
+    stack, target = threshold_stack(np.random.default_rng(n), 1000, n, TOL)
+    independent = sequential_independent(stack, TOL)
+    # both sides of the threshold occur, so a decision could flip either way
+    assert 0 < independent.sum() < len(stack)
+    np.testing.assert_array_equal(_independent_rows(stack, TOL), independent)
+    assert_expand_matches(stack, target, TOL)
+
+
+def special_rows(n):
+    """n x 2 matrices with zero columns or subnormal entries."""
+    rng = np.random.default_rng(n)
+    base = rng.uniform(-1.0, 1.0, size=(n, 2))
+    tiny = np.finfo(float).smallest_subnormal
+    rows = []
+    for j in range(2):
+        zero_column = base.copy()
+        zero_column[:, j] = 0.0
+        rows.append(zero_column)
+        subnormal_column = base.copy()
+        subnormal_column[:, j] *= 1e-310
+        rows.append(subnormal_column)
+    rows.append(np.zeros((n, 2)))
+    rows.append(base * 1e-310)  # every entry subnormal
+    sprinkled = base.copy()
+    sprinkled[0, 0], sprinkled[-1, 1] = 3 * tiny, -7 * tiny
+    rows.append(sprinkled)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150, 1e200])
+def test_two_column_rows_at_extreme_scales_match_lapack(n, scale):
+    """Planted and special systems with the basis scaled, under the
+    default tolerance and under one scaled alike, at which the rows
+    planted near the tolerance stay near it."""
+    rng = np.random.default_rng(7 * n)
+    stack, target = planted_stack(rng, 400, n, 2)
+    special = special_rows(n)
+    stack = np.concatenate([stack, special]) * scale
+    target = np.concatenate([target, rng.uniform(-1.0, 1.0, (len(special), n))])
+    for tol in (TOL, replace(TOL, independence=TOL.independence * scale)):
+        np.testing.assert_array_equal(
+            _independent_rows(stack, tol), sequential_independent(stack, tol)
+        )
+        assert_expand_matches(stack, target, tol, scale)
+
+
+def test_well_conditioned_two_column_stack_needs_no_lapack(monkeypatch):
+    """The closed form serves every row of a well-conditioned stack; a
+    regression that sent them all to LAPACK would pass the parity tests."""
+    rng = np.random.default_rng(3)
+    stack = rng.uniform(-1.0, 1.0, size=(2000, 3, 2))
+    target = rng.uniform(-1.0, 1.0, size=(2000, 3))
+    want_c, want_r, _, _ = sequential_expand(stack, target, TOL)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK called on a well-conditioned two-column stack")
+
+    for name in ("svd", "qr", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    assert _independent_rows(stack, TOL).all()
+    got_c, got_r, notes = _expand_rows(stack, target, TOL)
+    assert notes == []
+    np.testing.assert_allclose(got_c, want_c, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got_r, want_r, rtol=0, atol=1e-12)
 
 
 def test_span_expand_keeps_per_point_views():

@@ -125,6 +125,35 @@ def test_bad_box_syntax():
         parse_problem("[space]\ncoordinates = x\n[domain]\nbox = x:0\n")
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("residual = 1e-10", "residual = 1e-10\nfd = -1", 22, "fd must be positive"),
+        ("residual = 1e-10", "residual = nan", 21, "residual must be finite"),
+        (
+            "residual = 1e-10",
+            "max_skip_fraction = 2\nresidual = 1e-10",
+            21,
+            "max_skip_fraction must lie in [0, 1]",
+        ),
+        ("samples = 50", "samples = 0", 17, "samples must be >= 1"),
+        ("seed = 7", "seed = -1", 18, "seed must fit in 64 unsigned bits"),
+        ("z:0.1:1", "z:1:0.1", 16, "empty interval [1.0, 0.1]"),
+        (
+            "box = x:-1:1 y:-1:1 z:0.1:1",
+            "box = x:-1:1 y:-inf:1\nbox = z:0.1:1",
+            16,
+            "not of finite width",
+        ),
+    ],
+)
+def test_invalid_domain_or_tolerance_is_reported_at_its_entry(old, new, line, message):
+    with pytest.raises(qk.ProblemFormatError) as err:
+        parse_problem(EXP_TEXT.replace(old, new))
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
 def test_box_defaults_to_unit_interval():
     spec = parse_problem("[space]\ncoordinates = x y\n[domain]\nbox = x:0:2\n")
     assert spec.domain.box == ((0.0, 2.0), (-1.0, 1.0))
