@@ -11,6 +11,7 @@ from .errors import (
     DeltaViolatedError,
     EvaluationDomainError,
     ExprSyntaxError,
+    ExpressionTooDeepError,
     GuardTooRestrictiveError,
     HamiltonianConditionViolatedError,
     NonVanishingRhoError,

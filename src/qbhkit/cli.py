@@ -20,6 +20,7 @@ function section or, failing that, inline expression text.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -130,6 +131,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(example)
 
     return parser
+
+
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged
+    (``append`` copies its default list before adding to it)."""
+    return build_arg_parser()
 
 
 class _Usage(Exception):
@@ -289,7 +297,7 @@ def run_command(argv, stdout=None, stderr=None):
         print(f"qbhkit: error: {message}", file=stderr)
 
     try:
-        args = build_arg_parser().parse_args(argv)
+        args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed its message (on real stderr)
         return (0 if exc.code in (0, None) else 2, None)

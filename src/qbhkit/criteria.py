@@ -33,6 +33,7 @@ from .fields import (
     wedge3,
 )
 from .reports import ConditionResult, CriterionReport, make_report
+from .residuals import condition, grid_values
 from .sampling import VerifyConfig
 
 # Global sign reconciling the Schouten convention of fields.schouten_bb
@@ -44,45 +45,6 @@ JACOBI_STRUCTURE_SIGN = -1.0
 
 # ---------------------------------------------------------------------------
 # pointwise helpers
-
-
-def _condition(name, values, points, informative=False, extra_skipped=0, notes=()):
-    """Build a ConditionResult from per-point |residual| values (NaN =
-    skipped point)."""
-    values = np.asarray(values, dtype=float)
-    valid = np.isfinite(values)
-    skipped = int((~valid).sum()) + extra_skipped
-    notes = list(notes)
-    if skipped and not notes:
-        notes.append(f"{skipped} point(s) skipped")
-    if not valid.any():
-        return ConditionResult(
-            name=name,
-            max_residual=None,
-            worst_point=None,
-            skipped=skipped,
-            informative=informative,
-            notes=tuple(notes + ["no usable points"]),
-        )
-    masked = np.where(valid, np.abs(values), -np.inf)
-    worst = int(np.argmax(masked))
-    return ConditionResult(
-        name=name,
-        max_residual=float(masked[worst]),
-        worst_point=points[worst],
-        skipped=skipped,
-        informative=informative,
-        notes=tuple(notes),
-    )
-
-
-def _grid_values(arr: np.ndarray) -> np.ndarray:
-    """Collapse (m, ...) component arrays to per-point max |entry|."""
-    flat = arr.reshape(arr.shape[0], -1)
-    bad = ~np.isfinite(flat).all(axis=1)
-    values = np.max(np.abs(flat), axis=1)
-    values[bad] = np.nan
-    return values
 
 
 def _basis_stack(fields, points) -> np.ndarray:
@@ -280,6 +242,21 @@ def _two_column_solve(factors, target: np.ndarray) -> np.ndarray:
         return np.stack([(y1 - r12 * c1) / r11, c1], axis=1)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row. A row whose sum of squares overflowed
+    is scaled first by the power of two that puts its largest entry in
+    [0.5, 1), which is exact, so a finite row has a finite norm."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    redo = norms == np.inf
+    if redo.any():
+        huge = rows[redo]
+        exponent = np.frexp(np.abs(huge).max(axis=1))[1]
+        scaled = np.linalg.norm(np.ldexp(huge, -exponent[:, None]), axis=1)
+        norms[redo] = np.ldexp(scaled, exponent)
+    return norms
+
+
 def _expand_rows(stack: np.ndarray, target: np.ndarray, tol):
     """Least-squares expansion of each target[i] in the columns of
     stack[i]: (coefficients (m, k), residual norms (m,), notes). Rows
@@ -300,7 +277,7 @@ def _expand_rows(stack: np.ndarray, target: np.ndarray, tol):
     if rest.any():
         coeffs[rest] = _least_squares(stack[rest], target[rest], sigma[rest])
     # NaN coefficients make the residual NaN at every unsolved row
-    residuals = np.linalg.norm(target - np.einsum("mik,mk->mi", stack, coeffs), axis=1)
+    residuals = _row_norms(target - np.einsum("mik,mk->mi", stack, coeffs))
     degenerate = int((defined & ~solvable).sum())
     undefined = int((~defined).sum())
     notes = []
@@ -352,7 +329,7 @@ def _span_condition(name, V, basis, points, tol, informative=False):
             notes=(str(exc),),
         )
         return cond, None
-    cond = _condition(
+    cond = condition(
         name,
         decomp.residual_values(),
         points,
@@ -374,9 +351,9 @@ def check_poisson_pair(X: VectorField, Y: VectorField, cfg: VerifyConfig) -> Cri
     """
     points = cfg.points()
     self_bracket = schouten_bb(wedge(X, Y), wedge(X, Y))
-    schouten_cond = _condition(
+    schouten_cond = condition(
         "self-schouten",
-        _grid_values(trivector_components_at(self_bracket, points)),
+        grid_values(trivector_components_at(self_bracket, points)),
         points,
     )
     span_cond, _ = _span_condition(
@@ -397,9 +374,9 @@ def check_automorphism(
     """
     points = cfg.points()
     derivative = lie_derivative_bivector(XH, wedge(X, Y))
-    lie_cond = _condition(
+    lie_cond = condition(
         "lie-derivative",
-        _grid_values(bivector_components_at(derivative, points)),
+        grid_values(bivector_components_at(derivative, points)),
         points,
     )
     span_x, _ = _span_condition(
@@ -458,9 +435,9 @@ def check_compatibility(
 
     bracket_tensor = schouten_bb(wedge(X1, X2), wedge(XH, X3))
     conditions = [
-        _condition(
+        condition(
             "schouten",
-            _grid_values(trivector_components_at(bracket_tensor, usable)),
+            grid_values(trivector_components_at(bracket_tensor, usable)),
             usable,
             extra_skipped=dropped,
         )
@@ -497,7 +474,7 @@ def check_delta(
         ("bracket-x3-x2", lie_bracket(X3, X2)),
     )
     conditions = tuple(
-        _condition(name, _grid_values(field.components_at(points)), points)
+        condition(name, grid_values(field.components_at(points)), points)
         for name, field in residuals
     )
     return make_report("delta", conditions, len(points), cfg.tol)
@@ -510,7 +487,7 @@ def hamiltonian_condition(
     and a report of its max |value| over the sampled points."""
     points = cfg.points()
     expr = X1.apply(X2.apply(H))
-    cond = _condition("x1-x2-H", evaluate_at_points(expr, points), points)
+    cond = condition("x1-x2-H", evaluate_at_points(expr, points), points)
     report = make_report(
         "hamiltonian-condition",
         (cond,),
@@ -535,17 +512,17 @@ def separable_hamiltonian(
     points and a violation raises PreconditionResidualError.
     """
     points = cfg.points()
-    inv1 = _condition("x1-invariance", evaluate_at_points(X1.apply(I1), points), points)
-    inv2 = _condition("x2-invariance", evaluate_at_points(X2.apply(I2), points), points)
+    inv1 = condition("x1-invariance", evaluate_at_points(X1.apply(I1), points), points)
+    inv2 = condition("x2-invariance", evaluate_at_points(X2.apply(I2), points), points)
     for cond in (inv1, inv2):
         if not cond.within(cfg.tol.residual):
             raise PreconditionResidualError(cond.name, cond.max_residual or np.inf)
-    commute = _condition(
-        "bracket-x1-x2", _grid_values(lie_bracket(X1, X2).components_at(points)), points
+    commute = condition(
+        "bracket-x1-x2", grid_values(lie_bracket(X1, X2).components_at(points)), points
     )
     H = (I1 + I2).simplified()
     expr = X1.apply(X2.apply(H))
-    main = _condition("x1-x2-H", evaluate_at_points(expr, points), points)
+    main = condition("x1-x2-H", evaluate_at_points(expr, points), points)
     report = make_report(
         "separable-hamiltonian",
         (inv1, inv2, commute, main),
@@ -700,7 +677,7 @@ def lemma4_coefficients(
         for column, (symbol, cond_name, printed) in enumerate(columns):
             printed_values = evaluate_at_points(printed, points)
             deviation = np.abs(printed_values - decomp.coefficient_values(column))
-            cond = _condition(cond_name, deviation, points, informative=True)
+            cond = condition(cond_name, deviation, points, informative=True)
             conditions.append(cond)
             if cond.max_residual is not None and cond.max_residual > cfg.tol.residual:
                 notes.append(
@@ -746,7 +723,7 @@ def lemma4_residuals(
         ),
     )
     conditions = [
-        _condition(name, evaluate_at_points(expr.simplified(), points), points)
+        condition(name, evaluate_at_points(expr.simplified(), points), points)
         for name, expr in residuals
     ]
     return make_report("lemma4-residuals", conditions, len(points), cfg.tol)
@@ -779,9 +756,9 @@ def check_jacobi(
     if dropped:
         notes.append(f"dropped {dropped} degenerate point(s)")
 
-    bracket_cond = _condition(
+    bracket_cond = condition(
         "bracket-plus-xh",
-        _grid_values((lie_bracket(X1, X2) + XH).components_at(usable)),
+        grid_values((lie_bracket(X1, X2) + XH).components_at(usable)),
         usable,
         extra_skipped=dropped,
     )
@@ -793,7 +770,7 @@ def check_jacobi(
     )
     if decomp1 is not None and decomp2 is not None:
         trace = decomp1.coefficient_values(0) + decomp2.coefficient_values(1)
-        trace_cond = _condition("automorphism-trace", np.abs(trace), usable)
+        trace_cond = condition("automorphism-trace", np.abs(trace), usable)
     else:
         trace_cond = ConditionResult(
             "automorphism-trace", None, None, len(usable), False,
@@ -804,15 +781,15 @@ def check_jacobi(
     residual_tensor = schouten_bb(lam, lam) - wedge3(
         XH, X1, X2, 2.0 * JACOBI_STRUCTURE_SIGN
     )
-    direct_cond = _condition(
+    direct_cond = condition(
         "schouten-identity",
-        _grid_values(trivector_components_at(residual_tensor, usable)),
+        grid_values(trivector_components_at(residual_tensor, usable)),
         usable,
         extra_skipped=dropped,
     )
-    invariance_cond = _condition(
+    invariance_cond = condition(
         "invariance",
-        _grid_values(
+        grid_values(
             bivector_components_at(lie_derivative_bivector(XH, lam), usable)
         ),
         usable,
@@ -856,16 +833,16 @@ def hojman_check(
     constant of the motion: X1(rho) = 0. Returns rho, the rescaled
     field rho * X1, and the bivector X1 ^ X3 the construction equips."""
     points = cfg.points()
-    algebra = _condition(
+    algebra = condition(
         "bracket-x3-x1-minus-x1",
-        _grid_values((lie_bracket(X3, X1) - X1).components_at(points)),
+        grid_values((lie_bracket(X3, X1) - X1).components_at(points)),
         points,
     )
     if not algebra.within(cfg.tol.residual):
         raise PreconditionResidualError(
             "[X3,X1] = X1", algebra.max_residual or np.inf
         )
-    invariance = _condition(
+    invariance = condition(
         "x1-H", evaluate_at_points(X1.apply(H), points), points
     )
     if not invariance.within(cfg.tol.residual):
@@ -873,7 +850,7 @@ def hojman_check(
             "X1(H) = 0", invariance.max_residual or np.inf
         )
     rho = X3.apply(H)
-    main = _condition("x1-rho", evaluate_at_points(X1.apply(rho), points), points)
+    main = condition("x1-rho", evaluate_at_points(X1.apply(rho), points), points)
     report = make_report(
         "hojman",
         (algebra, invariance, main),
@@ -969,7 +946,7 @@ def check_linear_realization(
     points = cfg.points()
     residuals = realization.residual_expressions(P)
     conditions = [
-        _condition(f"candidate-eq-{i + 1}", evaluate_at_points(expr, points), points)
+        condition(f"candidate-eq-{i + 1}", evaluate_at_points(expr, points), points)
         for i, expr in enumerate(residuals)
     ]
     return make_report("linear-realization", conditions, len(points), cfg.tol)

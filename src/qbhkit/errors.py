@@ -34,6 +34,19 @@ class UnknownIdentifierError(ExprSyntaxError):
         self.identifier = identifier
 
 
+class ExpressionTooDeepError(QbhError):
+    """An expression tree would be deeper than the bound every tree
+    walk can recurse through. ``depth`` is the depth of the node that
+    was being built, ``limit`` the bound."""
+
+    def __init__(self, depth, limit):
+        super().__init__(
+            f"expression tree of depth {depth} exceeds the limit of {limit}"
+        )
+        self.depth = depth
+        self.limit = limit
+
+
 class EvaluationDomainError(QbhError):
     """Evaluation hit a point outside an operation's domain.
 

@@ -3,6 +3,8 @@
 Expression trees are immutable; nodes hash by identity so derivative
 construction, simplification and evaluation can memoise over shared
 subterms (derivatives reuse their operands, so trees are really DAGs).
+Simplified forms, derivatives and fingerprints are cached on the nodes
+themselves and reused by every later call.
 Simplification is best effort: constant folding, 0/1 identities,
 flattening, and cancellation of structurally identical terms in sums.
 Deciding that an expression vanishes is the job of sampled numeric
@@ -16,7 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import CoordinateChart, Point, PointCloud, require_same_chart
-from .errors import EvaluationDomainError, UnknownCoordinateError
+from .errors import (
+    EvaluationDomainError,
+    ExpressionTooDeepError,
+    UnknownCoordinateError,
+)
 
 UNARY_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "atan")
 BINARY_FUNCTIONS = ("atan2",)
@@ -24,52 +30,130 @@ FUNCTIONS = UNARY_FUNCTIONS + BINARY_FUNCTIONS
 
 
 class Node:
-    """Base class for expression tree nodes."""
+    """Base class for expression tree nodes.
+
+    ``depth`` counts the nodes on the longest path from this node down
+    to a leaf. It is fixed at construction, which raises
+    ExpressionTooDeepError above ``MAX_NODE_DEPTH``. Each node also
+    keeps, in its instance dict, what ``nsimplify``, ``ndiff`` and
+    ``_fingerprint`` computed for it, so a later call on any tree that
+    contains the node reuses the work. All three are functions of the
+    node's structure alone, so a cached result is the one a fresh call
+    would build.
+    """
 
     __slots__ = ()
+    depth = 1
 
 
-@dataclass(frozen=True, eq=False)
+# Every walk of a tree (simplification, differentiation, evaluation,
+# printing) recurses once per level. Simplifying a chain of calls takes
+# four interpreter frames per level, the most of any walk, so at this
+# depth a fifth of Python's default limit of 1000 frames is left to the
+# caller. Parsed input is at most 101 deep, and the deepest tree the
+# shipped fixtures or the test suite build from it is 103; the quotient
+# rule deepens a derivative by four levels per nested quotient, so only
+# such input nested more than about 50 levels reaches this bound.
+MAX_NODE_DEPTH = 200
+
+
+def _depth_over(operands) -> int:
+    """The depth of a node with these operands: one more than the
+    deepest of them. Raises ExpressionTooDeepError above the bound."""
+    deepest = 0
+    for operand in operands:
+        if operand.depth > deepest:
+            deepest = operand.depth
+    if deepest >= MAX_NODE_DEPTH:
+        raise ExpressionTooDeepError(deepest + 1, MAX_NODE_DEPTH)
+    return deepest + 1
+
+
+# The constructors write the instance dict directly. That builds a node
+# about 1.5 times as fast as the __init__ a frozen dataclass generates
+# followed by a __post_init__ that adds the depth.
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Const(Node):
     value: float
 
+    def __init__(self, value):
+        self.__dict__["value"] = value
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Coord(Node):
     name: str
 
+    def __init__(self, name):
+        self.__dict__["name"] = name
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Neg(Node):
     arg: Node
 
+    def __init__(self, arg):
+        state = self.__dict__
+        state["arg"] = arg
+        state["depth"] = _depth_over((arg,))
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Sum(Node):
     terms: tuple
 
+    def __init__(self, terms):
+        state = self.__dict__
+        state["terms"] = terms
+        state["depth"] = _depth_over(terms)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Product(Node):
     factors: tuple
 
+    def __init__(self, factors):
+        state = self.__dict__
+        state["factors"] = factors
+        state["depth"] = _depth_over(factors)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Quotient(Node):
     numerator: Node
     denominator: Node
 
+    def __init__(self, numerator, denominator):
+        state = self.__dict__
+        state["numerator"] = numerator
+        state["denominator"] = denominator
+        state["depth"] = _depth_over((numerator, denominator))
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Power(Node):
     base: Node
     exponent: Node
 
+    def __init__(self, base, exponent):
+        state = self.__dict__
+        state["base"] = base
+        state["exponent"] = exponent
+        state["depth"] = _depth_over((base, exponent))
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Call(Node):
     func: str
     args: tuple
+
+    def __init__(self, func, args):
+        state = self.__dict__
+        state["func"] = func
+        state["args"] = args
+        state["depth"] = _depth_over(args)
 
 
 ZERO = Const(0.0)
@@ -229,37 +313,37 @@ def operands(node: Node) -> tuple:
 # differentiation
 
 
-def ndiff(node: Node, coord: str, memo: dict) -> Node:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    result = _ndiff(node, coord, memo)
-    memo[key] = result
+def ndiff(node: Node, coord: str) -> Node:
+    derivatives = node.__dict__.get("derivatives")
+    if derivatives is None:
+        derivatives = node.__dict__["derivatives"] = {}
+    result = derivatives.get(coord)
+    if result is None:
+        result = derivatives[coord] = _ndiff(node, coord)
     return result
 
 
-def _ndiff(node, coord, memo):
+def _ndiff(node, coord):
     if isinstance(node, Const):
         return ZERO
     if isinstance(node, Coord):
         return ONE if node.name == coord else ZERO
     if isinstance(node, Neg):
-        return nneg(ndiff(node.arg, coord, memo))
+        return nneg(ndiff(node.arg, coord))
     if isinstance(node, Sum):
-        return nsum(ndiff(t, coord, memo) for t in node.terms)
+        return nsum(ndiff(t, coord) for t in node.terms)
     if isinstance(node, Product):
         terms = []
         factors = node.factors
         for i, factor in enumerate(factors):
-            d = ndiff(factor, coord, memo)
+            d = ndiff(factor, coord)
             if _is_const(d, 0.0):
                 continue
             terms.append(nprod(factors[:i] + (d,) + factors[i + 1 :]))
         return nsum(terms)
     if isinstance(node, Quotient):
-        du = ndiff(node.numerator, coord, memo)
-        dv = ndiff(node.denominator, coord, memo)
+        du = ndiff(node.numerator, coord)
+        dv = ndiff(node.denominator, coord)
         if _is_const(dv, 0.0):
             return nquot(du, node.denominator)
         num = nsum(
@@ -271,12 +355,12 @@ def _ndiff(node, coord, memo):
         return nquot(num, npow(node.denominator, Const(2.0)))
     if isinstance(node, Power):
         base, exponent = node.base, node.exponent
-        db = ndiff(base, coord, memo)
+        db = ndiff(base, coord)
         if isinstance(exponent, Const):
             return nprod(
                 [exponent, npow(base, Const(exponent.value - 1.0)), db]
             )
-        de = ndiff(exponent, coord, memo)
+        de = ndiff(exponent, coord)
         if _is_const(de, 0.0):
             # exponent contains no differentiated coordinate: power rule
             return nprod(
@@ -291,13 +375,13 @@ def _ndiff(node, coord, memo):
     if isinstance(node, Call):
         if node.func == "atan2":
             y, x = node.args
-            dy = ndiff(y, coord, memo)
-            dx = ndiff(x, coord, memo)
+            dy = ndiff(y, coord)
+            dx = ndiff(x, coord)
             num = nsum([nprod([x, dy]), nneg(nprod([y, dx]))])
             den = nsum([npow(x, Const(2.0)), npow(y, Const(2.0))])
             return nquot(num, den)
         (arg,) = node.args
-        du = ndiff(arg, coord, memo)
+        du = ndiff(arg, coord)
         if _is_const(du, 0.0):
             return ZERO
         func = node.func
@@ -323,52 +407,46 @@ def _ndiff(node, coord, memo):
 # structural fingerprints and simplification
 
 
-def _fingerprint(node: Node, memo: dict) -> str:
-    # The memo stores (node, fp) pairs: keeping a strong reference to
-    # every fingerprinted node pins its id for the memo's lifetime.
-    # Fingerprints are computed for nodes created on the fly (e.g. the
-    # cores split off sum terms); without the reference, a collected
-    # temporary could hand its id to a structurally different node.
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
+def _fingerprint(node: Node) -> str:
+    fp = node.__dict__.get("fingerprint")
+    if fp is not None:
+        return fp
     if isinstance(node, Const):
         fp = f"C{node.value!r}"
     elif isinstance(node, Coord):
         fp = f"V{node.name}"
     elif isinstance(node, Neg):
-        fp = f"N({_fingerprint(node.arg, memo)})"
+        fp = f"N({_fingerprint(node.arg)})"
     elif isinstance(node, Sum):
-        parts = sorted(_fingerprint(t, memo) for t in node.terms)
+        parts = sorted(_fingerprint(t) for t in node.terms)
         fp = "S(" + "+".join(parts) + ")"
     elif isinstance(node, Product):
-        parts = sorted(_fingerprint(f, memo) for f in node.factors)
+        parts = sorted(_fingerprint(f) for f in node.factors)
         fp = "P(" + "*".join(parts) + ")"
     elif isinstance(node, Quotient):
         fp = (
             "Q("
-            + _fingerprint(node.numerator, memo)
+            + _fingerprint(node.numerator)
             + "/"
-            + _fingerprint(node.denominator, memo)
+            + _fingerprint(node.denominator)
             + ")"
         )
     elif isinstance(node, Power):
         fp = (
             "W("
-            + _fingerprint(node.base, memo)
+            + _fingerprint(node.base)
             + "^"
-            + _fingerprint(node.exponent, memo)
+            + _fingerprint(node.exponent)
             + ")"
         )
     else:
         fp = (
             node.func
             + "("
-            + ",".join(_fingerprint(a, memo) for a in node.args)
+            + ",".join(_fingerprint(a) for a in node.args)
             + ")"
         )
-    memo[key] = (node, fp)
+    node.__dict__["fingerprint"] = fp
     return fp
 
 
@@ -385,23 +463,26 @@ def _split_coefficient(node):
     return coeff, node
 
 
-def nsimplify(node: Node, memo: dict, fp_memo: dict) -> Node:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    result = _nsimplify(node, memo, fp_memo)
-    memo[key] = result
-    return result
+# cached as a node's simplified form when it is its own, so that a node
+# holds no reference to itself
+_SELF = object()
 
 
-def _nsimplify(node, memo, fp_memo):
+def nsimplify(node: Node) -> Node:
+    result = node.__dict__.get("simplified")
+    if result is None:
+        result = _nsimplify(node)
+        node.__dict__["simplified"] = _SELF if result is node else result
+    return node if result is _SELF else result
+
+
+def _nsimplify(node):
     if isinstance(node, (Const, Coord)):
         return node
     if isinstance(node, Neg):
-        return nneg(nsimplify(node.arg, memo, fp_memo))
+        return nneg(nsimplify(node.arg))
     if isinstance(node, Sum):
-        flat = nsum(nsimplify(t, memo, fp_memo) for t in node.terms)
+        flat = nsum(nsimplify(t) for t in node.terms)
         if not isinstance(flat, Sum):
             return flat
         const = 0.0
@@ -412,7 +493,7 @@ def _nsimplify(node, memo, fp_memo):
                 const += term.value
                 continue
             coeff, core = _split_coefficient(term)
-            fp = _fingerprint(core, fp_memo)
+            fp = _fingerprint(core)
             if fp in groups:
                 groups[fp][0] += coeff
             else:
@@ -433,19 +514,19 @@ def _nsimplify(node, memo, fp_memo):
             rebuilt.append(Const(const))
         return nsum(rebuilt)
     if isinstance(node, Product):
-        return nprod(nsimplify(f, memo, fp_memo) for f in node.factors)
+        return nprod(nsimplify(f) for f in node.factors)
     if isinstance(node, Quotient):
         return nquot(
-            nsimplify(node.numerator, memo, fp_memo),
-            nsimplify(node.denominator, memo, fp_memo),
+            nsimplify(node.numerator),
+            nsimplify(node.denominator),
         )
     if isinstance(node, Power):
         return npow(
-            nsimplify(node.base, memo, fp_memo),
-            nsimplify(node.exponent, memo, fp_memo),
+            nsimplify(node.base),
+            nsimplify(node.exponent),
         )
     if isinstance(node, Call):
-        return ncall(node.func, (nsimplify(a, memo, fp_memo) for a in node.args))
+        return ncall(node.func, (nsimplify(a) for a in node.args))
     raise TypeError(f"cannot simplify node {node!r}")
 
 
@@ -647,10 +728,10 @@ class ScalarExpr:
             raise UnknownCoordinateError(
                 f"coordinate {coord!r} not on chart {self.chart}"
             )
-        return ScalarExpr(self.chart, ndiff(self.node, coord, {}))
+        return ScalarExpr(self.chart, ndiff(self.node, coord))
 
     def simplified(self) -> "ScalarExpr":
-        return ScalarExpr(self.chart, nsimplify(self.node, {}, {}))
+        return ScalarExpr(self.chart, nsimplify(self.node))
 
     def at(self, point: Point) -> float:
         """The value at one point, bit for bit ``sample([point])[0]``;
@@ -693,7 +774,7 @@ class ScalarExpr:
         return _is_const(self.node, 0.0)
 
     def fingerprint(self) -> str:
-        return _fingerprint(self.node, {})
+        return _fingerprint(self.node)
 
     def __str__(self):
         return node_to_text(self.node)

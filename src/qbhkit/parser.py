@@ -15,10 +15,11 @@ chart coordinates.
 
 Input may nest at most ``MAX_DEPTH`` levels, counted two ways: the
 parser's own nesting (parentheses, calls, unary minus and '^') and the
-operator depth of the result, which a left-associative chain such as
-``x/2/2/2`` builds without parser nesting. Every later walk of the
-tree (differentiation, simplification, evaluation, printing) recurses
-per level, so deeper input is rejected here as a syntax error.
+operator depth of the result (its ``depth`` less the leaf), which a
+left-associative chain such as ``x/2/2/2`` builds without parser
+nesting. Every later walk of the tree (differentiation,
+simplification, evaluation, printing) recurses per level, so deeper
+input is rejected here as a syntax error.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .chart import CoordinateChart
-from .errors import ExprSyntaxError, UnknownIdentifierError
+from .errors import ExprSyntaxError, ExpressionTooDeepError, UnknownIdentifierError
 from .expr import (
     BINARY_FUNCTIONS,
     Const,
@@ -39,7 +40,6 @@ from .expr import (
     nprod,
     nquot,
     nsum,
-    operands,
 )
 
 MAX_DEPTH = 100
@@ -213,22 +213,14 @@ def parse_expression(text: str, chart: CoordinateChart) -> ScalarExpr:
     UnknownIdentifierError for identifiers that are neither chart
     coordinates nor known functions.
     """
-    node = _Parser(text, chart).parse()
-    if _operator_depth(node) > MAX_DEPTH:
+    try:
+        node = _Parser(text, chart).parse()
+        too_deep = node.depth - 1 > MAX_DEPTH
+    except ExpressionTooDeepError:
+        too_deep = True
+    if too_deep:
         raise ExprSyntaxError(
             f"expression nested deeper than {MAX_DEPTH} levels",
             _byte_offset(text, len(text)),
         )
     return ScalarExpr(chart, node)
-
-
-def _operator_depth(root) -> int:
-    """Operators on the longest path from ``root`` down to a leaf. The
-    walk keeps its own stack, because the depth is not yet known to be
-    small; parsed trees share no operator node, so it visits each once."""
-    deepest, stack = 0, [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((a, depth + 1) for a in operands(node))
-    return deepest

@@ -35,13 +35,9 @@ from .fields import (
     wedge,
     zero_field,
 )
-from .criteria import (
-    _condition,
-    _grid_values,
-    check_delta,
-    hamiltonian_condition,
-)
+from .criteria import check_delta, hamiltonian_condition
 from .reports import CriterionReport, make_report
+from .residuals import condition, grid_values
 from .sampling import VerifyConfig
 
 
@@ -118,9 +114,9 @@ def build_qbh(
 
     # the contraction identity XF = {H,F} X3 + rho XH holds for any F
     identity = (xf - (X3.scaled(hf) + xh.scaled(rho))).components_at(points)
-    conditions = [_condition("contraction-identity", _grid_values(identity), points)]
+    conditions = [condition("contraction-identity", grid_values(identity), points)]
 
-    integral_cond = _condition(
+    integral_cond = condition(
         "integral", evaluate_at_points(hf, points), points,
         informative=not require_exact,
     )
@@ -144,18 +140,18 @@ def build_qbh(
             )
 
     conditions.append(
-        _condition(
+        condition(
             "exactness",
-            _grid_values((xf - xh.scaled(rho)).components_at(points)),
+            grid_values((xf - xh.scaled(rho)).components_at(points)),
             points,
             informative=not exact,
         )
     )
     conditions.append(
-        _condition("xf-of-F", evaluate_at_points(xf.apply(F), points), points)
+        condition("xf-of-F", evaluate_at_points(xf.apply(F), points), points)
     )
 
-    bi_cond = _condition(
+    bi_cond = condition(
         "x3-F-plus-1",
         evaluate_at_points(X3.apply(F) + constant(chart, 1.0), points),
         points,
@@ -165,8 +161,8 @@ def build_qbh(
     bi_hamiltonian = exact and bi_cond.within(cfg.tol.residual)
     if bi_hamiltonian:
         conditions.append(
-            _condition(
-                "bi-degeneration", _grid_values((xf - xh).components_at(points)), points
+            condition(
+                "bi-degeneration", grid_values((xf - xh).components_at(points)), points
             )
         )
 
@@ -228,7 +224,7 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
     # a point is usable if B and the cyclic sum of every triple are defined
     defined = np.isfinite(bivector_components_at(B, points)).all(axis=(1, 2))
     per_point = np.where(defined, np.abs(np.vstack(rows)).max(axis=0), np.nan)
-    cond = _condition("cyclic-sum", per_point, points)
+    cond = condition("cyclic-sum", per_point, points)
     return make_report(
         "jacobi-identity",
         (cond,),

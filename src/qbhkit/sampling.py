@@ -27,6 +27,12 @@ DEFAULT_GUARD_EPS = 1e-6
 # rejection attempts allowed per requested sample
 _REJECTION_BUDGET = 100
 
+# The largest samples x dimension a domain may ask for, so that a huge
+# request fails as an input error rather than by running out of memory:
+# the points take 8 bytes per coordinate value (8 MB at the cap), and
+# every evaluated expression node holds another 8 bytes per sample.
+MAX_SAMPLE_VALUES = 1_000_000
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -86,6 +92,11 @@ class SampleDomain:
             _check_interval(lo, hi)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples * self.chart.dimension > MAX_SAMPLE_VALUES:
+            raise ValueError(
+                f"samples times the {self.chart.dimension} coordinates must be "
+                f"at most {MAX_SAMPLE_VALUES}, got {self.samples} samples"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 

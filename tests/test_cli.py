@@ -107,6 +107,75 @@ def test_depth_100_chain_still_runs(tmp_path):
     assert code == 0 and run.passed
 
 
+def test_derivative_deeper_than_the_bound_is_usage_error(tmp_path):
+    # 60 nested quotients parse, but each level of the quotient rule
+    # deepens the derivative by four
+    nested = "y/(" * 60 + "y" + ")" * 60
+    path = tmp_path / "deep.prob"
+    path.write_text(
+        f"[space]\ncoordinates = x y z\n\n[field X1]\nx = 2 + {nested}\n\n"
+        "[field X2]\ny = 1\n"
+    )
+    code, run, _, err = invoke(["check", "poisson", "--input", str(path)])
+    assert code == 2 and run is None
+    assert err.startswith("qbhkit: error: ExpressionTooDeepError: ")
+    assert err.count("\n") == 1
+
+
+def test_parser_built_once_keeps_no_state_between_calls(exp_path):
+    from qbhkit.cli import _arg_parser
+
+    assert _arg_parser() is _arg_parser()
+    parsed = [
+        _arg_parser().parse_args(["check", "delta"] + flags).field
+        for flags in (["--field", "A", "--field", "B"], ["--field", "C"], [])
+    ]
+    assert parsed == [["A", "B"], ["C"], []]
+    code, _, _, err = invoke(["check", "delta", "--input", exp_path, "--field", "NOPE"])
+    assert code == 2 and "NOPE" in err
+    code, run, _, _ = invoke(["check", "delta", "--input", exp_path])
+    assert code == 0 and run.passed
+    for bad in (["check", "delta", "--bogus"], ["check", "nonsense"], ["--samples"]):
+        assert invoke(bad)[0] == 2
+    code, run, _, _ = invoke(["check", "delta", "--input", exp_path, "--samples", "20"])
+    assert code == 0 and run.samples == 20
+
+
+def test_cached_results_do_not_outlive_their_problems(tmp_path):
+    # every node keeps its simplified form and derivatives; once a
+    # problem's report is dropped, all of its nodes must be collectable
+    import gc
+    import importlib.util
+    from pathlib import Path
+
+    from qbhkit.expr import Node
+
+    spec = importlib.util.spec_from_file_location(
+        "generate", Path(__file__).parents[1] / "perfbench" / "generate.py"
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+
+    def run(index):
+        path = tmp_path / f"gen{index}.prob"
+        path.write_text(generate.problem_text(5, index))
+        code, _, _, _ = invoke(
+            ["check", "poisson", "--input", str(path), "--samples", "40"]
+        )
+        assert code == 0
+
+    def live_nodes():
+        gc.collect()
+        return sum(isinstance(o, Node) for o in gc.get_objects())
+
+    run(0)
+    before = live_nodes()
+    for index in range(1, 51):
+        run(index)
+    # a checked problem's nodes number in the hundreds
+    assert live_nodes() - before < 50
+
+
 def test_unknown_field_name(exp_path):
     code, _, _, err = invoke(
         ["check", "delta", "--input", exp_path, "--field", "NOPE"]
@@ -125,6 +194,18 @@ def test_unknown_fixture():
     "flag, value, message",
     [
         ("--samples", "0", "samples must be >= 1"),
+        (
+            "--samples",
+            "100000000000",
+            "samples times the 2 coordinates must be at most 1000000, "
+            "got 100000000000 samples",
+        ),
+        (
+            "--samples",
+            "500001",
+            "samples times the 2 coordinates must be at most 1000000, "
+            "got 500001 samples",
+        ),
         ("--seed", "-1", "seed must fit in 64 unsigned bits"),
         ("--tolerance", "-1", "residual must be positive"),
     ],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qbhkit as qk
-from qbhkit.expr import Call, Coord, node_to_text
+from qbhkit.expr import MAX_NODE_DEPTH, Call, Coord, node_to_text
 
 from helpers import DEEP_EXPRESSIONS, make_cfg
 
@@ -463,6 +463,82 @@ def test_simplify_derivatives_of_random_polynomials():
     s = d.simplified()
     for p in corpus_points(10):
         assert s.at(p) == pytest.approx(d.at(p), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_simplified_and_derivatives_are_built_once(text):
+    e = qk.parse_expression(text, CHART)
+    assert e.simplified().node is e.simplified().node
+    for coord in CHART.names:
+        assert e.diff(coord).node is e.diff(coord).node
+
+
+@pytest.mark.parametrize("e", [CHART.coordinate("x"), CHART.constant(2.5)])
+def test_a_node_that_is_its_own_simplified_form_keeps_no_reference_to_itself(e):
+    assert e.simplified().node is e.node
+    assert e.simplified().node is e.node  # read back from the cache
+    assert all(value is not e.node for value in vars(e.node).values())
+
+
+# ---------------------------------------------------------------------------
+# expression depth
+
+X, Y = CHART.coordinate("x"), CHART.coordinate("y")
+
+# one level of each shape of chain the walks recurse through, built
+# through the public API
+CHAINS = {
+    "sin": qk.sin,
+    "atan2": lambda e: qk.atan2(e, X + 2.0),
+    "quotient": lambda e: X / (e + 2.0),
+    "power": lambda e: (e * Y + 2.0) ** X,
+    "difference": lambda e: X - e,
+}
+
+
+def deepest_chain(shape):
+    """The deepest chain of ``shape`` that can be built."""
+    e = X
+    while True:
+        try:
+            e = CHAINS[shape](e)
+        except qk.ExpressionTooDeepError:
+            return e
+
+
+def test_node_depth_counts_the_longest_path_to_a_leaf():
+    assert X.node.depth == CHART.constant(2.0).node.depth == 1
+    assert qk.sin(X).node.depth == 2
+    assert (qk.sin(qk.sin(X)) + Y).node.depth == 4
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_deep_api_chain_ends_in_the_depth_error(shape):
+    e = X
+    with pytest.raises(qk.ExpressionTooDeepError) as err:
+        for _ in range(10_000):
+            e = CHAINS[shape](e)
+    assert err.value.limit == MAX_NODE_DEPTH
+    assert err.value.depth == MAX_NODE_DEPTH + 1
+
+
+@pytest.mark.parametrize("shape", sorted(CHAINS))
+def test_every_walk_handles_a_chain_at_the_depth_bound(shape):
+    # the bound must leave room for the caller's frames in each walk
+    e = deepest_chain(shape)
+    assert e.node.depth > MAX_NODE_DEPTH - 5
+    point = CHART.point(0.5, 0.5, 0.5)
+    assert str(e.simplified())
+    assert str(e)
+    assert qk.structurally_equal(e, e)
+    assert np.isfinite(e.sample([point])).all()
+    assert math.isfinite(e.at(point))
+    try:
+        d = e.diff("x")
+    except qk.ExpressionTooDeepError:
+        pass  # the derivative is deeper than the bound
+    else:
+        assert str(d.simplified())
 
 
 # ---------------------------------------------------------------------------

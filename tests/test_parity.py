@@ -16,7 +16,7 @@ import pytest
 
 import qbhkit as qk
 from qbhkit.chart import Point
-from qbhkit.criteria import _expand_rows, _independent_rows
+from qbhkit.criteria import _expand_rows, _independent_rows, _row_norms
 from qbhkit.sampling import _REJECTION_BUDGET, _passes_guards
 
 from helpers import rotation_cfg
@@ -294,3 +294,26 @@ def test_span_expand_keeps_per_point_views():
         assert residual == decomp.residual_values()[i]
         assert coeffs == (decomp.coefficient_values(0)[i], decomp.coefficient_values(1)[i])
     assert decomp.max_residual() == max(decomp.residuals)
+
+
+@pytest.mark.parametrize("power", [-400, 0, 520, 700, 1000])
+def test_residual_norms_scale_exactly_with_the_rows(power):
+    # scaling a row by a power of two scales its norm by the same power,
+    # also where the squares would overflow
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((500, 3))
+    rows[::7, 1] = 0.0
+    rows[::11] = 0.0
+    want = np.ldexp(np.linalg.norm(rows, axis=1), power)
+    np.testing.assert_array_equal(_row_norms(np.ldexp(rows, power)), want)
+
+
+def test_span_residual_of_a_huge_target_is_finite():
+    # the target's squares, about 1e400, are beyond the float range
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    _, y, _ = chart.coordinates()
+    V = qk.VectorField(chart, (1e200 * qk.exp(y), chart.constant(0.0), chart.constant(1e200)))
+    basis = (qk.coordinate_field(chart, "x"), qk.coordinate_field(chart, "y"))
+    points = qk.sample_points(qk.SampleDomain.cube(chart, samples=50, seed=3))
+    decomp = qk.span_expand(V, basis, points, TOL)
+    np.testing.assert_allclose(decomp.residual_array, 1e200, rtol=1e-15)

@@ -137,6 +137,7 @@ def test_bad_box_syntax():
             "max_skip_fraction must lie in [0, 1]",
         ),
         ("samples = 50", "samples = 0", 17, "samples must be >= 1"),
+        ("samples = 50", "samples = 333334", 17, "must be at most 1000000"),
         ("seed = 7", "seed = -1", 18, "seed must fit in 64 unsigned bits"),
         ("z:0.1:1", "z:1:0.1", 16, "empty interval [1.0, 0.1]"),
         (

@@ -15,6 +15,7 @@ with small integer coefficients, so every bracket is defined
 everywhere; bracket identities are compared within 1e-9 of the largest
 value involved.
 """
+import dataclasses
 import operator
 from itertools import combinations_with_replacement
 
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbhkit as qk
-from qbhkit.expr import ScalarExpr, operands
+from qbhkit.expr import Node, ScalarExpr, operands
 
 from helpers import make_cfg, nested_cyclic_sums
 
@@ -64,17 +65,39 @@ EXPRESSIONS = st.recursive(LEAVES, _grow, max_leaves=6)
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
-def scale(e, points):
-    """Per point, the largest |value| of any subexpression of ``e``."""
-    nodes, stack, seen = [], [e.node], set()
+def subtrees(root):
+    """Every distinct node of the tree under ``root``, root first."""
+    nodes, stack, seen = [], [root], set()
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             nodes.append(node)
             stack.extend(operands(node))
-    values = np.abs([ScalarExpr(CHART, n).sample(points) for n in nodes])
+    return nodes
+
+
+def scale(e, points):
+    """Per point, the largest |value| of any subexpression of ``e``."""
+    values = np.abs([ScalarExpr(CHART, n).sample(points) for n in subtrees(e.node)])
     return np.max(np.where(np.isnan(values), 0.0, values), axis=0)
+
+
+def rebuild(node, copies):
+    """A copy of ``node``'s tree made of new nodes with the same types
+    and payloads, shared where the original's are; ``copies`` maps the
+    ids of copied nodes to their copies."""
+    if id(node) not in copies:
+        values = []
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            if isinstance(value, Node):
+                value = rebuild(value, copies)
+            elif isinstance(value, tuple):
+                value = tuple(rebuild(v, copies) for v in value)
+            values.append(value)
+        copies[id(node)] = type(node)(*values)
+    return copies[id(node)]
 
 
 def assert_close(got, want, bound):
@@ -125,6 +148,33 @@ def test_simplify_preserves_values(e):
     defined = ~np.isnan(want)
     assert not np.isnan(got[defined]).any()
     assert_close(got[defined], want[defined], scale(e, WIDE)[defined])
+
+
+@PROPERTY
+@given(EXPRESSIONS, st.randoms(use_true_random=False))
+def test_cached_results_do_not_depend_on_earlier_calls(e, rng):
+    # nodes keep their simplified forms and derivatives: a tree whose
+    # subtrees were simplified and differentiated first, in any order,
+    # must give the same results as a fresh copy of it
+    cold = ScalarExpr(CHART, rebuild(e.node, {}))
+    warm = ScalarExpr(CHART, rebuild(e.node, {}))
+    steps = [
+        (ScalarExpr(CHART, node), coord)
+        for node in subtrees(warm.node)
+        for coord in (None,) + CHART.names
+    ]
+    rng.shuffle(steps)
+    for sub, coord in steps:
+        if coord is None:
+            sub.simplified().diff(rng.choice(CHART.names))
+        else:
+            sub.diff(coord).simplified()
+    assert str(warm.simplified()) == str(cold.simplified())
+    assert warm.fingerprint() == cold.fingerprint()
+    for coord in CHART.names:
+        assert str(warm.diff(coord)) == str(cold.diff(coord))
+        assert str(warm.diff(coord).simplified()) == str(cold.diff(coord).simplified())
+        assert str(warm.simplified().diff(coord)) == str(cold.simplified().diff(coord))
 
 
 # ---------------------------------------------------------------------------

@@ -252,14 +252,14 @@ def test_composite_terms_are_poisson_pairs():
 def test_skip_fraction_gates_pass():
     # a condition that skips more than max_skip_fraction of the points
     # fails the criterion even when its defined residuals are tiny
-    from qbhkit.criteria import _condition
+    from qbhkit.residuals import condition
     from qbhkit.reports import make_report
 
     chart = qk.CoordinateChart(("x",))
     points = [chart.point(float(i)) for i in range(10)]
     values = np.zeros(10)
     values[:3] = np.nan  # 30% undefined
-    cond = _condition("residual", values, points)
+    cond = condition("residual", values, points)
     assert cond.skipped == 3
     tol = qk.ToleranceConfig()
     report = make_report("demo", (cond,), len(points), tol)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import qbhkit as qk
+from qbhkit.sampling import MAX_SAMPLE_VALUES
 
 from helpers import exp_triple, make_cfg
 
@@ -52,6 +53,17 @@ def test_domain_validation():
         qk.SampleDomain(CHART, ((0.0, 1.0),) * 2)
     with pytest.raises(ValueError):
         qk.SampleDomain.cube(CHART, samples=0)
+
+
+def test_samples_times_dimension_is_capped_before_sampling():
+    # only the domains are built: nothing of this size is allocated
+    limit = MAX_SAMPLE_VALUES // CHART.dimension
+    assert qk.SampleDomain.cube(CHART, samples=limit).samples == limit
+    for samples in (limit + 1, 10**11):
+        with pytest.raises(ValueError, match="must be at most 1000000"):
+            qk.SampleDomain.cube(CHART, samples=samples)
+        with pytest.raises(ValueError, match="must be at most 1000000"):
+            qk.SampleDomain.cube(CHART, samples=10).with_overrides(samples=samples)
 
 
 def test_tolerance_validation():
