@@ -17,6 +17,21 @@ from .errors import ChartMismatchError, UnknownCoordinateError
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# The largest samples x dimension a domain may ask for, so that a huge
+# request fails as an input error rather than by running out of memory:
+# the points take 8 bytes per coordinate value (8 MB at the cap), and
+# every evaluated expression node holds another 8 bytes per sample.
+MAX_SAMPLE_VALUES = 1_000_000
+
+# A point cloud keeps the values of the expression nodes evaluated on it
+# for later evaluations while its cache holds fewer than this many
+# values (1 MiB of floats); every entry counts as one value per point.
+# Past the bound an evaluation still reads the cache, but keeps its new
+# values only for the call. So everything evaluated at 200 points fits,
+# most of a check at 1 000 does, and little at 5 000, where arithmetic
+# rather than per-node dispatch is the cost.
+MAX_CACHED_VALUES = 2**17
+
 
 @dataclass(frozen=True)
 class CoordinateChart:
@@ -112,9 +127,15 @@ class PointCloud(Sequence):
     Indexing with an integer builds that one Point; a slice or a boolean
     mask gives another PointCloud. Evaluators read ``values`` directly,
     so Point objects exist only where a report names one.
+
+    ``cache`` maps expression nodes to their values over this cloud. It
+    is filled by evaluation, up to ``MAX_CACHED_VALUES``, so that every
+    evaluation on the cloud reuses the subexpressions already computed.
+    It is keyed by the node object, not its ``id()``: the nodes stay
+    alive as long as the cloud, so no key can be reused.
     """
 
-    __slots__ = ("chart", "values")
+    __slots__ = ("chart", "values", "cache")
 
     def __init__(self, chart: CoordinateChart, values):
         values = np.array(values, dtype=float, order="F").reshape(
@@ -123,6 +144,7 @@ class PointCloud(Sequence):
         values.flags.writeable = False
         self.chart = chart
         self.values = values
+        self.cache = {}
 
     @classmethod
     def of(cls, chart: CoordinateChart, points) -> "PointCloud":

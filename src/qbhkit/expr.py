@@ -3,8 +3,9 @@
 Expression trees are immutable; nodes hash by identity so derivative
 construction, simplification and evaluation can memoise over shared
 subterms (derivatives reuse their operands, so trees are really DAGs).
-Simplified forms, derivatives and fingerprints are cached on the nodes
-themselves and reused by every later call.
+Simplified forms, derivatives, fingerprints and the coordinates a node
+depends on are cached on the nodes themselves and reused by every later
+call; values are cached on the point cloud they were evaluated over.
 Simplification is best effort: constant folding, 0/1 identities,
 flattening, and cancellation of structurally identical terms in sums.
 Deciding that an expression vanishes is the job of sampled numeric
@@ -13,11 +14,18 @@ verification, not of this module.
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import CoordinateChart, Point, PointCloud, require_same_chart
+from .chart import (
+    MAX_CACHED_VALUES,
+    CoordinateChart,
+    Point,
+    PointCloud,
+    require_same_chart,
+)
 from .errors import (
     EvaluationDomainError,
     ExpressionTooDeepError,
@@ -35,11 +43,11 @@ class Node:
     ``depth`` counts the nodes on the longest path from this node down
     to a leaf. It is fixed at construction, which raises
     ExpressionTooDeepError above ``MAX_NODE_DEPTH``. Each node also
-    keeps, in its instance dict, what ``nsimplify``, ``ndiff`` and
-    ``_fingerprint`` computed for it, so a later call on any tree that
-    contains the node reuses the work. All three are functions of the
-    node's structure alone, so a cached result is the one a fresh call
-    would build.
+    keeps, in its instance dict, what ``nsimplify``, ``ndiff``,
+    ``_fingerprint`` and ``_coordinates`` computed for it, so a later
+    call on any tree that contains the node reuses the work. All four
+    are functions of the node's structure alone, so a cached result is
+    the one a fresh call would build.
     """
 
     __slots__ = ()
@@ -450,6 +458,19 @@ def _fingerprint(node: Node) -> str:
     return fp
 
 
+def _coordinates(node: Node) -> frozenset:
+    """The names of the coordinates that occur in ``node``."""
+    names = node.__dict__.get("coordinates")
+    if names is None:
+        if isinstance(node, Coord):
+            names = frozenset((node.name,))
+        else:
+            parts = [_coordinates(a) for a in operands(node)]
+            names = parts[0].union(*parts[1:]) if parts else frozenset()
+        node.__dict__["coordinates"] = names
+    return names
+
+
 def _split_coefficient(node):
     """Decompose a (simplified) term into (real coefficient, core node)."""
     coeff = 1.0
@@ -472,8 +493,30 @@ def nsimplify(node: Node) -> Node:
     result = node.__dict__.get("simplified")
     if result is None:
         result = _nsimplify(node)
+        if _same_tree(result, node):
+            # a rebuilt copy: keep the node, so that simplifying a
+            # simplified tree builds nothing and its values stay shared
+            result = node
         node.__dict__["simplified"] = _SELF if result is node else result
     return node if result is _SELF else result
+
+
+def _same_tree(a: Node, b: Node) -> bool:
+    """Whether ``a`` and ``b`` print as the same tree: the same kinds of
+    node, functions, coordinates and constants, operand by operand. It
+    stops at shared operands, so it walks only what a rebuild made new."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Const):
+        return repr(a.value) == repr(b.value)
+    if isinstance(a, Coord):
+        return a.name == b.name
+    if isinstance(a, Call) and a.func != b.func:
+        return False
+    new, old = operands(a), operands(b)
+    return len(new) == len(old) and all(map(_same_tree, new, old))
 
 
 def _nsimplify(node):
@@ -540,10 +583,10 @@ def _eval_array(node: Node, env: dict, memo: dict):
 
     Constants stay numpy scalars and broadcast, so a result can be a
     scalar; ``ScalarExpr.sample`` expands it. Sums and products start
-    from a fresh array and accumulate in place in term order.
+    from a fresh array and accumulate in place in term order, so no
+    operand's value, which ``memo`` may keep, is ever written to.
     """
-    key = id(node)
-    hit = memo.get(key)
+    hit = memo.get(node)
     if hit is not None:
         return hit
     if isinstance(node, Const):
@@ -580,7 +623,7 @@ def _eval_array(node: Node, env: dict, memo: dict):
         if node.func == "atan2":
             value = np.where((args[0] == 0.0) & (args[1] == 0.0), np.nan, value)
         value = _undefined_to_nan(value)
-    memo[key] = value
+    memo[node] = value
     return value
 
 
@@ -605,10 +648,18 @@ def _undefined_to_nan(value):
 
 
 def _evaluate(node: Node, cloud: PointCloud):
-    """``node`` over ``cloud`` with the memo of every subexpression's
-    value, which ``_domain_error`` reads."""
+    """``node`` over ``cloud`` with the map of every subexpression's
+    value, which ``_domain_error`` reads.
+
+    Values are read from and kept in the cloud's cache. Once the cache
+    holds ``MAX_CACHED_VALUES`` values, the new ones of this call go to a
+    map of their own that ends with the call. The bound is tested once
+    per call, so a cache can pass it by one call's values.
+    """
     env = {name: cloud.values[:, i] for i, name in enumerate(cloud.chart.names)}
-    memo = {}
+    memo = cloud.cache
+    if len(memo) * len(cloud) >= MAX_CACHED_VALUES:
+        memo = ChainMap({}, memo)
     with np.errstate(all="ignore"):
         value = _eval_array(node, env, memo)
     return value, memo
@@ -620,14 +671,14 @@ def _domain_error(root: Node, memo: dict) -> EvaluationDomainError:
     undefined operands, so every operand of that node is defined."""
     node = root
     while True:
-        inner = [a for a in operands(node) if math.isnan(memo[id(a)].item())]
+        inner = [a for a in operands(node) if math.isnan(memo[a].item())]
         if not inner:
             break
         node = inner[0]
     reason = "non-finite value"
     if isinstance(node, Call):
         reason = _UNDEFINED_CALLS.get(node.func, reason)
-    elif isinstance(node, Quotient) and memo[id(node.denominator)].item() == 0.0:
+    elif isinstance(node, Quotient) and memo[node.denominator].item() == 0.0:
         reason = "division by zero"
     elif isinstance(node, Power):
         reason = "power undefined"
@@ -751,23 +802,13 @@ class ScalarExpr:
         value, _ = _evaluate(self.node, cloud)
         if np.ndim(value) == 0:
             return np.full(len(cloud), value)
-        # a bare coordinate evaluates to a read-only view of the cloud
-        return value if value.flags.writeable else value.copy()
+        # a copy, so that a caller writing to its result cannot change
+        # the cloud's cached value or its coordinates
+        return value.copy()
 
     # -- inspection -------------------------------------------------------
     def depends_on(self) -> frozenset[str]:
-        names = set()
-        stack = [self.node]
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, Coord):
-                names.add(node.name)
-            stack.extend(operands(node))
-        return frozenset(names)
+        return _coordinates(self.node)
 
     def is_zero(self) -> bool:
         """Syntactic test: is this literally the constant 0?"""

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .chart import CoordinateChart, Point, PointCloud
+from .chart import MAX_SAMPLE_VALUES, CoordinateChart, Point, PointCloud
 from .errors import GuardTooRestrictiveError
 from .expr import Coord, Const, ScalarExpr, nprod, nsum
 from .fields import VectorField
@@ -26,12 +26,6 @@ DEFAULT_GUARD_EPS = 1e-6
 
 # rejection attempts allowed per requested sample
 _REJECTION_BUDGET = 100
-
-# The largest samples x dimension a domain may ask for, so that a huge
-# request fails as an input error rather than by running out of memory:
-# the points take 8 bytes per coordinate value (8 MB at the cap), and
-# every evaluated expression node holds another 8 bytes per sample.
-MAX_SAMPLE_VALUES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,10 @@ def sample_points(domain: SampleDomain) -> PointCloud:
 
     Each block holds about as many candidates as are expected to yield
     the points still missing at the acceptance rate seen so far, so the
-    whole budget is never drawn at once.
+    whole budget is never drawn at once, and at most as many as a domain
+    may ask points for (``MAX_SAMPLE_VALUES`` coordinate values), so a
+    guard that accepts few candidates cannot make one block, or a guard
+    value over it, larger than the largest cloud of points.
     """
     rng = np.random.default_rng(domain.seed)
     lows = np.array([lo for lo, _ in domain.box])
@@ -162,7 +159,7 @@ def sample_points(domain: SampleDomain) -> PointCloud:
         else:
             # nothing accepted yet: double the candidates drawn
             wanted = max(missing, attempts)
-        block = min(wanted, budget - attempts)
+        block = min(wanted, budget - attempts, MAX_SAMPLE_VALUES // len(lows))
         candidates = rng.uniform(lows, highs, size=(block, len(lows)))
         attempts += block
         if domain.guards:

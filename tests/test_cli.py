@@ -1,11 +1,14 @@
 """CLI dispatch, exit codes, report formats, and library parity."""
 import io
 import json
+import random
+import time
 
 import pytest
 
 import qbhkit as qk
 from qbhkit.cli import run_command
+from qbhkit.fixtures import fixture_names
 from qbhkit.reports import render_json
 
 from helpers import DEEP_EXPRESSIONS
@@ -444,3 +447,92 @@ def test_hojman_via_check_subcommand(tmp_path):
     )
     assert code == 1
     assert "PreconditionResidual" in err
+
+
+# ---------------------------------------------------------------------------
+# generated bad input: every outcome is a documented exit code
+
+MUTATION_CASES = 600
+CASE_SECONDS = 2.0
+COMMANDS = (
+    ["check", "poisson"],
+    ["check", "automorphism"],
+    ["check", "compat"],
+    ["check", "delta"],
+    ["check", "hamiltonian"],
+    ["check", "jacobi"],
+    ["check", "hojman"],
+    ["coeffs", "lemma4"],
+    ["build", "qbh"],
+)
+TOKENS = (
+    "(", ")", "^", "/0", "*", "+", "-", ",", "=", ":", "x", "y", "x1",
+    "0", "1e308", "1e-320", "nan", "inf", "ln(", "sqrt(", "atan2(",
+    "exp(", "H", "X1", "[", "]", "#", "--",
+)
+FLAGS = (
+    ["--samples", "0"],
+    ["--samples", "-3"],
+    ["--samples", "7"],
+    ["--samples", "many"],
+    ["--seed", "-1"],
+    ["--seed", "99"],
+    ["--tolerance", "0"],
+    ["--tolerance", "nan"],
+    ["--tolerance", "1e300"],
+    ["--tolerance", "1e-300"],
+    ["--field", "X1"],
+    ["--field", "X3"],
+    ["--field", "nope"],
+    ["--H", "H"],
+    ["--H", "y^2"],
+    ["--H", "(("],
+    ["--F", "x"],
+    ["--format", "json"],
+    ["--format", "xml"],
+    ["--bogus"],
+)
+
+
+def mutated_problem(rng, text):
+    """``text`` with one line deleted or duplicated, or a token spliced
+    into the value of one of its entries."""
+    lines = text.splitlines()
+    index = rng.randrange(len(lines))
+    kind = rng.randrange(3)
+    if kind == 0:
+        del lines[index]
+    elif kind == 1:
+        lines.insert(index, lines[index])
+    else:
+        entries = [i for i, line in enumerate(lines) if "=" in line]
+        index = rng.choice(entries)
+        line = lines[index]
+        at = rng.randrange(line.index("=") + 1, len(line) + 1)
+        lines[index] = line[:at] + rng.choice(TOKENS) + line[at:]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_problems_and_flags_end_in_a_documented_exit_code(tmp_path):
+    # Seeded, so every run checks the same cases. Most end in a usage
+    # error (2), but every exit code occurs, so the mutations reach the
+    # checks themselves.
+    rng = random.Random(7)
+    texts = [fixture_text(name) for name in fixture_names()]
+    codes = set()
+    for case in range(MUTATION_CASES):
+        path = tmp_path / f"case{case}.prob"
+        path.write_text(mutated_problem(rng, rng.choice(texts)))
+        argv = rng.choice(COMMANDS) + ["--input", str(path), "--samples", "40"]
+        for _ in range(rng.randrange(3)):
+            argv += rng.choice(FLAGS)
+        started = time.perf_counter()
+        try:
+            code, _, _, _ = invoke(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r} on\n{path.read_text()}")
+        elapsed = time.perf_counter() - started
+        assert code in (0, 1, 2, 3), (argv, path.read_text())
+        assert elapsed < CASE_SECONDS, (argv, elapsed)
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}

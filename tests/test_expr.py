@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qbhkit as qk
+from qbhkit.chart import MAX_CACHED_VALUES
 from qbhkit.expr import MAX_NODE_DEPTH, Call, Coord, node_to_text
 
 from helpers import DEEP_EXPRESSIONS, make_cfg
@@ -404,6 +405,35 @@ def test_batch_evaluation_shapes_and_ownership():
     assert qk.parse_expression("x", CHART).sample(points)[0] == points[0]["x"]
 
 
+def test_samples_on_one_cloud_are_equal_and_the_callers_own():
+    points = corpus_points(5)
+    for text in ("x", "x * sin(y) + z", "7"):
+        e = qk.parse_expression(text, CHART)
+        first = e.sample(points)
+        second = e.sample(points)
+        assert first.tobytes() == second.tobytes()
+        first[:] = -1.0  # must not reach the cloud's cached values
+        assert e.sample(points).tobytes() == second.tobytes()
+
+
+def test_cloud_cache_stays_within_its_bound():
+    # At 5 000 points the bound holds 26 node values. It is tested once
+    # per call, so a call may end past it by at most its own new values,
+    # and no call after that keeps anything.
+    points = make_cfg(CHART, samples=5000, seed=5).points()
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        e = qk.random_polynomial(CHART, rng, degree=2)
+        before = len(points.cache)
+        e.sample(points)
+        added = len(points.cache) - before
+        if before * len(points) >= MAX_CACHED_VALUES:
+            assert added == 0
+        held = sum(np.size(value) for value in points.cache.values())
+        assert held <= MAX_CACHED_VALUES + added * len(points)
+    assert len(points.cache) * len(points) >= MAX_CACHED_VALUES
+
+
 def test_point_cloud_indexing():
     points = corpus_points(6)
     assert isinstance(points, qk.PointCloud)
@@ -473,7 +503,25 @@ def test_simplified_and_derivatives_are_built_once(text):
         assert e.diff(coord).node is e.diff(coord).node
 
 
-@pytest.mark.parametrize("e", [CHART.coordinate("x"), CHART.constant(2.5)])
+def test_a_simplified_node_is_its_own_simplified_form():
+    e = qk.parse_expression("x * sin(y)", CHART)
+    assert e.simplified().node is e.node
+
+
+@pytest.mark.parametrize("text", CORPUS + ["3*x*y - 2*sin(x) + 1", "-(2*x)"])
+def test_simplifying_a_simplified_tree_builds_nothing(text):
+    s = qk.parse_expression(text, CHART).simplified()
+    assert s.simplified().node is s.node
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        CHART.coordinate("x"),
+        CHART.constant(2.5),
+        qk.parse_expression("x * sin(y)", CHART),
+    ],
+)
 def test_a_node_that_is_its_own_simplified_form_keeps_no_reference_to_itself(e):
     assert e.simplified().node is e.node
     assert e.simplified().node is e.node  # read back from the cache

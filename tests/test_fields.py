@@ -106,6 +106,38 @@ def test_bracket_antisymmetry_and_jacobi():
     assert max_field_deviation(jacobi, qk.zero_field(chart), points) <= 1e-8
 
 
+# a problem of the generated-poisson benchmark workload (seed 1, index 0)
+GENERATED_POISSON = """
+[space]
+coordinates = x y z
+
+[field X1]
+x = -1.111*exp(0.257*(cos(-0.425*x*x + 0.856*x - 0.453)))*(2.037 + cos((-0.256*x*x - 0.670*z)*cos(0.397*y - 0.720*x)))*exp(0.424*(-0.560*y - 0.322 - 0.625*y*y + 0.168*x*x))
+
+[field X2]
+y = 0.753*exp(0.294*((0.811 - 0.353*x + 0.775*x)*cos(-0.869*z + 0.656*y + 0.316*y*z + 0.759*y*y)))*exp(0.398*((0.729 + 0.211*y - 0.306*x + 0.812*z*y)*cos(0.204*y*x + 0.390*x - 0.349 + 0.522)))
+
+[domain]
+box = x:-1:1 y:-1:1 z:-1:1
+guard = sqrt(x^2 + y^2 - 0.6826)
+samples = 200
+seed = 952999278
+"""
+
+
+def test_a_bracket_reuses_the_values_its_reverse_left_on_the_cloud():
+    spec = qk.parse_problem(GENERATED_POISSON)
+    X, Y = spec.fields["X1"], spec.fields["X2"]
+    points = spec.config().points()
+    qk.lie_bracket(Y, X).components_at(points)
+    before = len(points.cache)
+    warm = qk.lie_bracket(X, Y).components_at(points)
+    fresh = qk.PointCloud(spec.chart, points.values)
+    cold = qk.lie_bracket(X, Y).components_at(fresh)
+    assert warm.tobytes() == cold.tobytes()
+    assert len(points.cache) - before < len(fresh.cache)
+
+
 # ---------------------------------------------------------------------------
 # contraction with dH
 

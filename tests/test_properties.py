@@ -17,6 +17,7 @@ value involved.
 """
 import dataclasses
 import operator
+import random
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbhkit as qk
-from qbhkit.expr import Node, ScalarExpr, operands
+from qbhkit.expr import Coord, Node, ScalarExpr, operands
 
 from helpers import make_cfg, nested_cyclic_sums
 
@@ -151,6 +152,13 @@ def test_simplify_preserves_values(e):
 
 
 @PROPERTY
+@given(EXPRESSIONS)
+def test_simplifying_a_simplified_tree_returns_it(e):
+    s = e.simplified()
+    assert s.simplified().node is s.node
+
+
+@PROPERTY
 @given(EXPRESSIONS, st.randoms(use_true_random=False))
 def test_cached_results_do_not_depend_on_earlier_calls(e, rng):
     # nodes keep their simplified forms and derivatives: a tree whose
@@ -175,6 +183,35 @@ def test_cached_results_do_not_depend_on_earlier_calls(e, rng):
         assert str(warm.diff(coord)) == str(cold.diff(coord))
         assert str(warm.diff(coord).simplified()) == str(cold.diff(coord).simplified())
         assert str(warm.simplified().diff(coord)) == str(cold.simplified().diff(coord))
+
+
+@PROPERTY
+@given(EXPRESSIONS, st.randoms(use_true_random=False))
+# subtrees undefined at some points of the cloud, under a defined root
+@example(-qk.ln(X) + Y, random.Random(0))
+@example(qk.atan(1.0 / (X - X)) + Z, random.Random(0))
+def test_values_cached_on_a_cloud_do_not_depend_on_earlier_calls(e, rng):
+    # a cloud keeps the value of every node evaluated on it: a cloud
+    # warmed by the root's proper subtrees, in any order, must give the
+    # root's values bit for bit as a fresh cloud of the same points does
+    warm = qk.PointCloud(CHART, WIDE.values)
+    nodes = subtrees(e.node)[1:]
+    rng.shuffle(nodes)
+    for node in nodes:
+        ScalarExpr(CHART, node).sample(warm)
+    cold = qk.PointCloud(CHART, WIDE.values)
+    got, want = e.sample(warm), e.sample(cold)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).tolist() == np.isnan(want).tolist()
+
+
+@PROPERTY
+@given(EXPRESSIONS)
+def test_depends_on_is_the_coordinates_of_the_tree(e):
+    # the cached coordinate sets of shared nodes must agree with a walk
+    for f in (e, e.simplified(), e.diff("x"), e.diff("y").simplified()):
+        walk = {n.name for n in subtrees(f.node) if isinstance(n, Coord)}
+        assert f.depends_on() == walk
 
 
 # ---------------------------------------------------------------------------

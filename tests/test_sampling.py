@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 import qbhkit as qk
+import qbhkit.sampling as sampling
 from qbhkit.sampling import MAX_SAMPLE_VALUES
 
-from helpers import exp_triple, make_cfg
+from helpers import exp_triple, make_cfg, rotation_cfg
 
 CHART = qk.CoordinateChart(("x1", "x2", "x3"))
 
@@ -64,6 +65,38 @@ def test_samples_times_dimension_is_capped_before_sampling():
             qk.SampleDomain.cube(CHART, samples=samples)
         with pytest.raises(ValueError, match="must be at most 1000000"):
             qk.SampleDomain.cube(CHART, samples=10).with_overrides(samples=samples)
+
+
+def rare_guard_domain():
+    """A domain whose two guards accept about 1.2 % of the box."""
+    guards = (
+        qk.Guard(CHART.coordinate("x1"), 0.9),
+        qk.Guard(CHART.coordinate("x2"), 0.88),
+    )
+    return qk.SampleDomain.cube(CHART, guards=guards, samples=40, seed=11)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [rotation_cfg(samples=200, seed=5)[-1].domain, rare_guard_domain()],
+    ids=["rotation-guard", "rare-guard"],
+)
+def test_capped_blocks_draw_the_same_points(domain, monkeypatch):
+    uncapped = qk.sample_points(domain)
+    rows = 16
+    blocks = []
+    guard_mask = sampling._guard_mask
+
+    def recording_guard_mask(cloud, guards):
+        blocks.append(len(cloud))
+        return guard_mask(cloud, guards)
+
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_VALUES", rows * CHART.dimension)
+    monkeypatch.setattr(sampling, "_guard_mask", recording_guard_mask)
+    capped = qk.sample_points(domain)
+    assert capped.values.tobytes() == uncapped.values.tobytes()
+    assert max(blocks) == rows
+    assert len(blocks) > len(capped) // rows
 
 
 def test_tolerance_validation():
