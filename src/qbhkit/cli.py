@@ -20,6 +20,7 @@ function section or, failing that, inline expression text.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -288,18 +289,21 @@ def _execute(args):
 def run_command(argv, stdout=None, stderr=None):
     """Run one CLI invocation; returns (exit code, RunReport | None).
 
-    When ``stdout`` is given the rendered report (or fixture listing)
-    is printed to it; error messages go to ``stderr``.
+    When ``stdout`` is given the rendered report (or fixture listing),
+    ``--help`` and ``--version`` are printed to it; error messages,
+    argparse's usage errors included, go to ``stderr``.
     """
     stderr = stderr if stderr is not None else sys.stderr
 
     def complain(message):
         print(f"qbhkit: error: {message}", file=stderr)
 
+    # argparse prints usage errors, --help and --version itself
+    shown = sys.stdout if stdout is None else stdout
     try:
-        args = _arg_parser().parse_args(argv)
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(shown):
+            args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse already printed its message (on real stderr)
         return (0 if exc.code in (0, None) else 2, None)
 
     started = time.perf_counter()

@@ -54,33 +54,35 @@ def _basis_stack(fields, points) -> np.ndarray:
 
 
 def _singular_values(stack: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """Singular values, largest first, of each matrix of the stack where
-    ``defined`` (NaN rows elsewhere), from one batched values-only SVD.
-    They are bit-identical to one ``svd(matrix, compute_uv=False)`` call
+    """Smallest singular value of each matrix of the stack where
+    ``defined`` (NaN elsewhere), from one batched values-only SVD. It is
+    bit-identical to that of one ``svd(matrix, compute_uv=False)`` call
     per matrix, so threshold decisions match a per-point loop."""
-    values = np.full((len(stack), min(stack.shape[1:])), np.nan)
+    values = np.full(len(stack), np.nan)
     if defined.any():
-        values[defined] = np.linalg.svd(stack[defined], compute_uv=False)
+        values[defined] = np.linalg.svd(stack[defined], compute_uv=False)[:, -1]
     return values
 
 
-# A closed-form singular value within this fraction of ||A||_F of a
-# threshold is re-decided by LAPACK. Both computations are backward
-# stable: on 12 000 3 x 2, 2 x 2 and 4 x 2 matrices planted within
-# 1e-13 of the independence tolerance they differed by at most
+# A closed-form singular value within this fraction of ||A||_F of the
+# independence tolerance is re-decided by LAPACK. Both computations are
+# backward stable: on 12 000 3 x 2, 2 x 2 and 4 x 2 matrices planted
+# within 1e-13 of the tolerance they differed by at most
 # 8.3e-16 * sigma_max, about 1.7e4 times less than the band.
 _BAND = 2.0**-36
 
-
-def _lstsq_cutoff(sigma: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The cutoff of ``lstsq(..., rcond=None)``: singular values at or
-    below eps * max(n, k) times the largest are truncated."""
-    return np.finfo(float).eps * max(n, k) * sigma[:, 0]
+# The closed form serves n x 2 stacks with eps * n <= _BAND / 2 only
+# (n <= 32 768). A settled row above the tolerance (sigma_max finite)
+# then has sigma_min > band >= _BAND * sigma_max >= 2 * eps * n *
+# sigma_max, twice the cutoff of lstsq(..., rcond=None), so lstsq would
+# not truncate it either; a settled row below the tolerance is never
+# solved.
+_CLOSED_FORM_MAX_N = int(_BAND / (2 * np.finfo(float).eps))
 
 
 def _two_column_factor(stack: np.ndarray):
-    """Thin QR factors and singular values of every n x 2 matrix of the
-    stack (n >= 2), as whole-array expressions.
+    """Thin QR factors and smallest singular values of every n x 2
+    matrix of the stack (n >= 2), as whole-array expressions.
 
     Each matrix is first scaled by the power of two that puts its
     largest entry in [0.5, 1), which is exact and keeps the squares
@@ -88,9 +90,10 @@ def _two_column_factor(stack: np.ndarray):
     a, b gives r11 = |a|, q1 = a / r11, r12 = q1.b, r22 = |b - r12 q1|
     and q2 = (b - r12 q1) / r22; least squares through it is backward
     stable (Bjorck 1967). The singular values of [[r11, r12], [0, r22]]
-    have the closed form of LAPACK's dlas2. Returns (sigma (m, 2),
-    largest first, band = _BAND * ||A||_F, (q1, q2, r11, r12, r22)),
-    with q1 and q2 of shape (n, m); a zero column gives NaN.
+    have the closed form of LAPACK's dlas2. Returns (sigma_min (m,),
+    NaN where either singular value is not finite, band = _BAND *
+    ||A||_F, (q1, q2, r11, r12, r22)), with q1 and q2 of shape (n, m);
+    a zero column gives NaN.
     """
     # one (2, n, m) copy: reductions over the short axes of (m, n, 2)
     # cost more than the arithmetic
@@ -108,49 +111,42 @@ def _two_column_factor(stack: np.ndarray):
         # the product form of the discriminant avoids cancellation
         root = np.sqrt(((r11 - r22) ** 2 + r12**2) * ((r11 + r22) ** 2 + r12**2))
         largest = np.sqrt((squares + root) / 2)
-        sigma = np.stack([largest, r11 * r22 / largest], axis=1)
-        sigma = np.ldexp(sigma, exponent[:, None])
+        smallest = np.ldexp(r11 * r22 / largest, exponent)
+        # an overflowing sigma_max makes lstsq's cutoff infinite
+        smallest[~np.isfinite(np.ldexp(largest, exponent))] = np.nan
         band = np.ldexp(_BAND * np.sqrt(squares), exponent)
         r11, r12, r22 = (np.ldexp(r, exponent) for r in (r11, r12, r22))
-    return sigma, band, (q1, q2, r11, r12, r22)
+    return smallest, band, (q1, q2, r11, r12, r22)
 
 
 def _decided_singular_values(stack: np.ndarray, defined: np.ndarray, tol):
-    """Singular values, largest first, of each matrix of the stack where
-    ``defined`` (NaN rows elsewhere), such that every comparison with the
-    independence tolerance or the lstsq cutoff is that of one values-only
-    SVD per matrix.
+    """Smallest singular value of each matrix of the stack where
+    ``defined`` (NaN elsewhere), such that every comparison with the
+    independence tolerance is that of one values-only SVD per matrix.
 
-    A stack of n x 2 matrices (n >= 2) takes the closed form at the rows
-    it settles: values finite and the smallest farther than the band
-    from both thresholds. Other defined rows, and stacks of any other
-    shape, take ``_singular_values``. Returns (sigma, settled, factors):
+    A stack of n x 2 matrices (2 <= n <= 32 768) takes the closed form
+    at the rows it settles: value finite and farther than the band from
+    the tolerance. Other defined rows, and stacks of any other shape,
+    take ``_singular_values``. Returns (sigma_min, settled, factors):
     the Gram-Schmidt factors (q1, q2, r11, r12, r22) of every row, or
     None for a stack of another shape, where no row is settled.
     """
     n, k = stack.shape[1:]
-    if k != 2 or n < 2:
+    if k != 2 or not 2 <= n <= _CLOSED_FORM_MAX_N:
         return _singular_values(stack, defined), np.zeros(len(stack), bool), None
-    sigma, band, factors = _two_column_factor(stack)
-    smallest = sigma[:, 1]
+    smallest, band, factors = _two_column_factor(stack)
     with np.errstate(invalid="ignore"):
-        settled = (
-            defined
-            & np.isfinite(sigma).all(axis=1)
-            & (np.abs(smallest - tol.independence) > band)
-            & (np.abs(smallest - _lstsq_cutoff(sigma, n, k)) > band)
-        )
-    near = defined & ~settled
-    sigma[~settled] = _singular_values(stack, near)[~settled]
-    return sigma, settled, factors
+        settled = defined & (np.abs(smallest - tol.independence) > band)
+    smallest[~settled] = _singular_values(stack, defined & ~settled)[~settled]
+    return smallest, settled, factors
 
 
 def _independent_rows(stack: np.ndarray, tol) -> np.ndarray:
     """True where a matrix of the stack is defined and its smallest
     singular value exceeds the independence tolerance."""
     defined = np.isfinite(stack).all(axis=(1, 2))
-    sigma, _, _ = _decided_singular_values(stack, defined, tol)
-    return defined & (sigma[:, -1] > tol.independence)
+    smallest, _, _ = _decided_singular_values(stack, defined, tol)
+    return defined & (smallest > tol.independence)
 
 
 def _independent_mask(fields, points, tol) -> np.ndarray:
@@ -158,33 +154,11 @@ def _independent_mask(fields, points, tol) -> np.ndarray:
     return _independent_rows(_basis_stack(fields, points), tol)
 
 
-def _least_squares(A: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Least-squares solutions c of the stacked systems A[i] c = v[i],
-    given the singular values ``sigma`` of each A[i].
-
-    Systems of full column rank are solved from one batched QR
-    factorisation. The rest go through ``np.linalg.lstsq`` itself, which
-    returns their minimum-norm solution: systems with more unknowns than
-    equations, and those whose smallest singular value is at or below
-    eps * max(n, k) times the largest, the cutoff of ``lstsq(...,
-    rcond=None)``.
-    """
-    n, k = A.shape[1:]
-    c = np.empty((len(A), k))
-    full = sigma[:, -1] > _lstsq_cutoff(sigma, n, k)
-    if n < k:
-        full[:] = False
-    if full.any():
-        Q, R = np.linalg.qr(A[full])
-        y = np.einsum("mji,mj->mi", Q, v[full])
-        solved = np.empty_like(y)
-        for j in reversed(range(k)):
-            tail = np.einsum("mi,mi->m", R[:, j, j + 1 :], solved[:, j + 1 :])
-            solved[:, j] = (y[:, j] - tail) / R[:, j, j]
-        c[full] = solved
-    for i in np.flatnonzero(~full):
-        c[i] = np.linalg.lstsq(A[i], v[i], rcond=None)[0]
-    return c
+def _least_squares(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions c of the stacked systems
+    A[i] c = v[i], from one ``np.linalg.lstsq(A[i], v[i], rcond=None)``
+    per system."""
+    return np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(A, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +236,18 @@ def _expand_rows(stack: np.ndarray, target: np.ndarray, tol):
     stack[i]: (coefficients (m, k), residual norms (m,), notes). Rows
     that are undefined or whose basis is degenerate (smallest singular
     value at or below the independence tolerance) are NaN and counted
-    in the notes. Two-column rows that the closed form settles above
-    lstsq's cutoff are solved from its factors, the rest by
-    ``_least_squares``."""
-    n, k = stack.shape[1:]
+    in the notes. Rows the two-column closed form settles are solved
+    from its factors, every other row by ``_least_squares``."""
     defined = np.isfinite(stack).all(axis=(1, 2)) & np.isfinite(target).all(axis=1)
-    sigma, settled, factors = _decided_singular_values(stack, defined, tol)
-    solvable = defined & (sigma[:, -1] > tol.independence)
-    closed = solvable & settled & (sigma[:, -1] > _lstsq_cutoff(sigma, n, k))
-    coeffs = np.full((len(stack), k), np.nan)
+    smallest, settled, factors = _decided_singular_values(stack, defined, tol)
+    solvable = defined & (smallest > tol.independence)
+    closed = solvable & settled
+    coeffs = np.full((len(stack), stack.shape[2]), np.nan)
     if closed.any():
         coeffs = np.where(closed[:, None], _two_column_solve(factors, target), np.nan)
     rest = solvable & ~closed
     if rest.any():
-        coeffs[rest] = _least_squares(stack[rest], target[rest], sigma[rest])
+        coeffs[rest] = _least_squares(stack[rest], target[rest])
     # NaN coefficients make the residual NaN at every unsolved row
     residuals = _row_norms(target - np.einsum("mik,mk->mi", stack, coeffs))
     degenerate = int((defined & ~solvable).sum())
@@ -291,9 +263,10 @@ def _expand_rows(stack: np.ndarray, target: np.ndarray, tol):
 def span_expand(V: VectorField, basis, points, tol) -> SpanDecomposition:
     """Expand V(p) in the basis columns by least squares at every point.
 
-    Points where the basis is degenerate (smallest singular value below
-    the independence tolerance) or where some component is undefined are
-    skipped and counted; if no point survives, AllPointsSkippedError.
+    Points where the basis is degenerate (smallest singular value at or
+    below the independence tolerance) or where some component is
+    undefined are skipped and counted; if no point survives,
+    AllPointsSkippedError.
     """
     points = PointCloud.of(V.chart, points)
     target = V.components_at(points)

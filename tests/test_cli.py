@@ -187,6 +187,20 @@ def test_unknown_field_name(exp_path):
     assert "NOPE" in err
 
 
+def test_argparse_usage_error_goes_to_the_given_stderr(capsys):
+    code, run, out, err = invoke(["check", "poisson", "--bogus"])
+    assert (code, run, out) == (2, None, "")
+    assert "unrecognized arguments: --bogus" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_version_goes_to_the_given_stdout(capsys):
+    code, run, out, err = invoke(["--version"])
+    assert (code, run, err) == (0, None, "")
+    assert out.strip() == qk.__version__ == "0.1.0"
+    assert capsys.readouterr() == ("", "")
+
+
 def test_unknown_fixture():
     code, _, _, err = invoke(["example", "run", "nope"])
     assert code == 2

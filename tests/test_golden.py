@@ -1,5 +1,8 @@
-"""Golden reports: every shipped fixture at its default seed and sample
-count, compared with the report recorded in ``tests/golden/``.
+"""Golden reports: every shipped fixture at three settings, compared with
+the report recorded in ``tests/golden/``. The default seed and sample
+count are recorded at ``tests/golden/NAME.json``; ``--samples 1000
+--seed 7`` and ``--samples 50 --seed 123`` in the subdirectories
+``samples1000-seed7/`` and ``samples50-seed123/``.
 
 Exit code, criterion names, pass flags, skip counts and notes must match
 exactly. A max residual must match within
@@ -18,7 +21,9 @@ point while the maximum itself is unchanged.
 
 Regenerate after an intended change of verdicts with
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [SETTING]
+
+where SETTING is a subdirectory name (the default setting if omitted).
 """
 import io
 import json
@@ -34,16 +39,24 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 ABS_BOUND = 1e-12
 REL_BOUND = 1e-6
 
+# subdirectory of GOLDEN_DIR -> extra ``example run`` arguments
+SETTINGS = {
+    "": [],
+    "samples1000-seed7": ["--samples", "1000", "--seed", "7"],
+    "samples50-seed123": ["--samples", "50", "--seed", "123"],
+}
 
-def fixture_outcome(name):
-    """(exit code, parsed JSON report) of ``example run NAME``."""
+
+def fixture_outcome(name, setting=""):
+    """(exit code, parsed JSON report) of ``example run NAME`` at a setting."""
     out = io.StringIO()
-    code, _ = run_command(["example", "run", name, "--format", "json"], stdout=out)
+    argv = ["example", "run", name, "--format", "json", *SETTINGS[setting]]
+    code, _ = run_command(argv, stdout=out)
     return {"exit": code, "report": json.loads(out.getvalue())}
 
 
-def golden_path(name):
-    return os.path.join(GOLDEN_DIR, f"{name}.json")
+def golden_path(name, setting=""):
+    return os.path.join(GOLDEN_DIR, setting, f"{name}.json")
 
 
 def residual_matches(got, ref):
@@ -52,11 +65,10 @@ def residual_matches(got, ref):
     return abs(got - ref) <= max(ABS_BOUND, REL_BOUND * abs(ref))
 
 
-@pytest.mark.parametrize("name", fixture_names())
-def test_fixture_matches_golden_report(name):
-    with open(golden_path(name), encoding="utf-8") as handle:
+def assert_matches_golden(name, setting):
+    with open(golden_path(name, setting), encoding="utf-8") as handle:
         golden = json.load(handle)
-    got = fixture_outcome(name)
+    got = fixture_outcome(name, setting)
     assert got["exit"] == golden["exit"]
     want_report, got_report = golden["report"], got["report"]
     for key in ("command", "digest", "pass", "samples", "seed", "tolerances"):
@@ -75,15 +87,28 @@ def test_fixture_matches_golden_report(name):
         )
 
 
-def record():
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_matches_golden_report(name):
+    assert_matches_golden(name, "")
+
+
+@pytest.mark.parametrize("setting", [s for s in SETTINGS if s])
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_matches_golden_report_at_setting(name, setting):
+    assert_matches_golden(name, setting)
+
+
+def record(setting):
+    os.makedirs(os.path.join(GOLDEN_DIR, setting), exist_ok=True)
     for name in fixture_names():
-        with open(golden_path(name), "w", encoding="utf-8") as handle:
-            json.dump(fixture_outcome(name), handle, indent=1)
+        with open(golden_path(name, setting), "w", encoding="utf-8") as handle:
+            json.dump(fixture_outcome(name, setting), handle, indent=1)
             handle.write("\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
-    record()
+    args = sys.argv[1:]
+    setting = args[1] if len(args) == 2 else ""
+    if args[:1] != ["--record"] or len(args) > 2 or setting not in SETTINGS:
+        sys.exit("usage: python tests/test_golden.py --record [SETTING]")
+    record(setting)

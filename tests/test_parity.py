@@ -3,11 +3,13 @@
 The references below are the sequential implementations: the sampler
 drew one candidate at a time and tested it alone (``_passes_guards``,
 a one-row guard mask), and span expansion and the independence test
-ran one SVD (and one lstsq) per point. The batched versions must give bit-identical
-points and identical skip decisions and notes; least-squares
-coefficients come from another factorisation, so they are compared
-within 1e-12 in units of each system's condition number times the size
-of its solution.
+ran one SVD (and one lstsq) per point. The array versions must give
+bit-identical points and identical skip decisions and notes. Span
+expansion solves each two-column row that its closed form settles from
+Gram-Schmidt factors, and every other row with the same per-point
+lstsq as the reference. Coefficients from the two factorisations are
+compared within 1e-12 in units of each system's condition number times
+the size of its solution.
 """
 from dataclasses import replace
 
@@ -99,7 +101,7 @@ def test_unsatisfiable_guard_raises_like_reference(guards, samples):
 
 
 # ---------------------------------------------------------------------------
-# batched SVD and least squares
+# closed-form and per-point SVD and least squares
 
 
 def sequential_independent(stack, tol):
@@ -265,6 +267,14 @@ def test_two_column_rows_at_extreme_scales_match_lapack(n, scale):
         assert_expand_matches(stack, target, tol, scale)
 
 
+def forbid_lapack(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK called on a stack the closed form decides")
+
+    for name in ("svd", "qr", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+
+
 def test_well_conditioned_two_column_stack_needs_no_lapack(monkeypatch):
     """The closed form serves every row of a well-conditioned stack; a
     regression that sent them all to LAPACK would pass the parity tests."""
@@ -272,17 +282,63 @@ def test_well_conditioned_two_column_stack_needs_no_lapack(monkeypatch):
     stack = rng.uniform(-1.0, 1.0, size=(2000, 3, 2))
     target = rng.uniform(-1.0, 1.0, size=(2000, 3))
     want_c, want_r, _, _ = sequential_expand(stack, target, TOL)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("LAPACK called on a well-conditioned two-column stack")
-
-    for name in ("svd", "qr", "lstsq"):
-        monkeypatch.setattr(np.linalg, name, forbidden)
+    forbid_lapack(monkeypatch)
     assert _independent_rows(stack, TOL).all()
     got_c, got_r, notes = _expand_rows(stack, target, TOL)
     assert notes == []
     np.testing.assert_allclose(got_c, want_c, rtol=0, atol=1e-9)
     np.testing.assert_allclose(got_r, want_r, rtol=0, atol=1e-12)
+
+
+def test_exactly_rank_one_two_column_stack_needs_no_lapack(monkeypatch):
+    """A basis whose second field is twice the first, as in the rotation
+    fixture's dependent basis, is degenerate far below the tolerance:
+    the closed form decides every row without LAPACK."""
+    rng = np.random.default_rng(4)
+    stack = rng.uniform(-1.0, 1.0, size=(500, 3, 2))
+    stack[:, :, 1] = 2.0 * stack[:, :, 0]
+    target = rng.uniform(-1.0, 1.0, size=(500, 3))
+    forbid_lapack(monkeypatch)
+    assert not _independent_rows(stack, TOL).any()
+    got_c, got_r, notes = _expand_rows(stack, target, TOL)
+    assert np.isnan(got_c).all() and np.isnan(got_r).all()
+    assert notes == ["degenerate basis at 500 point(s)"]
+
+
+def test_tall_two_column_rows_below_the_lstsq_cutoff_match_lapack():
+    """On a chart of 70 000 coordinates, sigma_min = 1.5e-8 lies above the
+    closed form's band (2^-36 * 1e3) and the independence tolerance but
+    below lstsq's cutoff (eps * 70 000 * 1e3), so lstsq truncates it.
+    Such charts exceed the closed form's shape bound and go to lstsq."""
+    rng = np.random.default_rng(8)
+    m, n = 4, 70_000
+    stack = np.empty((m, n, 2))
+    for i in range(m):
+        u, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+        vh, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        stack[i] = (u * [1e3, 1.5e-8]) @ vh
+    target = rng.uniform(-1.0, 1.0, size=(m, n))
+    for matrix, v in zip(stack, target):
+        assert np.linalg.lstsq(matrix, v, rcond=None)[2] == 1
+    np.testing.assert_array_equal(
+        _independent_rows(stack, TOL), sequential_independent(stack, TOL)
+    )
+    assert_expand_matches(stack, target, TOL)
+
+
+def test_two_column_row_whose_largest_singular_value_overflows_matches_lapack():
+    """sigma_max = inf makes lstsq's cutoff infinite, so lstsq drops the
+    finite sigma_min = 1e300 as well, although it lies above the closed
+    form's band (2^-36 * ||A||_F, about 3e297); the closed form leaves
+    such a row to lstsq."""
+    stack = np.array([[[1.5e308, 0.0], [1.5e308, 0.0], [0.0, 1e300]]])
+    target = np.array([[1.0, 2.0, 3.0]])
+    want_c, want_r, _, want_notes = sequential_expand(stack, target, TOL)
+    got_c, got_r, got_notes = _expand_rows(stack, target, TOL)
+    assert _independent_rows(stack, TOL).tolist() == [True]
+    assert got_notes == want_notes == []
+    np.testing.assert_array_equal(got_c, want_c)
+    np.testing.assert_allclose(got_r, want_r, rtol=1e-15)
 
 
 def test_span_expand_keeps_per_point_views():
