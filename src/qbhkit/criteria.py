@@ -33,7 +33,7 @@ from .fields import (
     wedge3,
 )
 from .reports import ConditionResult, CriterionReport, make_report
-from .residuals import condition, grid_values
+from .residuals import condition, grid_values, require_nonvanishing
 from .sampling import VerifyConfig
 
 # Global sign reconciling the Schouten convention of fields.schouten_bb
@@ -157,8 +157,24 @@ def _independent_mask(fields, points, tol) -> np.ndarray:
 def _least_squares(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solutions c of the stacked systems
     A[i] c = v[i], from one ``np.linalg.lstsq(A[i], v[i], rcond=None)``
-    per system."""
-    return np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(A, v)])
+    per system.
+
+    Where sigma_max overflows, lstsq's cutoff eps * n * sigma_max is
+    infinite and drops every singular value. A matrix whose Frobenius
+    norm overflows is therefore solved scaled by the power of two that
+    puts its largest entry in [0.5, 1), and its solution scaled back;
+    both scalings are exact. Every other matrix is scaled by 2^0, which
+    leaves it and its solution bit for bit as they are.
+    """
+    with np.errstate(over="ignore"):
+        huge = np.linalg.norm(A, axis=(1, 2)) == np.inf
+    exponents = np.where(huge, np.frexp(np.abs(A).max(axis=(1, 2)))[1], 0)
+    return np.array(
+        [
+            np.ldexp(np.linalg.lstsq(np.ldexp(a, -e), b, rcond=None)[0], -e)
+            for a, b, e in zip(A, v, exponents)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +578,7 @@ def _guarded_derivatives(X1, X2, X3, H, points, tol):
     h1 = X1.apply(H)
     h2 = X2.apply(H)
     values = evaluate_at_points(h2, points)
-    bad = ~np.isfinite(values) | (np.abs(values) < tol.guard_eps)
-    if bad.any():
-        index = int(np.argmax(bad))
-        raise SingularFactorError(
-            f"|X2(H)| < {tol.guard_eps:g} (or undefined) at sampled point "
-            f"{points[index]}"
-        )
+    require_nonvanishing("X2(H)", values, points, tol.guard_eps, SingularFactorError)
     return (h1, h2) + tuple(X.apply(h) for X in (X1, X2, X3) for h in (h1, h2))
 
 

@@ -3,6 +3,9 @@
 Expression trees are immutable; nodes hash by identity so derivative
 construction, simplification and evaluation can memoise over shared
 subterms (derivatives reuse their operands, so trees are really DAGs).
+Every composite node keeps its operands in one tuple, ``args``, so a
+walk that does not depend on the kind of node (operands, coordinates,
+fingerprints, tree comparison, evaluation of operands) is written once.
 Simplified forms, derivatives, fingerprints and the coordinates a node
 depends on are cached on the nodes themselves and reused by every later
 call; values are cached on the point cloud they were evaluated over.
@@ -40,6 +43,12 @@ FUNCTIONS = UNARY_FUNCTIONS + BINARY_FUNCTIONS
 class Node:
     """Base class for expression tree nodes.
 
+    ``args`` holds a node's operands in order: the one operand of a
+    ``Neg``, the terms of a ``Sum``, the factors of a ``Product``,
+    numerator and denominator of a ``Quotient``, base and exponent of
+    a ``Power``, the arguments of a ``Call``, which also names its
+    function in ``func``. The leaves ``Const`` and ``Coord`` have none.
+
     ``depth`` counts the nodes on the longest path from this node down
     to a leaf. It is fixed at construction, which raises
     ExpressionTooDeepError above ``MAX_NODE_DEPTH``. Each node also
@@ -47,21 +56,25 @@ class Node:
     ``_fingerprint`` and ``_coordinates`` computed for it, so a later
     call on any tree that contains the node reuses the work. All four
     are functions of the node's structure alone, so a cached result is
-    the one a fresh call would build.
+    the one a fresh call would build. No node refers to itself through
+    these caches, so a tree is freed as soon as its last reference
+    goes, without the cyclic garbage collector.
     """
 
     __slots__ = ()
+    args = ()
     depth = 1
 
 
 # Every walk of a tree (simplification, differentiation, evaluation,
-# printing) recurses once per level. Simplifying a chain of calls takes
-# four interpreter frames per level, the most of any walk, so at this
-# depth a fifth of Python's default limit of 1000 frames is left to the
-# caller. Parsed input is at most 101 deep, and the deepest tree the
-# shipped fixtures or the test suite build from it is 103; the quotient
-# rule deepens a derivative by four levels per nested quotient, so only
-# such input nested more than about 50 levels reaches this bound.
+# printing) recurses once per level. Simplification and differentiation
+# take up to three interpreter frames per level, the most of any walk,
+# so at this depth two fifths of Python's default limit of 1000 frames
+# are left to the caller. Parsed input is at most 101 deep, and the
+# deepest tree the shipped fixtures or the test suite build from it is
+# 103; the quotient rule deepens a derivative by four levels per nested
+# quotient, so only such input nested more than about 50 levels reaches
+# this bound.
 MAX_NODE_DEPTH = 200
 
 
@@ -99,57 +112,35 @@ class Coord(Node):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Neg(Node):
-    arg: Node
+class _Composite(Node):
+    """A node over the operands ``args``, a tuple."""
 
-    def __init__(self, arg):
+    args: tuple
+
+    def __init__(self, args):
         state = self.__dict__
-        state["arg"] = arg
-        state["depth"] = _depth_over((arg,))
+        state["args"] = args
+        state["depth"] = _depth_over(args)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Sum(Node):
-    terms: tuple
-
-    def __init__(self, terms):
-        state = self.__dict__
-        state["terms"] = terms
-        state["depth"] = _depth_over(terms)
+class Neg(_Composite):
+    pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Product(Node):
-    factors: tuple
-
-    def __init__(self, factors):
-        state = self.__dict__
-        state["factors"] = factors
-        state["depth"] = _depth_over(factors)
+class Sum(_Composite):
+    pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Quotient(Node):
-    numerator: Node
-    denominator: Node
-
-    def __init__(self, numerator, denominator):
-        state = self.__dict__
-        state["numerator"] = numerator
-        state["denominator"] = denominator
-        state["depth"] = _depth_over((numerator, denominator))
+class Product(_Composite):
+    pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Power(Node):
-    base: Node
-    exponent: Node
+class Quotient(_Composite):
+    pass
 
-    def __init__(self, base, exponent):
-        state = self.__dict__
-        state["base"] = base
-        state["exponent"] = exponent
-        state["depth"] = _depth_over((base, exponent))
+
+class Power(_Composite):
+    pass
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -182,15 +173,15 @@ def nneg(node: Node) -> Node:
     if isinstance(node, Const):
         return Const(-node.value)
     if isinstance(node, Neg):
-        return node.arg
-    return Neg(node)
+        return node.args[0]
+    return Neg((node,))
 
 
 def nsum(terms) -> Node:
     flat = []
     const = 0.0
     for term in terms:
-        subterms = term.terms if isinstance(term, Sum) else (term,)
+        subterms = term.args if isinstance(term, Sum) else (term,)
         for sub in subterms:
             if isinstance(sub, Const):
                 const += sub.value
@@ -214,10 +205,10 @@ def nprod(factors) -> Node:
         factor = queue[i]
         i += 1
         if isinstance(factor, Product):
-            queue[i:i] = list(factor.factors)
+            queue[i:i] = list(factor.args)
         elif isinstance(factor, Neg):
             const = -const
-            queue.insert(i, factor.arg)
+            queue.insert(i, factor.args[0])
         elif isinstance(factor, Const):
             const *= factor.value
         else:
@@ -244,7 +235,7 @@ def nquot(numerator: Node, denominator: Node) -> Node:
             return Const(numerator.value / denominator.value)
     if _is_const(numerator, 0.0):
         return ZERO
-    return Quotient(numerator, denominator)
+    return Quotient((numerator, denominator))
 
 
 def npow(base: Node, exponent: Node) -> Node:
@@ -257,7 +248,7 @@ def npow(base: Node, exponent: Node) -> Node:
             value = _finite_or_none(math.pow, base.value, exponent.value)
             if value is not None:
                 return Const(value)
-    return Power(base, exponent)
+    return Power((base, exponent))
 
 
 def ncall(func: str, args) -> Node:
@@ -302,19 +293,7 @@ def _finite_or_none(func, *args):
 
 def operands(node: Node) -> tuple:
     """The direct subexpressions of ``node``, in order."""
-    if isinstance(node, Neg):
-        return (node.arg,)
-    if isinstance(node, Sum):
-        return node.terms
-    if isinstance(node, Product):
-        return node.factors
-    if isinstance(node, Quotient):
-        return (node.numerator, node.denominator)
-    if isinstance(node, Power):
-        return (node.base, node.exponent)
-    if isinstance(node, Call):
-        return node.args
-    return ()
+    return node.args
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +316,12 @@ def _ndiff(node, coord):
     if isinstance(node, Coord):
         return ONE if node.name == coord else ZERO
     if isinstance(node, Neg):
-        return nneg(ndiff(node.arg, coord))
+        return nneg(ndiff(node.args[0], coord))
     if isinstance(node, Sum):
-        return nsum(ndiff(t, coord) for t in node.terms)
+        return nsum(ndiff(t, coord) for t in node.args)
     if isinstance(node, Product):
         terms = []
-        factors = node.factors
+        factors = node.args
         for i, factor in enumerate(factors):
             d = ndiff(factor, coord)
             if _is_const(d, 0.0):
@@ -350,19 +329,18 @@ def _ndiff(node, coord):
             terms.append(nprod(factors[:i] + (d,) + factors[i + 1 :]))
         return nsum(terms)
     if isinstance(node, Quotient):
-        du = ndiff(node.numerator, coord)
-        dv = ndiff(node.denominator, coord)
+        numerator, denominator = node.args
+        du = ndiff(numerator, coord)
+        dv = ndiff(denominator, coord)
         if _is_const(dv, 0.0):
-            return nquot(du, node.denominator)
-        num = nsum(
-            [
-                nprod([du, node.denominator]),
-                nneg(nprod([node.numerator, dv])),
-            ]
-        )
-        return nquot(num, npow(node.denominator, Const(2.0)))
+            return nquot(du, denominator)
+        num = nsum([nprod([du, denominator]), nneg(nprod([numerator, dv]))])
+        return nquot(num, npow(denominator, Const(2.0)))
+    # The derivatives of b^e, exp(u) and sqrt(u) contain the node they
+    # differentiate. They get a fresh copy of it, since the derivative is
+    # cached on the node and the node itself would make a cycle.
     if isinstance(node, Power):
-        base, exponent = node.base, node.exponent
+        base, exponent = node.args
         db = ndiff(base, coord)
         if isinstance(exponent, Const):
             return nprod(
@@ -374,12 +352,10 @@ def _ndiff(node, coord):
             return nprod(
                 [exponent, npow(base, nsum([exponent, Const(-1.0)])), db]
             )
-        pieces = []
-        if not _is_const(de, 0.0):
-            pieces.append(nprod([de, ncall("ln", (base,))]))
+        pieces = [nprod([de, ncall("ln", (base,))])]
         if not _is_const(db, 0.0):
             pieces.append(nquot(nprod([exponent, db]), base))
-        return nprod([node, nsum(pieces)])
+        return nprod([Power(node.args), nsum(pieces)])
     if isinstance(node, Call):
         if node.func == "atan2":
             y, x = node.args
@@ -401,11 +377,11 @@ def _ndiff(node, coord):
         if func == "tan":
             return nquot(du, npow(ncall("cos", (arg,)), Const(2.0)))
         if func == "exp":
-            return nprod([node, du])
+            return nprod([Call(func, node.args), du])
         if func == "ln":
             return nquot(du, arg)
         if func == "sqrt":
-            return nquot(du, nprod([Const(2.0), node]))
+            return nquot(du, nprod([Const(2.0), Call(func, node.args)]))
         if func == "atan":
             return nquot(du, nsum([ONE, npow(arg, Const(2.0))]))
     raise TypeError(f"cannot differentiate node {node!r}")
@@ -413,6 +389,18 @@ def _ndiff(node, coord):
 
 # ---------------------------------------------------------------------------
 # structural fingerprints and simplification
+
+
+# per composite kind but Call: the fingerprint's tag, the separator
+# between its operands, and whether they are sorted (as in sums and
+# products, which commute)
+_FINGERPRINT_FORMS = {
+    Neg: ("N", "", False),
+    Sum: ("S", "+", True),
+    Product: ("P", "*", True),
+    Quotient: ("Q", "/", False),
+    Power: ("W", "^", False),
+}
 
 
 def _fingerprint(node: Node) -> str:
@@ -423,37 +411,15 @@ def _fingerprint(node: Node) -> str:
         fp = f"C{node.value!r}"
     elif isinstance(node, Coord):
         fp = f"V{node.name}"
-    elif isinstance(node, Neg):
-        fp = f"N({_fingerprint(node.arg)})"
-    elif isinstance(node, Sum):
-        parts = sorted(_fingerprint(t) for t in node.terms)
-        fp = "S(" + "+".join(parts) + ")"
-    elif isinstance(node, Product):
-        parts = sorted(_fingerprint(f) for f in node.factors)
-        fp = "P(" + "*".join(parts) + ")"
-    elif isinstance(node, Quotient):
-        fp = (
-            "Q("
-            + _fingerprint(node.numerator)
-            + "/"
-            + _fingerprint(node.denominator)
-            + ")"
-        )
-    elif isinstance(node, Power):
-        fp = (
-            "W("
-            + _fingerprint(node.base)
-            + "^"
-            + _fingerprint(node.exponent)
-            + ")"
-        )
     else:
-        fp = (
-            node.func
-            + "("
-            + ",".join(_fingerprint(a) for a in node.args)
-            + ")"
-        )
+        if isinstance(node, Call):
+            tag, separator, commutes = node.func, ",", False
+        else:
+            tag, separator, commutes = _FINGERPRINT_FORMS[type(node)]
+        parts = [_fingerprint(a) for a in node.args]
+        if commutes:
+            parts.sort()
+        fp = tag + "(" + separator.join(parts) + ")"
     node.__dict__["fingerprint"] = fp
     return fp
 
@@ -465,7 +431,7 @@ def _coordinates(node: Node) -> frozenset:
         if isinstance(node, Coord):
             names = frozenset((node.name,))
         else:
-            parts = [_coordinates(a) for a in operands(node)]
+            parts = [_coordinates(a) for a in node.args]
             names = parts[0].union(*parts[1:]) if parts else frozenset()
         node.__dict__["coordinates"] = names
     return names
@@ -476,10 +442,10 @@ def _split_coefficient(node):
     coeff = 1.0
     while isinstance(node, Neg):
         coeff = -coeff
-        node = node.arg
-    if isinstance(node, Product) and isinstance(node.factors[0], Const):
-        coeff *= node.factors[0].value
-        rest = node.factors[1:]
+        node = node.args[0]
+    if isinstance(node, Product) and isinstance(node.args[0], Const):
+        coeff *= node.args[0].value
+        rest = node.args[1:]
         node = rest[0] if len(rest) == 1 else Product(rest)
     return coeff, node
 
@@ -515,62 +481,56 @@ def _same_tree(a: Node, b: Node) -> bool:
         return a.name == b.name
     if isinstance(a, Call) and a.func != b.func:
         return False
-    new, old = operands(a), operands(b)
-    return len(new) == len(old) and all(map(_same_tree, new, old))
+    return len(a.args) == len(b.args) and all(map(_same_tree, a.args, b.args))
+
+
+# how each composite kind but Sum is rebuilt from simplified operands
+_REBUILDS = {
+    Neg: lambda node, args: nneg(*args),
+    Product: lambda node, args: nprod(args),
+    Quotient: lambda node, args: nquot(*args),
+    Power: lambda node, args: npow(*args),
+    Call: lambda node, args: ncall(node.func, args),
+}
 
 
 def _nsimplify(node):
-    if isinstance(node, (Const, Coord)):
+    if not node.args:
         return node
-    if isinstance(node, Neg):
-        return nneg(nsimplify(node.arg))
-    if isinstance(node, Sum):
-        flat = nsum(nsimplify(t) for t in node.terms)
-        if not isinstance(flat, Sum):
-            return flat
-        const = 0.0
-        order = []
-        groups = {}
-        for term in flat.terms:
-            if isinstance(term, Const):
-                const += term.value
-                continue
-            coeff, core = _split_coefficient(term)
-            fp = _fingerprint(core)
-            if fp in groups:
-                groups[fp][0] += coeff
-            else:
-                groups[fp] = [coeff, core]
-                order.append(fp)
-        rebuilt = []
-        for fp in order:
-            coeff, core = groups[fp]
-            if coeff == 0.0:
-                continue
-            if coeff == 1.0:
-                rebuilt.append(core)
-            elif coeff == -1.0:
-                rebuilt.append(nneg(core))
-            else:
-                rebuilt.append(nprod([Const(coeff), core]))
-        if const != 0.0:
-            rebuilt.append(Const(const))
-        return nsum(rebuilt)
-    if isinstance(node, Product):
-        return nprod(nsimplify(f) for f in node.factors)
-    if isinstance(node, Quotient):
-        return nquot(
-            nsimplify(node.numerator),
-            nsimplify(node.denominator),
-        )
-    if isinstance(node, Power):
-        return npow(
-            nsimplify(node.base),
-            nsimplify(node.exponent),
-        )
-    if isinstance(node, Call):
-        return ncall(node.func, (nsimplify(a) for a in node.args))
-    raise TypeError(f"cannot simplify node {node!r}")
+    args = [nsimplify(a) for a in node.args]
+    if not isinstance(node, Sum):
+        return _REBUILDS[type(node)](node, args)
+    flat = nsum(args)
+    if not isinstance(flat, Sum):
+        return flat
+    const = 0.0
+    order = []
+    groups = {}
+    for term in flat.args:
+        if isinstance(term, Const):
+            const += term.value
+            continue
+        coeff, core = _split_coefficient(term)
+        fp = _fingerprint(core)
+        if fp in groups:
+            groups[fp][0] += coeff
+        else:
+            groups[fp] = [coeff, core]
+            order.append(fp)
+    rebuilt = []
+    for fp in order:
+        coeff, core = groups[fp]
+        if coeff == 0.0:
+            continue
+        if coeff == 1.0:
+            rebuilt.append(core)
+        elif coeff == -1.0:
+            rebuilt.append(nneg(core))
+        else:
+            rebuilt.append(nprod([Const(coeff), core]))
+    if const != 0.0:
+        rebuilt.append(Const(const))
+    return nsum(rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -593,38 +553,37 @@ def _eval_array(node: Node, env: dict, memo: dict):
         value = _undefined_to_nan(np.float64(node.value))
     elif isinstance(node, Coord):
         value = env[node.name]
-    elif isinstance(node, Neg):
-        value = _undefined_to_nan(-_eval_array(node.arg, env, memo))
-    elif isinstance(node, Sum):
-        terms = [_eval_array(t, env, memo) for t in node.terms]
-        value = terms[0] + terms[1]
-        for term in terms[2:]:
-            value += term
-        value = _undefined_to_nan(value)
-    elif isinstance(node, Product):
-        factors = [_eval_array(f, env, memo) for f in node.factors]
-        value = factors[0] * factors[1]
-        for factor in factors[2:]:
-            value *= factor
-        value = _undefined_to_nan(value)
-    elif isinstance(node, Quotient):
-        num = _eval_array(node.numerator, env, memo)
-        den = _eval_array(node.denominator, env, memo)
-        value = _undefined_to_nan(num / den)
-    elif isinstance(node, Power):
-        base = _eval_array(node.base, env, memo)
-        exponent = _eval_array(node.exponent, env, memo)
-        value = np.power(base, exponent)
-        bad = ~np.isfinite(base) | ~np.isfinite(exponent) | ~np.isfinite(value)
-        value = np.where(bad, np.nan, value)
     else:
-        args = [_eval_array(a, env, memo) for a in node.args]
-        value = _NUMPY_FUNCTIONS[node.func](*args)
-        if node.func == "atan2":
-            value = np.where((args[0] == 0.0) & (args[1] == 0.0), np.nan, value)
-        value = _undefined_to_nan(value)
+        value = _combine(node, [_eval_array(a, env, memo) for a in node.args])
     memo[node] = value
     return value
+
+
+def _combine(node, args):
+    """The value of composite ``node`` from the values of its operands."""
+    if isinstance(node, Neg):
+        return _undefined_to_nan(-args[0])
+    if isinstance(node, Sum):
+        value = args[0] + args[1]
+        for term in args[2:]:
+            value += term
+        return _undefined_to_nan(value)
+    if isinstance(node, Product):
+        value = args[0] * args[1]
+        for factor in args[2:]:
+            value *= factor
+        return _undefined_to_nan(value)
+    if isinstance(node, Quotient):
+        return _undefined_to_nan(args[0] / args[1])
+    if isinstance(node, Power):
+        base, exponent = args
+        value = np.power(base, exponent)
+        bad = ~np.isfinite(base) | ~np.isfinite(exponent) | ~np.isfinite(value)
+        return np.where(bad, np.nan, value)
+    value = _NUMPY_FUNCTIONS[node.func](*args)
+    if node.func == "atan2":
+        value = np.where((args[0] == 0.0) & (args[1] == 0.0), np.nan, value)
+    return _undefined_to_nan(value)
 
 
 _NUMPY_FUNCTIONS = {
@@ -671,14 +630,14 @@ def _domain_error(root: Node, memo: dict) -> EvaluationDomainError:
     undefined operands, so every operand of that node is defined."""
     node = root
     while True:
-        inner = [a for a in operands(node) if math.isnan(memo[a].item())]
+        inner = [a for a in node.args if math.isnan(memo[a].item())]
         if not inner:
             break
         node = inner[0]
     reason = "non-finite value"
     if isinstance(node, Call):
         reason = _UNDEFINED_CALLS.get(node.func, reason)
-    elif isinstance(node, Quotient) and memo[node.denominator].item() == 0.0:
+    elif isinstance(node, Quotient) and memo[node.args[1]].item() == 0.0:
         reason = "division by zero"
     elif isinstance(node, Power):
         reason = "power undefined"
@@ -710,53 +669,40 @@ def _precedence(node):
     return 9
 
 
+def _operand_text(node, loosest):
+    """``node`` printed as an operand, in parentheses when it binds no
+    tighter than precedence ``loosest``."""
+    text = node_to_text(node)
+    return f"({text})" if _precedence(node) <= loosest else text
+
+
 def node_to_text(node: Node) -> str:
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Coord):
         return node.name
     if isinstance(node, Neg):
-        inner = node_to_text(node.arg)
-        if _precedence(node.arg) <= 1:
-            inner = f"({inner})"
-        return "-" + inner
+        return "-" + _operand_text(node.args[0], 1)
     if isinstance(node, Sum):
-        parts = [node_to_text(node.terms[0])]
-        for term in node.terms[1:]:
+        parts = [node_to_text(node.args[0])]
+        for term in node.args[1:]:
             if isinstance(term, Neg):
-                inner = node_to_text(term.arg)
-                if _precedence(term.arg) <= 1:
-                    inner = f"({inner})"
-                parts.append(" - " + inner)
+                parts.append(" - " + _operand_text(term.args[0], 1))
             elif isinstance(term, Const) and term.value < 0:
                 parts.append(" - " + repr(-term.value))
             else:
                 parts.append(" + " + node_to_text(term))
         return "".join(parts)
     if isinstance(node, Product):
-        parts = []
-        for factor in node.factors:
-            text = node_to_text(factor)
-            if _precedence(factor) < 2:
-                text = f"({text})"
-            parts.append(text)
-        return " * ".join(parts)
+        return " * ".join(_operand_text(f, 1) for f in node.args)
     if isinstance(node, Quotient):
-        left = node_to_text(node.numerator)
-        if _precedence(node.numerator) < 2:
-            left = f"({left})"
-        right = node_to_text(node.denominator)
-        if _precedence(node.denominator) <= 2:
-            right = f"({right})"
-        return f"{left} / {right}"
+        numerator, denominator = node.args
+        return _operand_text(numerator, 1) + " / " + _operand_text(denominator, 2)
     if isinstance(node, Power):
-        base = node_to_text(node.base)
-        if _precedence(node.base) <= 3:
-            base = f"({base})"
-        exponent = node_to_text(node.exponent)
-        if _precedence(node.exponent) < 3 and not isinstance(node.exponent, Neg):
-            exponent = f"({exponent})"
-        return f"{base}^{exponent}"
+        base, exponent = node.args
+        # a negated exponent needs no parentheses: x^-y
+        loosest = 0 if isinstance(exponent, Neg) else 2
+        return _operand_text(base, 3) + "^" + _operand_text(exponent, loosest)
     if isinstance(node, Call):
         return node.func + "(" + ", ".join(node_to_text(a) for a in node.args) + ")"
     raise TypeError(f"cannot print node {node!r}")
@@ -764,6 +710,23 @@ def node_to_text(node: Node) -> str:
 
 # ---------------------------------------------------------------------------
 # the public wrapper
+
+
+def _operator(build):
+    """A binary operator of ScalarExpr: ``build`` applied to its own node
+    and the other operand's, a ScalarExpr on the same chart or a number."""
+
+    def apply(self, other):
+        if isinstance(other, ScalarExpr):
+            require_same_chart(self, other)
+            node = other.node
+        elif isinstance(other, (int, float)):
+            node = Const(float(other))
+        else:
+            return NotImplemented
+        return ScalarExpr(self.chart, build(self.node, node))
+
+    return apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -824,59 +787,14 @@ class ScalarExpr:
         return f"ScalarExpr({self})"
 
     # -- arithmetic -------------------------------------------------------
-    def _coerce(self, other) -> Node:
-        if isinstance(other, ScalarExpr):
-            require_same_chart(self, other)
-            return other.node
-        if isinstance(other, (int, float)):
-            return Const(float(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        node = self._coerce(other)
-        if node is NotImplemented:
-            return NotImplemented
-        return ScalarExpr(self.chart, nsum([self.node, node]))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        node = self._coerce(other)
-        if node is NotImplemented:
-            return NotImplemented
-        return ScalarExpr(self.chart, nsum([self.node, nneg(node)]))
-
-    def __rsub__(self, other):
-        node = self._coerce(other)
-        if node is NotImplemented:
-            return NotImplemented
-        return ScalarExpr(self.chart, nsum([node, nneg(self.node)]))
-
-    def __mul__(self, other):
-        node = self._coerce(other)
-        if node is NotImplemented:
-            return NotImplemented
-        return ScalarExpr(self.chart, nprod([self.node, node]))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        node = self._coerce(other)
-        if node is NotImplemented:
-            return NotImplemented
-        return ScalarExpr(self.chart, nquot(self.node, node))
-
-    def __rtruediv__(self, other):
-        node = self._coerce(other)
-        if node is NotImplemented:
-            return NotImplemented
-        return ScalarExpr(self.chart, nquot(node, self.node))
-
-    def __pow__(self, other):
-        node = self._coerce(other)
-        if node is NotImplemented:
-            return NotImplemented
-        return ScalarExpr(self.chart, npow(self.node, node))
+    # ``2 + e`` and ``2 * e`` keep ``e`` first, as ``e + 2`` and ``e * 2``
+    __add__ = __radd__ = _operator(lambda a, b: nsum([a, b]))
+    __sub__ = _operator(lambda a, b: nsum([a, nneg(b)]))
+    __rsub__ = _operator(lambda a, b: nsum([b, nneg(a)]))
+    __mul__ = __rmul__ = _operator(lambda a, b: nprod([a, b]))
+    __truediv__ = _operator(nquot)
+    __rtruediv__ = _operator(lambda a, b: nquot(b, a))
+    __pow__ = _operator(npow)
 
     def __neg__(self):
         return ScalarExpr(self.chart, nneg(self.node))

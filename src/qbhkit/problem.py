@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from dataclasses import fields as dataclass_fields
 
 from .chart import CoordinateChart
 from .errors import ProblemFormatError, QbhError
@@ -42,7 +43,8 @@ from .sampling import (
     _check_interval,
 )
 
-_TOLERANCE_KEYS = ("residual", "fd", "independence", "guard_eps", "max_skip_fraction")
+# the keys of a [tolerances] section, in the order the digest hashes them
+_TOLERANCE_KEYS = tuple(f.name for f in dataclass_fields(ToleranceConfig))
 
 
 @dataclass(frozen=True)

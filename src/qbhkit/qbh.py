@@ -37,7 +37,7 @@ from .fields import (
 )
 from .criteria import check_delta, hamiltonian_condition
 from .reports import CriterionReport, make_report
-from .residuals import condition, grid_values
+from .residuals import condition, grid_values, require_nonvanishing
 from .sampling import VerifyConfig
 
 
@@ -127,13 +127,9 @@ def build_qbh(
 
     if require_exact:
         rho_values = evaluate_at_points(rho, points)
-        bad = ~np.isfinite(rho_values) | (np.abs(rho_values) < cfg.tol.guard_eps)
-        if bad.any():
-            index = int(np.argmax(bad))
-            raise NonVanishingRhoError(
-                f"|rho| < {cfg.tol.guard_eps:g} (or undefined) at sampled "
-                f"point {points[index]}"
-            )
+        require_nonvanishing(
+            "rho", rho_values, points, cfg.tol.guard_eps, NonVanishingRhoError
+        )
         if (rho_values > 0).any() and (rho_values < 0).any():
             raise NonVanishingRhoError(
                 "rho changes sign inside the sampled domain"

@@ -1,6 +1,7 @@
 """Per-point residual helpers shared by the criteria and the system
-builder: collapsing component arrays to one value per point, and
-turning per-point residuals into a report condition."""
+builder: collapsing component arrays to one value per point, turning
+per-point residuals into a report condition, and requiring that a
+factor does not vanish at the sampled points."""
 from __future__ import annotations
 
 import numpy as np
@@ -36,6 +37,15 @@ def condition(name, values, points, informative=False, extra_skipped=0, notes=()
         informative=informative,
         notes=tuple(notes),
     )
+
+
+def require_nonvanishing(label, values, points, eps, error):
+    """Raise ``error`` at the first sampled point where the factor named
+    ``label`` is undefined (its value not finite) or |value| < ``eps``."""
+    bad = ~np.isfinite(values) | (np.abs(values) < eps)
+    if bad.any():
+        point = points[int(np.argmax(bad))]
+        raise error(f"|{label}| < {eps:g} (or undefined) at sampled point {point}")
 
 
 def grid_values(arr: np.ndarray) -> np.ndarray:

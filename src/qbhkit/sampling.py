@@ -35,7 +35,7 @@ class ToleranceConfig:
     residual: float = 1e-9
     fd: float = 1e-5
     independence: float = 1e-10
-    guard_eps: float = 1e-6
+    guard_eps: float = DEFAULT_GUARD_EPS
     max_skip_fraction: float = 0.1
 
     def __post_init__(self):

@@ -342,6 +342,16 @@ def test_lemma4_singular_guard():
         qk.lemma4_coefficients(x1, x2, x3, H, free, cfg)
 
 
+def test_lemma4_singular_guard_names_the_first_sampled_point():
+    chart, x1, x2, x3, cfg = exp_cfg()
+    free = delta_free(chart, x1, x2, chart.coordinate("y"))
+    with pytest.raises(qk.SingularFactorError) as err:
+        qk.lemma4_coefficients(x1, x2, x3, chart.coordinate("x"), free, cfg)
+    assert str(err.value) == (
+        f"|X2(H)| < 1e-06 (or undefined) at sampled point {cfg.points()[0]}"
+    )
+
+
 def test_lemma4_residuals_vanish_on_fixtures():
     for build, hname in ((exp_cfg, "y"), (rotation_cfg, "x3")):
         chart, x1, x2, x3, cfg = build()

@@ -2,8 +2,10 @@
 simplification. The derivative oracle is a central finite difference
 with step h * max(1, |p_c|)."""
 import ast
+import gc
 import math
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -160,6 +162,50 @@ def test_round_trip_random_polynomials():
         back = qk.parse_expression(str(e), CHART)
         for p in corpus_points(10):
             assert back.at(p) == pytest.approx(e.at(p), abs=1e-12)
+
+
+# the printed text, fingerprint and simplified x-derivative of each
+# input: parenthesisation, operand order, folding and the fingerprint
+# tags are part of the output a user sees and compares
+@pytest.mark.parametrize(
+    "text,printed,fingerprint,dx",
+    [
+        ("-(x+y)", "-(x + y)", "N(S(Vx+Vy))", "-1.0"),
+        ("x - -y", "x + y", "S(Vx+Vy)", "1.0"),
+        (
+            "(x*y)/(z/x)",
+            "x * y / (z / x)",
+            "Q(P(Vx*Vy)/Q(Vz/Vx))",
+            "(y * z / x - x * y * (-z) / x^2.0) / (z / x)^2.0",
+        ),
+        ("x^-y", "x^-y", "W(Vx^N(Vy))", "-y * x^(-y - 1.0)"),
+        ("(-x)^2", "(-x)^2.0", "W(N(Vx)^C2.0)", "2.0 * x"),
+        ("x^y^z", "x^y^z", "W(Vx^W(Vy^Vz))", "y^z * x^(y^z - 1.0)"),
+        ("-x^2", "-x^2.0", "N(W(Vx^C2.0))", "-2.0 * x"),
+        ("2*x*3", "6.0 * x", "P(C6.0*Vx)", "6.0"),
+        (
+            "atan2(y, x)*exp(-z)",
+            "atan2(y, x) * exp(-z)",
+            "P(atan2(Vy,Vx)*exp(N(Vz)))",
+            "(-y) / (x^2.0 + y^2.0) * exp(-z)",
+        ),
+        ("sqrt(x)/2", "sqrt(x) / 2.0", "Q(sqrt(Vx)/C2.0)", "1.0 / (2.0 * sqrt(x)) / 2.0"),
+        ("x/(y*z) - 3", "x / (y * z) - 3.0", "S(C-3.0+Q(Vx/P(Vy*Vz)))", "1.0 / (y * z)"),
+        ("exp(x*y)", "exp(x * y)", "exp(P(Vx*Vy))", "exp(x * y) * y"),
+        ("-(x - y)*z", "-(x - y) * z", "N(P(S(N(Vy)+Vx)*Vz))", "-z"),
+        (
+            "ln(x)^(y+1)",
+            "ln(x)^(y + 1.0)",
+            "W(ln(Vx)^S(C1.0+Vy))",
+            "(y + 1.0) * ln(x)^y * 1.0 / x",
+        ),
+    ],
+)
+def test_printed_forms_are_pinned(text, printed, fingerprint, dx):
+    e = qk.parse_expression(text, CHART)
+    assert str(e) == printed
+    assert e.fingerprint() == fingerprint
+    assert str(e.diff("x").simplified()) == dx
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +572,22 @@ def test_a_node_that_is_its_own_simplified_form_keeps_no_reference_to_itself(e):
     assert e.simplified().node is e.node
     assert e.simplified().node is e.node  # read back from the cache
     assert all(value is not e.node for value in vars(e.node).values())
+
+
+@pytest.mark.parametrize("text", ["exp(x*y)", "sqrt(x*y)", "x^y", "sin(x*y)"])
+def test_a_differentiated_tree_is_freed_without_the_cycle_collector(text):
+    # the derivatives of exp(u), sqrt(u) and b^e contain a copy of the
+    # node, not the node, so its derivative cache makes no cycle
+    e = qk.parse_expression(text, CHART)
+    node = weakref.ref(e.node)
+    gc.disable()
+    try:
+        e.diff("x").diff("x").simplified()
+        e.diff("y").simplified()
+        del e
+        assert node() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

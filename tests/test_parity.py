@@ -11,6 +11,7 @@ lstsq as the reference. Coefficients from the two factorisations are
 compared within 1e-12 in units of each system's condition number times
 the size of its solution.
 """
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -327,18 +328,18 @@ def test_tall_two_column_rows_below_the_lstsq_cutoff_match_lapack():
 
 
 def test_two_column_row_whose_largest_singular_value_overflows_matches_lapack():
-    """sigma_max = inf makes lstsq's cutoff infinite, so lstsq drops the
-    finite sigma_min = 1e300 as well, although it lies above the closed
-    form's band (2^-36 * ||A||_F, about 3e297); the closed form leaves
-    such a row to lstsq."""
+    """sigma_max = inf makes lstsq's cutoff infinite, so lstsq on the
+    matrix as it is drops the finite sigma_min = 1e300 as well, although
+    it lies above the closed form's band (2^-36 * ||A||_F, about 3e297).
+    The closed form leaves such a row to lstsq, which solves it scaled
+    by a power of two: the solution is the analytic one."""
     stack = np.array([[[1.5e308, 0.0], [1.5e308, 0.0], [0.0, 1e300]]])
     target = np.array([[1.0, 2.0, 3.0]])
-    want_c, want_r, _, want_notes = sequential_expand(stack, target, TOL)
     got_c, got_r, got_notes = _expand_rows(stack, target, TOL)
     assert _independent_rows(stack, TOL).tolist() == [True]
-    assert got_notes == want_notes == []
-    np.testing.assert_array_equal(got_c, want_c)
-    np.testing.assert_allclose(got_r, want_r, rtol=1e-15)
+    assert got_notes == []
+    np.testing.assert_allclose(got_c, [[1.5 / 1.5e308, 3.0 / 1e300]], rtol=1e-15)
+    np.testing.assert_allclose(got_r, [math.sqrt(0.5)], rtol=1e-15)
 
 
 def test_span_expand_keeps_per_point_views():

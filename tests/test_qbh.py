@@ -65,6 +65,15 @@ def test_build_rejects_vanishing_rho():
         qk.build_qbh(x1, x2, x3, H, F, cfg)
 
 
+def test_vanishing_rho_message_names_the_first_sampled_point():
+    chart, x1, x2, x3, H, F, cfg = exp_system("y")
+    with pytest.raises(qk.NonVanishingRhoError) as err:
+        qk.build_qbh(x1, x2, x3, H, F, cfg)
+    assert str(err.value) == (
+        f"|rho| < 1e-06 (or undefined) at sampled point {cfg.points()[0]}"
+    )
+
+
 def test_build_rejects_sign_changing_rho():
     chart, x1, x2, x3, _ = exp_cfg()
     H = chart.coordinate("y")
