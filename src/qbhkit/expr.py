@@ -795,6 +795,7 @@ class ScalarExpr:
     __truediv__ = _operator(nquot)
     __rtruediv__ = _operator(lambda a, b: nquot(b, a))
     __pow__ = _operator(npow)
+    __rpow__ = _operator(lambda a, b: npow(b, a))
 
     def __neg__(self):
         return ScalarExpr(self.chart, nneg(self.node))

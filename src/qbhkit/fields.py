@@ -10,12 +10,22 @@ Sign convention for the Schouten bracket of decomposable bivectors:
 
 so the self-bracket of X^Y is -2 * X^[X,Y]^Y = 2 * [X,Y]^X^Y, which
 vanishes exactly when [X,Y] lies in the pointwise span of X and Y.
+``schouten_bb`` takes that closed form whenever both bivectors wedge the
+same two field objects.
+
+Each field keeps the Lie brackets it has computed, keyed weakly by the
+other field, so a bracket is built once per pair of field objects and a
+cache keeps no field alive and forms no reference cycle. [X,X] is the
+zero field and [Y,X] is the negation of a cached [X,Y]; neither is
+built again. Repeated brackets are then the same expression nodes, so
+they also share the values a point cloud caches.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -131,13 +141,37 @@ def apply_field(X: VectorField, f: ScalarExpr) -> ScalarExpr:
     return X.apply(f)
 
 
+def _brackets(X: VectorField) -> WeakKeyDictionary:
+    """X's computed brackets, {Y: [X, Y]}, keyed weakly by Y."""
+    cache = X.__dict__.get("brackets")
+    if cache is None:
+        cache = X.__dict__["brackets"] = WeakKeyDictionary()
+    return cache
+
+
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y]^i = X(Y^i) - Y(X^i)."""
+    """[X, Y]^i = X(Y^i) - Y(X^i).
+
+    Built once per pair of field objects (see module note): [X, X] is
+    the zero field, a repeated [X, Y] returns the cached field and
+    [Y, X] the negation of a cached [X, Y].
+    """
     require_same_chart(X, Y)
-    comps = []
-    for yi, xi in zip(Y.components, X.components):
-        comps.append((X.apply(yi) - Y.apply(xi)).simplified())
-    return VectorField(X.chart, tuple(comps))
+    if X is Y:
+        return zero_field(X.chart)
+    cache = _brackets(X)
+    result = cache.get(Y)
+    if result is None:
+        reverse = _brackets(Y).get(X)
+        if reverse is not None:
+            result = -reverse
+        else:
+            comps = []
+            for yi, xi in zip(Y.components, X.components):
+                comps.append((X.apply(yi) - Y.apply(xi)).simplified())
+            result = VectorField(X.chart, tuple(comps))
+        cache[Y] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +334,17 @@ def wedge3(U: VectorField, V: VectorField, W: VectorField, coefficient=1.0) -> T
 
 
 def schouten_bb(B1: DecomposableBivector, B2: DecomposableBivector) -> TrivectorSum:
-    """Schouten bracket of two decomposable bivectors (see module note)."""
+    """Schouten bracket of two decomposable bivectors (see module note).
+
+    When both wedge the same two fields, this is the self-bracket
+    [[X^Y, X^Y]] = 2 [X,Y]^X^Y, built from one Lie bracket instead of
+    the four-term expansion.
+    """
     require_same_chart(B1.left, B2.left)
     x, y = B1.left, B1.right
     z, w = B2.left, B2.right
+    if x is z and y is w:
+        return wedge3(lie_bracket(x, y), x, y, 2.0)
     return (
         wedge3(lie_bracket(x, z), y, w, 1.0)
         + wedge3(lie_bracket(x, w), y, z, -1.0)

@@ -1,4 +1,7 @@
 """Shared builders for the test suite."""
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 import qbhkit as qk
@@ -79,6 +82,24 @@ def random_fields(chart, rng, degree=2, count=2):
         )
         fields.append(qk.VectorField(chart, comps))
     return fields
+
+
+def fresh_copy(X):
+    """A new field object with X's components. Brackets are cached per
+    pair of field objects, so a copy makes lie_bracket and schouten_bb
+    build their result symbolically instead of reading the cache."""
+    return qk.VectorField(X.chart, X.components)
+
+
+def generated_problem_text(seed, index):
+    """Problem ``index`` of seed ``seed`` of the generated-poisson
+    benchmark workload, from perfbench/generate.py."""
+    spec = importlib.util.spec_from_file_location(
+        "generate", Path(__file__).parents[1] / "perfbench" / "generate.py"
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.problem_text(seed, index)
 
 
 def nested_cyclic_sums(B, triples, points):

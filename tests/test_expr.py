@@ -208,6 +208,13 @@ def test_printed_forms_are_pinned(text, printed, fingerprint, dx):
     assert str(e.diff("x").simplified()) == dx
 
 
+def test_a_number_raised_to_an_expression_matches_the_parsed_power():
+    x = CHART.coordinate("x")
+    parsed = qk.parse_expression("2^x", CHART)
+    assert str(2 ** x) == str(parsed)
+    assert (2 ** x).fingerprint() == parsed.fingerprint()
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 

@@ -1,5 +1,8 @@
 """Multivector algebra: derivation action, Lie brackets, contractions,
 Lie derivatives of bivectors, Schouten brackets, pointwise components."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ import qbhkit as qk
 
 from helpers import (
     exp_triple,
+    fresh_copy,
+    generated_problem_text,
     make_cfg,
     max_field_deviation,
     non_poisson_pair,
@@ -65,8 +70,74 @@ def test_apply_field_matches_fd_oracle():
 
 
 def test_bracket_with_itself_vanishes():
+    # [X, X] is the zero field without building anything; the copy
+    # takes the symbolic route, which must simplify to syntactic zero
     _, x1, _, _ = exp_triple()
     assert qk.lie_bracket(x1, x1).is_zero()
+    assert qk.lie_bracket(x1, fresh_copy(x1)).is_zero()
+
+
+def _problems():
+    for name in qk.fixture_names():
+        yield name, qk.load_fixture(name)
+    for index in range(40):
+        yield f"generated-{index}", qk.parse_problem(generated_problem_text(1, index))
+
+
+def test_every_problem_field_bracketed_with_a_copy_of_itself_vanishes():
+    # the short cut [X, X] = 0 must agree with the symbolic route on
+    # every field of the six fixtures and of 40 generated problems. The
+    # route simplifies to syntactic zero on all of them but rotation's
+    # X3, where X3(X3^i) is a sum and the simplifier does not cancel a
+    # sum against its negation; those values are exactly zero instead
+    for name, spec in _problems():
+        points = spec.config().points()
+        for field_name, X in spec.fields.items():
+            bracket = qk.lie_bracket(X, fresh_copy(X))
+            if (name, field_name) == ("rotation", "X3"):
+                assert not np.any(bracket.components_at(points))
+            else:
+                assert bracket.is_zero(), (name, field_name)
+
+
+def test_a_bracket_is_built_once_per_pair_of_fields():
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    X, Y = random_fields(chart, np.random.default_rng(5), degree=2, count=2)
+    XY = qk.lie_bracket(X, Y)
+    assert qk.lie_bracket(X, Y) is XY
+    YX = qk.lie_bracket(Y, X)
+    assert qk.lie_bracket(Y, X) is YX
+    for got, want in zip(YX.components, XY.components):
+        assert qk.structurally_equal(got, -want)
+
+
+def test_the_self_schouten_bracket_is_one_wedge_on_the_cached_bracket():
+    # [[X^Y, X^Y]] = 2 [X,Y]^X^Y, not the four-term expansion
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    X, Y = random_fields(chart, np.random.default_rng(7), degree=2, count=2)
+    P = qk.wedge(X, Y)
+    ((coeff, (U, V, W)),) = qk.schouten_bb(P, P).terms
+    assert qk.structurally_equal(coeff, chart.constant(2.0))
+    assert U is qk.lie_bracket(X, Y) and V is X and W is Y
+
+
+def test_the_bracket_cache_keeps_no_field_alive():
+    # the cache is keyed weakly by the other field and holds no cycle,
+    # so each field is freed as soon as its last reference goes
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    X, Y = random_fields(chart, np.random.default_rng(6), degree=2, count=2)
+    gc.disable()
+    try:
+        qk.lie_bracket(X, Y)
+        qk.lie_bracket(Y, X)
+        y_ref = weakref.ref(Y)
+        del Y
+        assert y_ref() is None
+        x_ref = weakref.ref(X)
+        del X
+        assert x_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_rotation_fields_commute():
@@ -95,7 +166,9 @@ def test_bracket_antisymmetry_and_jacobi():
     (Z,) = random_fields(chart, rng, degree=2, count=1)
     points = make_cfg(chart, samples=20, seed=3).points()
 
-    anti = qk.lie_bracket(X, Y) + qk.lie_bracket(Y, X)
+    # the reverse bracket is built on a copy of Y, so it is computed
+    # symbolically instead of read back negated from the cache
+    anti = qk.lie_bracket(X, Y) + qk.lie_bracket(fresh_copy(Y), X)
     assert max_field_deviation(anti, qk.zero_field(chart), points) <= 1e-9
 
     jacobi = (
@@ -123,6 +196,25 @@ guard = sqrt(x^2 + y^2 - 0.6826)
 samples = 200
 seed = 952999278
 """
+
+
+def test_check_poisson_builds_the_bracket_of_its_fields_once(monkeypatch):
+    # the self-Schouten bracket and the span condition share one [X, Y]:
+    # one derivation per component of each field, 2 x dimension in all
+    spec = qk.parse_problem(GENERATED_POISSON)
+    X, Y = spec.fields["X1"], spec.fields["X2"]
+    applied = []
+    apply = qk.VectorField.apply
+
+    def counted(self, f):
+        applied.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(qk.VectorField, "apply", counted)
+    report = qk.check_poisson_pair(X, Y, spec.config())
+    assert report.passed
+    assert len(applied) <= 2 * spec.chart.dimension
+    assert qk.lie_bracket(X, Y) is qk.lie_bracket(X, Y)
 
 
 def test_a_bracket_reuses_the_values_its_reverse_left_on_the_cloud():

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import qbhkit as qk
 from qbhkit.expr import Coord, Node, ScalarExpr, operands
 
-from helpers import make_cfg, nested_cyclic_sums
+from helpers import fresh_copy, make_cfg, nested_cyclic_sums
 
 CHART = qk.CoordinateChart(("x", "y", "z"))
 # the narrow box keeps most generated trees defined, for the derivative
@@ -262,9 +262,11 @@ def assert_all_close(got, want):
 @BRACKET_PROPERTY
 @given(QUADRATIC, QUADRATIC)
 def test_lie_bracket_is_antisymmetric(X, Y):
+    # the reverse bracket is built on a copy of Y, so it is computed
+    # symbolically instead of read back negated from the cache
     assert_all_close(
         qk.lie_bracket(X, Y).components_at(BRACKET_POINTS),
-        -qk.lie_bracket(Y, X).components_at(BRACKET_POINTS),
+        -qk.lie_bracket(fresh_copy(Y), X).components_at(BRACKET_POINTS),
     )
 
 
@@ -286,6 +288,18 @@ def test_schouten_bracket_of_bivectors_is_symmetric(X, Y, Z, W):
     assert_all_close(
         qk.trivector_components_at(qk.schouten_bb(P, Q), BRACKET_POINTS),
         qk.trivector_components_at(qk.schouten_bb(Q, P), BRACKET_POINTS),
+    )
+
+
+@BRACKET_PROPERTY
+@given(QUADRATIC, QUADRATIC)
+def test_closed_form_self_schouten_matches_the_four_term_expansion(X, Y):
+    # wedging copies makes schouten_bb expand all four terms
+    P = qk.wedge(X, Y)
+    expanded = qk.schouten_bb(P, qk.wedge(fresh_copy(X), fresh_copy(Y)))
+    assert_all_close(
+        qk.trivector_components_at(qk.schouten_bb(P, P), BRACKET_POINTS),
+        qk.trivector_components_at(expanded, BRACKET_POINTS),
     )
 
 
