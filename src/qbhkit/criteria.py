@@ -19,21 +19,19 @@ from .errors import (
     PreconditionResidualError,
     SingularFactorError,
 )
-from .expr import ScalarExpr, constant, evaluate_at_points
+from .expr import ScalarExpr, constant
 from .fields import (
     DecomposableBivector,
     VectorField,
-    bivector_components_at,
     contract_hamiltonian,
     lie_bracket,
     lie_derivative_bivector,
     schouten_bb,
-    trivector_components_at,
     wedge,
     wedge3,
 )
 from .reports import ConditionResult, CriterionReport, make_report
-from .residuals import condition, grid_values, require_nonvanishing
+from .residuals import condition, require_nonvanishing, values_at
 from .sampling import VerifyConfig
 
 # Global sign reconciling the Schouten convention of fields.schouten_bb
@@ -149,9 +147,17 @@ def _independent_rows(stack: np.ndarray, tol) -> np.ndarray:
     return defined & (smallest > tol.independence)
 
 
-def _independent_mask(fields, points, tol) -> np.ndarray:
-    """True where the given fields are pointwise linearly independent."""
-    return _independent_rows(_basis_stack(fields, points), tol)
+def _independent_points(pairs, points, tol, what):
+    """(usable, dropped): the points where each pair of fields is
+    linearly independent, and how many points that leaves out. Raises
+    AllPointsSkippedError, naming ``what``, if it leaves out all."""
+    mask = np.logical_and.reduce(
+        [_independent_rows(_basis_stack(pair, points), tol) for pair in pairs]
+    )
+    usable = points[mask]
+    if not usable:
+        raise AllPointsSkippedError(f"degenerate {what} at every sampled point")
+    return usable, len(points) - len(usable)
 
 
 def _least_squares(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -301,6 +307,12 @@ def span_expand(V: VectorField, basis, points, tol) -> SpanDecomposition:
     )
 
 
+def _skipped_everywhere(name, points, exc) -> ConditionResult:
+    """The informative condition of a span expansion that skipped every
+    point, with the reason ``exc`` gave."""
+    return ConditionResult(name, None, None, len(points), True, (str(exc),))
+
+
 def _span_condition(name, V, basis, points, tol, informative=False):
     """Span expansion as a report condition. Informative conditions
     swallow the all-points-skipped error instead of raising."""
@@ -309,21 +321,9 @@ def _span_condition(name, V, basis, points, tol, informative=False):
     except AllPointsSkippedError as exc:
         if not informative:
             raise
-        cond = ConditionResult(
-            name=name,
-            max_residual=None,
-            worst_point=None,
-            skipped=len(points),
-            informative=True,
-            notes=(str(exc),),
-        )
-        return cond, None
+        return _skipped_everywhere(name, points, exc), None
     cond = condition(
-        name,
-        decomp.residual_values(),
-        points,
-        informative=informative,
-        notes=decomp.notes,
+        name, decomp.residual_values(), points, informative, notes=decomp.notes
     )
     return cond, decomp
 
@@ -339,11 +339,8 @@ def check_poisson_pair(X: VectorField, Y: VectorField, cfg: VerifyConfig) -> Cri
     vanish pointwise, and [X, Y] must lie in the pointwise span of X, Y.
     """
     points = cfg.points()
-    self_bracket = schouten_bb(wedge(X, Y), wedge(X, Y))
     schouten_cond = condition(
-        "self-schouten",
-        grid_values(trivector_components_at(self_bracket, points)),
-        points,
+        "self-schouten", schouten_bb(wedge(X, Y), wedge(X, Y)), points
     )
     span_cond, _ = _span_condition(
         "bracket-in-span", lie_bracket(X, Y), (X, Y), points, cfg.tol
@@ -362,11 +359,8 @@ def check_automorphism(
     two bracket span expansions are reported alongside.
     """
     points = cfg.points()
-    derivative = lie_derivative_bivector(XH, wedge(X, Y))
     lie_cond = condition(
-        "lie-derivative",
-        grid_values(bivector_components_at(derivative, points)),
-        points,
+        "lie-derivative", lie_derivative_bivector(XH, wedge(X, Y)), points
     )
     span_x, _ = _span_condition(
         "bracket-x1-in-span", lie_bracket(XH, X), (X, Y), points, cfg.tol
@@ -409,27 +403,15 @@ def check_compatibility(
     excluded everywhere; if none survive the check aborts.
     """
     points = cfg.points()
-    mask = _independent_mask((X1, X2), points, cfg.tol) & _independent_mask(
-        (XH, X3), points, cfg.tol
+    usable, dropped = _independent_points(
+        ((X1, X2), (XH, X3)), points, cfg.tol, "wedge pair (X1, X2) or (XH, X3)"
     )
-    usable = points[mask]
-    dropped = len(points) - len(usable)
-    if not usable:
-        raise AllPointsSkippedError(
-            "degenerate wedge pair (X1, X2) or (XH, X3) at every sampled point"
-        )
     notes = []
     if dropped:
         notes.append(f"dropped {dropped} point(s) with degenerate wedge pairs")
-
     bracket_tensor = schouten_bb(wedge(X1, X2), wedge(XH, X3))
     conditions = [
-        condition(
-            "schouten",
-            grid_values(trivector_components_at(bracket_tensor, usable)),
-            usable,
-            extra_skipped=dropped,
-        )
+        condition("schouten", bracket_tensor, usable, extra_skipped=dropped)
     ]
     named = {"x1": X1, "x2": X2, "x3": X3, "xh": XH}
     for cond_name, (a, b), basis_names in _COMPAT_SPANS:
@@ -463,8 +445,7 @@ def check_delta(
         ("bracket-x3-x2", lie_bracket(X3, X2)),
     )
     conditions = tuple(
-        condition(name, grid_values(field.components_at(points)), points)
-        for name, field in residuals
+        condition(name, field, points) for name, field in residuals
     )
     return make_report("delta", conditions, len(points), cfg.tol)
 
@@ -476,7 +457,7 @@ def hamiltonian_condition(
     and a report of its max |value| over the sampled points."""
     points = cfg.points()
     expr = X1.apply(X2.apply(H))
-    cond = condition("x1-x2-H", evaluate_at_points(expr, points), points)
+    cond = condition("x1-x2-H", expr, points)
     report = make_report(
         "hamiltonian-condition",
         (cond,),
@@ -501,17 +482,14 @@ def separable_hamiltonian(
     points and a violation raises PreconditionResidualError.
     """
     points = cfg.points()
-    inv1 = condition("x1-invariance", evaluate_at_points(X1.apply(I1), points), points)
-    inv2 = condition("x2-invariance", evaluate_at_points(X2.apply(I2), points), points)
+    inv1 = condition("x1-invariance", X1.apply(I1), points)
+    inv2 = condition("x2-invariance", X2.apply(I2), points)
     for cond in (inv1, inv2):
         if not cond.within(cfg.tol.residual):
             raise PreconditionResidualError(cond.name, cond.max_residual or np.inf)
-    commute = condition(
-        "bracket-x1-x2", grid_values(lie_bracket(X1, X2).components_at(points)), points
-    )
+    commute = condition("bracket-x1-x2", lie_bracket(X1, X2), points)
     H = (I1 + I2).simplified()
-    expr = X1.apply(X2.apply(H))
-    main = condition("x1-x2-H", evaluate_at_points(expr, points), points)
+    main = condition("x1-x2-H", X1.apply(X2.apply(H)), points)
     report = make_report(
         "separable-hamiltonian",
         (inv1, inv2, commute, main),
@@ -577,8 +555,7 @@ def _guarded_derivatives(X1, X2, X3, H, points, tol):
     guard epsilon at the sampled points."""
     h1 = X1.apply(H)
     h2 = X2.apply(H)
-    values = evaluate_at_points(h2, points)
-    require_nonvanishing("X2(H)", values, points, tol.guard_eps, SingularFactorError)
+    require_nonvanishing("X2(H)", h2, points, tol.guard_eps, SingularFactorError)
     return (h1, h2) + tuple(X.apply(h) for X in (X1, X2, X3) for h in (h1, h2))
 
 
@@ -636,7 +613,7 @@ def lemma4_coefficients(
             lie_bracket(xh, X1),
             (X1, X2),
             (
-                ("-C2", "neg-c2-vs-direct", (-c2).simplified()),
+                ("-C2", "neg-c2-vs-direct", b1),
                 ("B2", "b2-vs-direct", b2),
             ),
         ),
@@ -653,13 +630,11 @@ def lemma4_coefficients(
             decomp = span_expand(bracket, basis, points, cfg.tol)
         except AllPointsSkippedError as exc:
             conditions.extend(
-                ConditionResult(cond_name, None, None, len(points), True, (str(exc),))
-                for _, cond_name, _ in columns
+                _skipped_everywhere(name, points, exc) for _, name, _ in columns
             )
             continue
         for column, (symbol, cond_name, printed) in enumerate(columns):
-            printed_values = evaluate_at_points(printed, points)
-            deviation = np.abs(printed_values - decomp.coefficient_values(column))
+            deviation = values_at(printed, points) - decomp.coefficient_values(column)
             cond = condition(cond_name, deviation, points, informative=True)
             conditions.append(cond)
             if cond.max_residual is not None and cond.max_residual > cfg.tol.residual:
@@ -706,8 +681,7 @@ def lemma4_residuals(
         ),
     )
     conditions = [
-        condition(name, evaluate_at_points(expr.simplified(), points), points)
-        for name, expr in residuals
+        condition(name, expr.simplified(), points) for name, expr in residuals
     ]
     return make_report("lemma4-residuals", conditions, len(points), cfg.tol)
 
@@ -728,22 +702,13 @@ def check_jacobi(
     L = X1^X2 and sigma the global sign convention. Both forms gate.
     """
     points = cfg.points()
-    mask = _independent_mask((X1, X2), points, cfg.tol)
-    usable = points[mask]
-    dropped = len(points) - len(usable)
-    if not usable:
-        raise AllPointsSkippedError(
-            "degenerate pair (X1, X2) at every sampled point"
-        )
+    usable, dropped = _independent_points(((X1, X2),), points, cfg.tol, "pair (X1, X2)")
     notes = [f"sign convention sigma = {JACOBI_STRUCTURE_SIGN:+g}"]
     if dropped:
         notes.append(f"dropped {dropped} degenerate point(s)")
 
     bracket_cond = condition(
-        "bracket-plus-xh",
-        grid_values((lie_bracket(X1, X2) + XH).components_at(usable)),
-        usable,
-        extra_skipped=dropped,
+        "bracket-plus-xh", lie_bracket(X1, X2) + XH, usable, extra_skipped=dropped
     )
     span1, decomp1 = _span_condition(
         "bracket-xh-x1-in-span", lie_bracket(XH, X1), (X1, X2), usable, cfg.tol
@@ -753,7 +718,7 @@ def check_jacobi(
     )
     if decomp1 is not None and decomp2 is not None:
         trace = decomp1.coefficient_values(0) + decomp2.coefficient_values(1)
-        trace_cond = condition("automorphism-trace", np.abs(trace), usable)
+        trace_cond = condition("automorphism-trace", trace, usable)
     else:
         trace_cond = ConditionResult(
             "automorphism-trace", None, None, len(usable), False,
@@ -765,18 +730,10 @@ def check_jacobi(
         XH, X1, X2, 2.0 * JACOBI_STRUCTURE_SIGN
     )
     direct_cond = condition(
-        "schouten-identity",
-        grid_values(trivector_components_at(residual_tensor, usable)),
-        usable,
-        extra_skipped=dropped,
+        "schouten-identity", residual_tensor, usable, extra_skipped=dropped
     )
     invariance_cond = condition(
-        "invariance",
-        grid_values(
-            bivector_components_at(lie_derivative_bivector(XH, lam), usable)
-        ),
-        usable,
-        extra_skipped=dropped,
+        "invariance", lie_derivative_bivector(XH, lam), usable, extra_skipped=dropped
     )
     conditions = (
         bracket_cond,
@@ -816,24 +773,18 @@ def hojman_check(
     constant of the motion: X1(rho) = 0. Returns rho, the rescaled
     field rho * X1, and the bivector X1 ^ X3 the construction equips."""
     points = cfg.points()
-    algebra = condition(
-        "bracket-x3-x1-minus-x1",
-        grid_values((lie_bracket(X3, X1) - X1).components_at(points)),
-        points,
-    )
+    algebra = condition("bracket-x3-x1-minus-x1", lie_bracket(X3, X1) - X1, points)
     if not algebra.within(cfg.tol.residual):
         raise PreconditionResidualError(
             "[X3,X1] = X1", algebra.max_residual or np.inf
         )
-    invariance = condition(
-        "x1-H", evaluate_at_points(X1.apply(H), points), points
-    )
+    invariance = condition("x1-H", X1.apply(H), points)
     if not invariance.within(cfg.tol.residual):
         raise PreconditionResidualError(
             "X1(H) = 0", invariance.max_residual or np.inf
         )
     rho = X3.apply(H)
-    main = condition("x1-rho", evaluate_at_points(X1.apply(rho), points), points)
+    main = condition("x1-rho", X1.apply(rho), points)
     report = make_report(
         "hojman",
         (algebra, invariance, main),
@@ -929,7 +880,7 @@ def check_linear_realization(
     points = cfg.points()
     residuals = realization.residual_expressions(P)
     conditions = [
-        condition(f"candidate-eq-{i + 1}", evaluate_at_points(expr, points), points)
+        condition(f"candidate-eq-{i + 1}", expr, points)
         for i, expr in enumerate(residuals)
     ]
     return make_report("linear-realization", conditions, len(points), cfg.tol)

@@ -115,7 +115,9 @@ class VectorField:
         return self._componentwise(other, operator.sub)
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-c for c in self.components))
+        return VectorField(
+            self.chart, tuple(c if c.is_zero() else -c for c in self.components)
+        )
 
     def __str__(self):
         parts = []

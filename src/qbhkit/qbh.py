@@ -21,13 +21,12 @@ from .errors import (
     NonVanishingRhoError,
     NotAnIntegralError,
 )
-from .expr import ScalarExpr, constant, evaluate_at_points
+from .expr import ScalarExpr, constant
 from .fields import (
     BivectorSum,
     TrivectorSum,
     VectorField,
     _as_bivector_sum,
-    bivector_components_at,
     contract_hamiltonian,
     poisson_bracket,
     schouten_bb,
@@ -37,7 +36,7 @@ from .fields import (
 )
 from .criteria import check_delta, hamiltonian_condition
 from .reports import CriterionReport, make_report
-from .residuals import condition, grid_values, require_nonvanishing
+from .residuals import condition, require_nonvanishing, values_at
 from .sampling import VerifyConfig
 
 
@@ -113,22 +112,18 @@ def build_qbh(
     hf = poisson_bracket(wedge(X1, X2), H, F)
 
     # the contraction identity XF = {H,F} X3 + rho XH holds for any F
-    identity = (xf - (X3.scaled(hf) + xh.scaled(rho))).components_at(points)
-    conditions = [condition("contraction-identity", grid_values(identity), points)]
+    identity = xf - (X3.scaled(hf) + xh.scaled(rho))
+    conditions = [condition("contraction-identity", identity, points)]
 
-    integral_cond = condition(
-        "integral", evaluate_at_points(hf, points), points,
-        informative=not require_exact,
-    )
+    integral_cond = condition("integral", hf, points, informative=not require_exact)
     conditions.append(integral_cond)
     exact = integral_cond.within(cfg.tol.residual)
     if require_exact and not exact:
         raise NotAnIntegralError(integral_cond.max_residual or np.inf)
 
     if require_exact:
-        rho_values = evaluate_at_points(rho, points)
-        require_nonvanishing(
-            "rho", rho_values, points, cfg.tol.guard_eps, NonVanishingRhoError
+        rho_values = require_nonvanishing(
+            "rho", rho, points, cfg.tol.guard_eps, NonVanishingRhoError
         )
         if (rho_values > 0).any() and (rho_values < 0).any():
             raise NonVanishingRhoError(
@@ -136,31 +131,17 @@ def build_qbh(
             )
 
     conditions.append(
-        condition(
-            "exactness",
-            grid_values((xf - xh.scaled(rho)).components_at(points)),
-            points,
-            informative=not exact,
-        )
+        condition("exactness", xf - xh.scaled(rho), points, informative=not exact)
     )
-    conditions.append(
-        condition("xf-of-F", evaluate_at_points(xf.apply(F), points), points)
-    )
+    conditions.append(condition("xf-of-F", xf.apply(F), points))
 
     bi_cond = condition(
-        "x3-F-plus-1",
-        evaluate_at_points(X3.apply(F) + constant(chart, 1.0), points),
-        points,
-        informative=True,
+        "x3-F-plus-1", X3.apply(F) + constant(chart, 1.0), points, informative=True
     )
     conditions.append(bi_cond)
     bi_hamiltonian = exact and bi_cond.within(cfg.tol.residual)
     if bi_hamiltonian:
-        conditions.append(
-            condition(
-                "bi-degeneration", grid_values((xf - xh).components_at(points)), points
-            )
-        )
+        conditions.append(condition("bi-degeneration", xf - xh, points))
 
     one = constant(chart, 1.0)
     composite = BivectorSum(
@@ -218,7 +199,7 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
         dF, dG, dK = (_gradient_at(f, points) for f in (F, G, K))
         rows.append(-0.5 * np.einsum("mijk,mi,mj,mk->m", T, dF, dG, dK))
     # a point is usable if B and the cyclic sum of every triple are defined
-    defined = np.isfinite(bivector_components_at(B, points)).all(axis=(1, 2))
+    defined = np.isfinite(values_at(B, points))
     per_point = np.where(defined, np.abs(np.vstack(rows)).max(axis=0), np.nan)
     cond = condition("cyclic-sum", per_point, points)
     return make_report(

@@ -1,18 +1,53 @@
-"""Per-point residual helpers shared by the criteria and the system
-builder: collapsing component arrays to one value per point, turning
-per-point residuals into a report condition, and requiring that a
-factor does not vanish at the sampled points."""
+"""Per-point residuals, shared by the criteria and the system builder.
+
+A check names what must vanish and ``condition`` evaluates it over the
+sampled points. A residual is one of
+
+- a ``ScalarExpr``: its value at each point;
+- a ``VectorField``, a ``DecomposableBivector`` or ``BivectorSum``, or a
+  ``TrivectorSum``: the max |component| at each point, taken over the
+  full component array (n, n x n or n x n x n entries), and NaN where
+  any component is undefined;
+- a ready array of one value per point, as span expansions and other
+  derived quantities give.
+
+A NaN or infinite value marks a skipped point. The condition's value is
+the max |residual| over the remaining points, with the point where it
+is reached.
+"""
 from __future__ import annotations
 
 import numpy as np
 
+from .expr import ScalarExpr, evaluate_at_points
+from .fields import (
+    BivectorSum,
+    DecomposableBivector,
+    TrivectorSum,
+    VectorField,
+    bivector_components_at,
+    trivector_components_at,
+)
 from .reports import ConditionResult
 
 
-def condition(name, values, points, informative=False, extra_skipped=0, notes=()):
-    """Build a ConditionResult from per-point |residual| values (NaN =
-    skipped point)."""
-    values = np.asarray(values, dtype=float)
+def values_at(residual, points) -> np.ndarray:
+    """One value per point of ``residual`` (see the module note)."""
+    if isinstance(residual, ScalarExpr):
+        return evaluate_at_points(residual, points)
+    if isinstance(residual, VectorField):
+        return grid_values(residual.components_at(points))
+    if isinstance(residual, (DecomposableBivector, BivectorSum)):
+        return grid_values(bivector_components_at(residual, points))
+    if isinstance(residual, TrivectorSum):
+        return grid_values(trivector_components_at(residual, points))
+    return np.asarray(residual, dtype=float)
+
+
+def condition(name, residual, points, informative=False, extra_skipped=0, notes=()):
+    """Build a ConditionResult from the max |residual| over ``points``;
+    a point where the residual is not finite is skipped."""
+    values = values_at(residual, points)
     valid = np.isfinite(values)
     skipped = int((~valid).sum()) + extra_skipped
     notes = list(notes)
@@ -39,13 +74,16 @@ def condition(name, values, points, informative=False, extra_skipped=0, notes=()
     )
 
 
-def require_nonvanishing(label, values, points, eps, error):
-    """Raise ``error`` at the first sampled point where the factor named
-    ``label`` is undefined (its value not finite) or |value| < ``eps``."""
+def require_nonvanishing(label, factor, points, eps, error):
+    """The values of ``factor`` at ``points``; raises ``error`` at the
+    first point where the factor named ``label`` is undefined (its value
+    not finite) or |value| < ``eps``."""
+    values = values_at(factor, points)
     bad = ~np.isfinite(values) | (np.abs(values) < eps)
     if bad.any():
         point = points[int(np.argmax(bad))]
         raise error(f"|{label}| < {eps:g} (or undefined) at sampled point {point}")
+    return values
 
 
 def grid_values(arr: np.ndarray) -> np.ndarray:

@@ -111,6 +111,21 @@ def test_a_bracket_is_built_once_per_pair_of_fields():
         assert qk.structurally_equal(got, -want)
 
 
+def test_negation_keeps_each_zero_component_node():
+    # a reversed cached bracket is a negation; its zeros stay the nodes
+    # they were instead of becoming fresh -0.0 constants
+    chart, x1, x2, x3 = exp_triple()
+    for X in (x1, x2, x3, qk.lie_bracket(x3, x1)):
+        zeros = [i for i, c in enumerate(X.components) if c.is_zero()]
+        assert zeros
+        negated = -X
+        for i in zeros:
+            assert negated.components[i] is X.components[i]
+        for got, want in zip(negated.components, X.components):
+            if not want.is_zero():
+                assert qk.structurally_equal(got, -want)
+
+
 def test_the_self_schouten_bracket_is_one_wedge_on_the_cached_bracket():
     # [[X^Y, X^Y]] = 2 [X,Y]^X^Y, not the four-term expansion
     chart = qk.CoordinateChart(("x", "y", "z"))
