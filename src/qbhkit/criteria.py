@@ -45,12 +45,6 @@ JACOBI_STRUCTURE_SIGN = -1.0
 # pointwise helpers
 
 
-def _basis_stack(fields, points) -> np.ndarray:
-    """Shape (m, n, k): entry i is the n x k matrix whose column j is
-    fields[j] at point i."""
-    return np.stack([X.components_at(points) for X in fields], axis=-1)
-
-
 def _singular_values(stack: np.ndarray, defined: np.ndarray) -> np.ndarray:
     """Smallest singular value of each matrix of the stack where
     ``defined`` (NaN elsewhere), from one batched values-only SVD. It is
@@ -117,34 +111,40 @@ def _two_column_factor(stack: np.ndarray):
     return smallest, band, (q1, q2, r11, r12, r22)
 
 
-def _decided_singular_values(stack: np.ndarray, defined: np.ndarray, tol):
-    """Smallest singular value of each matrix of the stack where
-    ``defined`` (NaN elsewhere), such that every comparison with the
-    independence tolerance is that of one values-only SVD per matrix.
+class _FactoredBasis:
+    """A span basis on one point cloud, with its independence decided
+    once for every test and expansion in it.
 
-    A stack of n x 2 matrices (2 <= n <= 32 768) takes the closed form
-    at the rows it settles: value finite and farther than the band from
-    the tolerance. Other defined rows, and stacks of any other shape,
-    take ``_singular_values``. Returns (sigma_min, settled, factors):
-    the Gram-Schmidt factors (q1, q2, r11, r12, r22) of every row, or
-    None for a stack of another shape, where no row is settled.
+    ``stack`` (m, n, k) holds at entry i the n x k matrix whose column j
+    is field j at point i. ``defined`` marks its finite matrices and
+    ``smallest`` their smallest singular values (NaN elsewhere), such
+    that every comparison with the independence tolerance is that of one
+    values-only SVD per matrix; ``independent`` marks the defined
+    matrices above the tolerance. A stack of n x 2 matrices
+    (2 <= n <= 32 768) takes the closed form at the rows it ``settled``:
+    value finite and farther than the band from the tolerance, solved
+    from its Gram-Schmidt ``factors`` (q1, q2, r11, r12, r22). Other
+    defined rows, and stacks of any other shape (``factors`` None, no
+    row settled), take ``_singular_values``.
     """
-    n, k = stack.shape[1:]
-    if k != 2 or not 2 <= n <= _CLOSED_FORM_MAX_N:
-        return _singular_values(stack, defined), np.zeros(len(stack), bool), None
-    smallest, band, factors = _two_column_factor(stack)
-    with np.errstate(invalid="ignore"):
-        settled = defined & (np.abs(smallest - tol.independence) > band)
-    smallest[~settled] = _singular_values(stack, defined & ~settled)[~settled]
-    return smallest, settled, factors
 
+    def __init__(self, stack: np.ndarray, tol):
+        n, k = stack.shape[1:]
+        self.defined = defined = np.isfinite(stack).all(axis=(1, 2))
+        smallest = np.full(len(stack), np.nan)
+        settled = np.zeros(len(stack), bool)
+        self.factors = None
+        if k == 2 and 2 <= n <= _CLOSED_FORM_MAX_N:
+            smallest, band, self.factors = _two_column_factor(stack)
+            with np.errstate(invalid="ignore"):
+                settled = defined & (np.abs(smallest - tol.independence) > band)
+        smallest[~settled] = _singular_values(stack, defined & ~settled)[~settled]
+        self.stack, self.smallest, self.settled = stack, smallest, settled
+        self.independent = defined & (smallest > tol.independence)
 
-def _independent_rows(stack: np.ndarray, tol) -> np.ndarray:
-    """True where a matrix of the stack is defined and its smallest
-    singular value exceeds the independence tolerance."""
-    defined = np.isfinite(stack).all(axis=(1, 2))
-    smallest, _, _ = _decided_singular_values(stack, defined, tol)
-    return defined & (smallest > tol.independence)
+    @classmethod
+    def of(cls, fields, points, tol) -> "_FactoredBasis":
+        return cls(np.stack([X.components_at(points) for X in fields], axis=-1), tol)
 
 
 def _independent_points(pairs, points, tol, what):
@@ -152,7 +152,7 @@ def _independent_points(pairs, points, tol, what):
     linearly independent, and how many points that leaves out. Raises
     AllPointsSkippedError, naming ``what``, if it leaves out all."""
     mask = np.logical_and.reduce(
-        [_independent_rows(_basis_stack(pair, points), tol) for pair in pairs]
+        [_FactoredBasis.of(pair, points, tol).independent for pair in pairs]
     )
     usable = points[mask]
     if not usable:
@@ -253,20 +253,21 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _expand_rows(stack: np.ndarray, target: np.ndarray, tol):
+def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
     """Least-squares expansion of each target[i] in the columns of
-    stack[i]: (coefficients (m, k), residual norms (m,), notes). Rows
-    that are undefined or whose basis is degenerate (smallest singular
-    value at or below the independence tolerance) are NaN and counted
-    in the notes. Rows the two-column closed form settles are solved
-    from its factors, every other row by ``_least_squares``."""
-    defined = np.isfinite(stack).all(axis=(1, 2)) & np.isfinite(target).all(axis=1)
-    smallest, settled, factors = _decided_singular_values(stack, defined, tol)
-    solvable = defined & (smallest > tol.independence)
-    closed = solvable & settled
+    basis.stack[i]: (coefficients (m, k), residual norms (m,), notes).
+    Rows that are undefined or whose basis is not independent are NaN
+    and counted in the notes. Rows the two-column closed form settled
+    are solved from its factors, every other row by ``_least_squares``."""
+    stack = basis.stack
+    defined = basis.defined & np.isfinite(target).all(axis=1)
+    solvable = defined & basis.independent
+    closed = solvable & basis.settled
     coeffs = np.full((len(stack), stack.shape[2]), np.nan)
     if closed.any():
-        coeffs = np.where(closed[:, None], _two_column_solve(factors, target), np.nan)
+        coeffs = np.where(
+            closed[:, None], _two_column_solve(basis.factors, target), np.nan
+        )
     rest = solvable & ~closed
     if rest.any():
         coeffs[rest] = _least_squares(stack[rest], target[rest])
@@ -285,14 +286,17 @@ def _expand_rows(stack: np.ndarray, target: np.ndarray, tol):
 def span_expand(V: VectorField, basis, points, tol) -> SpanDecomposition:
     """Expand V(p) in the basis columns by least squares at every point.
 
-    Points where the basis is degenerate (smallest singular value at or
-    below the independence tolerance) or where some component is
-    undefined are skipped and counted; if no point survives,
-    AllPointsSkippedError.
+    ``basis`` is a tuple of fields, or a ``_FactoredBasis`` of them on
+    ``points``. Points where the basis is degenerate (smallest singular
+    value at or below the independence tolerance) or where some
+    component is undefined are skipped and counted; if no point
+    survives, AllPointsSkippedError.
     """
     points = PointCloud.of(V.chart, points)
     target = V.components_at(points)
-    coeffs, residuals, notes = _expand_rows(_basis_stack(basis, points), target, tol)
+    if not isinstance(basis, _FactoredBasis):
+        basis = _FactoredBasis.of(basis, points, tol)
+    coeffs, residuals, notes = _expand_rows(basis, target)
     skipped = np.flatnonzero(np.isnan(residuals))
     if len(skipped) == len(points):
         raise AllPointsSkippedError(
@@ -326,6 +330,23 @@ def _span_condition(name, V, basis, points, tol, informative=False):
         name, decomp.residual_values(), points, informative, notes=decomp.notes
     )
     return cond, decomp
+
+
+def _residual_report(criterion, residuals, points, tol, notes=()):
+    """The report ``criterion`` of one condition per (name, residual)
+    pair, each residual to vanish at every point."""
+    conditions = [condition(name, residual, points) for name, residual in residuals]
+    return make_report(criterion, conditions, len(points), tol, notes=notes)
+
+
+def _precondition(name, residual, points, tol, label=None) -> ConditionResult:
+    """The condition ``name`` of ``residual``; raises
+    PreconditionResidualError, naming ``label`` (default ``name``), if it
+    is not within the residual tolerance."""
+    cond = condition(name, residual, points)
+    if not cond.within(tol.residual):
+        raise PreconditionResidualError(label or name, cond.max_residual or np.inf)
+    return cond
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +383,12 @@ def check_automorphism(
     lie_cond = condition(
         "lie-derivative", lie_derivative_bivector(XH, wedge(X, Y)), points
     )
+    basis = _FactoredBasis.of((X, Y), points, cfg.tol)
     span_x, _ = _span_condition(
-        "bracket-x1-in-span", lie_bracket(XH, X), (X, Y), points, cfg.tol
+        "bracket-x1-in-span", lie_bracket(XH, X), basis, points, cfg.tol
     )
     span_y, _ = _span_condition(
-        "bracket-x2-in-span", lie_bracket(XH, Y), (X, Y), points, cfg.tol
+        "bracket-x2-in-span", lie_bracket(XH, Y), basis, points, cfg.tol
     )
     return make_report(
         "automorphism", (lie_cond, span_x, span_y), len(points), cfg.tol
@@ -414,9 +436,12 @@ def check_compatibility(
         condition("schouten", bracket_tensor, usable, extra_skipped=dropped)
     ]
     named = {"x1": X1, "x2": X2, "x3": X3, "xh": XH}
+    x12 = _FactoredBasis.of((X1, X2), usable, cfg.tol)  # the basis of three spans
     for cond_name, (a, b), basis_names in _COMPAT_SPANS:
         bracket = lie_bracket(named[a], named[b])
         basis = tuple(named[n] for n in basis_names)
+        if basis_names == ("x1", "x2"):
+            basis = x12
         cond, _ = _span_condition(
             cond_name, bracket, basis, usable, cfg.tol, informative=True
         )
@@ -444,10 +469,7 @@ def check_delta(
         ("bracket-x3-x1-minus-target", lie_bracket(X3, X1) - (X1 - X2)),
         ("bracket-x3-x2", lie_bracket(X3, X2)),
     )
-    conditions = tuple(
-        condition(name, field, points) for name, field in residuals
-    )
-    return make_report("delta", conditions, len(points), cfg.tol)
+    return _residual_report("delta", residuals, points, cfg.tol)
 
 
 def hamiltonian_condition(
@@ -457,12 +479,8 @@ def hamiltonian_condition(
     and a report of its max |value| over the sampled points."""
     points = cfg.points()
     expr = X1.apply(X2.apply(H))
-    cond = condition("x1-x2-H", expr, points)
-    report = make_report(
-        "hamiltonian-condition",
-        (cond,),
-        len(points),
-        cfg.tol,
+    report = _residual_report(
+        "hamiltonian-condition", (("x1-x2-H", expr),), points, cfg.tol,
         notes=(f"expression: {expr}",),
     )
     return expr, report
@@ -482,11 +500,8 @@ def separable_hamiltonian(
     points and a violation raises PreconditionResidualError.
     """
     points = cfg.points()
-    inv1 = condition("x1-invariance", X1.apply(I1), points)
-    inv2 = condition("x2-invariance", X2.apply(I2), points)
-    for cond in (inv1, inv2):
-        if not cond.within(cfg.tol.residual):
-            raise PreconditionResidualError(cond.name, cond.max_residual or np.inf)
+    inv1 = _precondition("x1-invariance", X1.apply(I1), points, cfg.tol)
+    inv2 = _precondition("x2-invariance", X2.apply(I2), points, cfg.tol)
     commute = condition("bracket-x1-x2", lie_bracket(X1, X2), points)
     H = (I1 + I2).simplified()
     main = condition("x1-x2-H", X1.apply(X2.apply(H)), points)
@@ -601,6 +616,7 @@ def lemma4_coefficients(
     )
 
     xh = contract_hamiltonian(H, wedge(X1, X2))
+    x12 = _FactoredBasis.of((X1, X2), points, cfg.tol)
     comparisons = (
         # (bracket, basis, one (symbol, condition name, printed
         # coefficient) per column of the bracket's expansion)
@@ -611,7 +627,7 @@ def lemma4_coefficients(
         ),
         (
             lie_bracket(xh, X1),
-            (X1, X2),
+            x12,
             (
                 ("-C2", "neg-c2-vs-direct", b1),
                 ("B2", "b2-vs-direct", b2),
@@ -619,7 +635,7 @@ def lemma4_coefficients(
         ),
         (
             lie_bracket(xh, X2),
-            (X1, X2),
+            x12,
             (("C1", "c1-vs-direct", c1), ("C2", "c2-vs-direct", c2)),
         ),
     )
@@ -680,10 +696,8 @@ def lemma4_residuals(
             c.a1 * h2 + c.d1 * h2 * h2 - c.e2 * h1 + c.e1 * h1 * h2 - h32,
         ),
     )
-    conditions = [
-        condition(name, expr.simplified(), points) for name, expr in residuals
-    ]
-    return make_report("lemma4-residuals", conditions, len(points), cfg.tol)
+    residuals = [(name, expr.simplified()) for name, expr in residuals]
+    return _residual_report("lemma4-residuals", residuals, points, cfg.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -710,20 +724,15 @@ def check_jacobi(
     bracket_cond = condition(
         "bracket-plus-xh", lie_bracket(X1, X2) + XH, usable, extra_skipped=dropped
     )
+    basis = _FactoredBasis.of((X1, X2), usable, cfg.tol)
     span1, decomp1 = _span_condition(
-        "bracket-xh-x1-in-span", lie_bracket(XH, X1), (X1, X2), usable, cfg.tol
+        "bracket-xh-x1-in-span", lie_bracket(XH, X1), basis, usable, cfg.tol
     )
     span2, decomp2 = _span_condition(
-        "bracket-xh-x2-in-span", lie_bracket(XH, X2), (X1, X2), usable, cfg.tol
+        "bracket-xh-x2-in-span", lie_bracket(XH, X2), basis, usable, cfg.tol
     )
-    if decomp1 is not None and decomp2 is not None:
-        trace = decomp1.coefficient_values(0) + decomp2.coefficient_values(1)
-        trace_cond = condition("automorphism-trace", trace, usable)
-    else:
-        trace_cond = ConditionResult(
-            "automorphism-trace", None, None, len(usable), False,
-            ("span expansion unavailable",),
-        )
+    trace = decomp1.coefficient_values(0) + decomp2.coefficient_values(1)
+    trace_cond = condition("automorphism-trace", trace, usable)
 
     lam = wedge(X1, X2)
     residual_tensor = schouten_bb(lam, lam) - wedge3(
@@ -773,16 +782,11 @@ def hojman_check(
     constant of the motion: X1(rho) = 0. Returns rho, the rescaled
     field rho * X1, and the bivector X1 ^ X3 the construction equips."""
     points = cfg.points()
-    algebra = condition("bracket-x3-x1-minus-x1", lie_bracket(X3, X1) - X1, points)
-    if not algebra.within(cfg.tol.residual):
-        raise PreconditionResidualError(
-            "[X3,X1] = X1", algebra.max_residual or np.inf
-        )
-    invariance = condition("x1-H", X1.apply(H), points)
-    if not invariance.within(cfg.tol.residual):
-        raise PreconditionResidualError(
-            "X1(H) = 0", invariance.max_residual or np.inf
-        )
+    algebra = _precondition(
+        "bracket-x3-x1-minus-x1", lie_bracket(X3, X1) - X1, points, cfg.tol,
+        label="[X3,X1] = X1",
+    )
+    invariance = _precondition("x1-H", X1.apply(H), points, cfg.tol, "X1(H) = 0")
     rho = X3.apply(H)
     main = condition("x1-rho", X1.apply(rho), points)
     report = make_report(
@@ -878,9 +882,6 @@ def check_linear_realization(
 ) -> CriterionReport:
     """Sampled residuals of a candidate X3 for the linear realization."""
     points = cfg.points()
-    residuals = realization.residual_expressions(P)
-    conditions = [
-        condition(f"candidate-eq-{i + 1}", expr, points)
-        for i, expr in enumerate(residuals)
-    ]
-    return make_report("linear-realization", conditions, len(points), cfg.tol)
+    residuals = enumerate(realization.residual_expressions(P), 1)
+    residuals = [(f"candidate-eq-{i}", expr) for i, expr in residuals]
+    return _residual_report("linear-realization", residuals, points, cfg.tol)

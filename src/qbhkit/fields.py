@@ -252,12 +252,6 @@ class BivectorSum(_WedgeSum):
             kept.append((coeff, biv))
         object.__setattr__(self, "terms", tuple(kept))
 
-    @classmethod
-    def of(cls, *bivectors: DecomposableBivector) -> "BivectorSum":
-        chart = bivectors[0].chart
-        one = constant(chart, 1.0)
-        return cls(chart, tuple((one, b) for b in bivectors))
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -360,7 +354,8 @@ def schouten_bb(B1: DecomposableBivector, B2: DecomposableBivector) -> Trivector
 
 
 def bivector_components_at(B, points) -> np.ndarray:
-    """Components B^{ij}, shape (len(points), n, n), antisymmetric."""
+    """Components B^{ij}, shape (len(points), n, n), antisymmetric. A
+    product that overflows gives an inf or NaN component, silently."""
     B = _as_bivector_sum(B)
     points = PointCloud.of(B.chart, points)
     n = B.chart.dimension
@@ -369,9 +364,10 @@ def bivector_components_at(B, points) -> np.ndarray:
         c = evaluate_at_points(coeff, points)
         u = biv.left.components_at(points)
         v = biv.right.components_at(points)
-        out += c[:, None, None] * (
-            u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += c[:, None, None] * (
+                u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]
+            )
     return out
 
 
@@ -384,7 +380,8 @@ def _det3(u, v, w, i, j, k):
 
 
 def trivector_components_at(T: TrivectorSum, points) -> np.ndarray:
-    """Components T^{ijk}, shape (len(points), n, n, n), antisymmetric."""
+    """Components T^{ijk}, shape (len(points), n, n, n), antisymmetric,
+    with overflow handled as in ``bivector_components_at``."""
     points = PointCloud.of(T.chart, points)
     n = T.chart.dimension
     out = np.zeros((len(points), n, n, n))
@@ -393,14 +390,15 @@ def trivector_components_at(T: TrivectorSum, points) -> np.ndarray:
         u = U.components_at(points)
         v = V.components_at(points)
         w = W.components_at(points)
-        for i, j, k in combinations(range(n), 3):
-            d = c * _det3(u, v, w, i, j, k)
-            out[:, i, j, k] += d
-            out[:, j, k, i] += d
-            out[:, k, i, j] += d
-            out[:, j, i, k] -= d
-            out[:, i, k, j] -= d
-            out[:, k, j, i] -= d
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, j, k in combinations(range(n), 3):
+                d = c * _det3(u, v, w, i, j, k)
+                out[:, i, j, k] += d
+                out[:, j, k, i] += d
+                out[:, k, i, j] += d
+                out[:, j, i, k] -= d
+                out[:, i, k, j] -= d
+                out[:, k, j, i] -= d
     return out
 
 

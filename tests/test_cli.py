@@ -3,6 +3,7 @@ import io
 import json
 import random
 import time
+import warnings
 
 import pytest
 
@@ -461,6 +462,35 @@ def test_hojman_via_check_subcommand(tmp_path):
     )
     assert code == 1
     assert "PreconditionResidual" in err
+
+
+def test_an_overflowing_schouten_product_prints_no_warning(tmp_path, capfd):
+    # the trivector components of 1e200 d/dx ^ (d/dy + x d/dz) overflow;
+    # the report is the one numpy's overflow warning used to precede
+    path = tmp_path / "overflow.prob"
+    path.write_text(
+        "[space]\ncoordinates = x y z\n\n[field X1]\nx = 1e200\n\n"
+        "[field X2]\ny = 1\nz = x\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        argv = ["check", "poisson", "--input", str(path), "--format", "json"]
+        code, _, out, err = invoke(argv)
+    assert (code, err, capfd.readouterr().err, caught) == (1, "", "", [])
+    report = json.loads(out)
+    assert not report["pass"]
+    assert [
+        (c["name"], c["max_residual"], c["skipped"], c["notes"])
+        for c in report["criteria"]
+    ] == [
+        (
+            "poisson-pair:self-schouten",
+            None,
+            100,
+            ["100 point(s) skipped", "no usable points"],
+        ),
+        ("poisson-pair:bracket-in-span", 1e200, 0, []),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 checks, the structure-coefficient machinery, Jacobi structures, the
 first-order reduction, and linear realizations."""
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
 import qbhkit as qk
+from qbhkit import criteria
+from qbhkit.cli import run_command
+from qbhkit.criteria import _FactoredBasis
 
 from helpers import (
     exp_cfg,
@@ -100,6 +104,90 @@ def test_span_skips_individual_degenerate_points():
     assert decomp.skipped == (0,)
     assert decomp.coefficients[0] is None
     assert decomp.residuals[1] <= 1e-12
+
+
+def _span_fields():
+    """A cloud and fields on it: (d/dx, half) is degenerate where
+    x <= 0, root is undefined where y < 0, poly is defined everywhere."""
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    cfg = make_cfg(chart, samples=200, seed=13)
+
+    def e(text):
+        return qk.parse_expression(text, chart)
+
+    fields = {
+        "dx": qk.coordinate_field(chart, "x"),
+        "half": qk.VectorField.from_mapping(chart, {"y": e("x + sqrt(x^2)")}),
+        "root": qk.VectorField(chart, (e("z"), e("1 + sqrt(y)"), e("x * y"))),
+        "poly": qk.VectorField(chart, (e("x * z - 1"), e("y^2"), e("2 + x"))),
+    }
+    return cfg, fields
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("dx", "half"),
+        ("dx", "root"),
+        ("poly", "root"),
+        ("dx", "poly", "root"),
+        ("poly",),
+    ],
+)
+def test_span_expand_in_a_factored_basis_is_that_in_its_fields(names):
+    cfg, fields = _span_fields()
+    points = cfg.points()
+    basis = tuple(fields[n] for n in names)
+    factored = _FactoredBasis.of(basis, points, cfg.tol)
+    for V in (*fields.values(), qk.lie_bracket(fields["poly"], fields["root"])):
+        got = qk.span_expand(V, factored, points, cfg.tol)
+        want = qk.span_expand(V, basis, points, cfg.tol)
+        assert got.coefficient_array.tobytes() == want.coefficient_array.tobytes()
+        assert got.residual_array.tobytes() == want.residual_array.tobytes()
+        assert (got.skipped, got.notes) == (want.skipped, want.notes)
+
+
+def test_span_expand_in_a_basis_degenerate_everywhere_raises_either_way():
+    cfg, fields = _span_fields()
+    points = cfg.points()
+    basis = (fields["dx"], fields["dx"].scaled(2.0))
+    factored = _FactoredBasis.of(basis, points, cfg.tol)
+    with pytest.raises(qk.AllPointsSkippedError) as got:
+        qk.span_expand(fields["poly"], factored, points, cfg.tol)
+    with pytest.raises(qk.AllPointsSkippedError) as want:
+        qk.span_expand(fields["poly"], basis, points, cfg.tol)
+    assert str(got.value) == str(want.value)
+
+
+# (span bases factored, span expansions) in one `example run`: the checks
+# factor each basis once per point cloud and expand every bracket in it
+DECISIONS = {
+    "exp-realization": (8, 9),
+    "rotation": (8, 9),
+    "so3-jacobi": (2, 2),
+    "heisenberg-jacobi": (2, 2),
+    "linear-abelian": (0, 0),
+    "hojman-2d": (0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS))
+def test_each_span_basis_is_factored_once_per_cloud(name, monkeypatch):
+    counts = {"bases": 0, "spans": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    init = counted("bases", _FactoredBasis.__init__)
+    monkeypatch.setattr(_FactoredBasis, "__init__", init)
+    monkeypatch.setattr(criteria, "span_expand", counted("spans", criteria.span_expand))
+    argv = ["example", "run", name, "--format", "json"]
+    run_command(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert (counts["bases"], counts["spans"]) == DECISIONS[name]
 
 
 # ---------------------------------------------------------------------------

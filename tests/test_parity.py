@@ -19,7 +19,7 @@ import pytest
 
 import qbhkit as qk
 from qbhkit.chart import Point
-from qbhkit.criteria import _expand_rows, _independent_rows, _row_norms
+from qbhkit.criteria import _expand_rows, _FactoredBasis, _row_norms
 from qbhkit.sampling import _REJECTION_BUDGET, _passes_guards
 
 from helpers import rotation_cfg
@@ -173,7 +173,7 @@ SHAPES = [(3, 2), (2, 2), (3, 3), (4, 2), (2, 3), (3, 1)]
 def test_independent_rows_match_per_point_svd(n, k):
     stack, _ = planted_stack(np.random.default_rng(100 * n + k), 400, n, k)
     np.testing.assert_array_equal(
-        _independent_rows(stack, TOL), sequential_independent(stack, TOL)
+        _FactoredBasis(stack, TOL).independent, sequential_independent(stack, TOL)
     )
 
 
@@ -182,7 +182,7 @@ def assert_expand_matches(stack, target, tol, scale=1.0):
     coefficients compared in units of 1 / ``scale``, the scale of the
     stack."""
     want_c, want_r, want_skipped, want_notes = sequential_expand(stack, target, tol)
-    got_c, got_r, got_notes = _expand_rows(stack, target, tol)
+    got_c, got_r, got_notes = _expand_rows(_FactoredBasis(stack, tol), target)
     assert np.flatnonzero(np.isnan(got_r)).tolist() == want_skipped
     assert got_notes == want_notes
     assert np.isnan(got_c).all(axis=1).tolist() == np.isnan(want_c).all(axis=1).tolist()
@@ -225,7 +225,7 @@ def test_two_column_rows_at_the_threshold_match_lapack(n):
     independent = sequential_independent(stack, TOL)
     # both sides of the threshold occur, so a decision could flip either way
     assert 0 < independent.sum() < len(stack)
-    np.testing.assert_array_equal(_independent_rows(stack, TOL), independent)
+    np.testing.assert_array_equal(_FactoredBasis(stack, TOL).independent, independent)
     assert_expand_matches(stack, target, TOL)
 
 
@@ -263,7 +263,7 @@ def test_two_column_rows_at_extreme_scales_match_lapack(n, scale):
     target = np.concatenate([target, rng.uniform(-1.0, 1.0, (len(special), n))])
     for tol in (TOL, replace(TOL, independence=TOL.independence * scale)):
         np.testing.assert_array_equal(
-            _independent_rows(stack, tol), sequential_independent(stack, tol)
+            _FactoredBasis(stack, tol).independent, sequential_independent(stack, tol)
         )
         assert_expand_matches(stack, target, tol, scale)
 
@@ -284,8 +284,8 @@ def test_well_conditioned_two_column_stack_needs_no_lapack(monkeypatch):
     target = rng.uniform(-1.0, 1.0, size=(2000, 3))
     want_c, want_r, _, _ = sequential_expand(stack, target, TOL)
     forbid_lapack(monkeypatch)
-    assert _independent_rows(stack, TOL).all()
-    got_c, got_r, notes = _expand_rows(stack, target, TOL)
+    assert _FactoredBasis(stack, TOL).independent.all()
+    got_c, got_r, notes = _expand_rows(_FactoredBasis(stack, TOL), target)
     assert notes == []
     np.testing.assert_allclose(got_c, want_c, rtol=0, atol=1e-9)
     np.testing.assert_allclose(got_r, want_r, rtol=0, atol=1e-12)
@@ -300,8 +300,8 @@ def test_exactly_rank_one_two_column_stack_needs_no_lapack(monkeypatch):
     stack[:, :, 1] = 2.0 * stack[:, :, 0]
     target = rng.uniform(-1.0, 1.0, size=(500, 3))
     forbid_lapack(monkeypatch)
-    assert not _independent_rows(stack, TOL).any()
-    got_c, got_r, notes = _expand_rows(stack, target, TOL)
+    assert not _FactoredBasis(stack, TOL).independent.any()
+    got_c, got_r, notes = _expand_rows(_FactoredBasis(stack, TOL), target)
     assert np.isnan(got_c).all() and np.isnan(got_r).all()
     assert notes == ["degenerate basis at 500 point(s)"]
 
@@ -322,7 +322,7 @@ def test_tall_two_column_rows_below_the_lstsq_cutoff_match_lapack():
     for matrix, v in zip(stack, target):
         assert np.linalg.lstsq(matrix, v, rcond=None)[2] == 1
     np.testing.assert_array_equal(
-        _independent_rows(stack, TOL), sequential_independent(stack, TOL)
+        _FactoredBasis(stack, TOL).independent, sequential_independent(stack, TOL)
     )
     assert_expand_matches(stack, target, TOL)
 
@@ -335,8 +335,8 @@ def test_two_column_row_whose_largest_singular_value_overflows_matches_lapack():
     by a power of two: the solution is the analytic one."""
     stack = np.array([[[1.5e308, 0.0], [1.5e308, 0.0], [0.0, 1e300]]])
     target = np.array([[1.0, 2.0, 3.0]])
-    got_c, got_r, got_notes = _expand_rows(stack, target, TOL)
-    assert _independent_rows(stack, TOL).tolist() == [True]
+    got_c, got_r, got_notes = _expand_rows(_FactoredBasis(stack, TOL), target)
+    assert _FactoredBasis(stack, TOL).independent.tolist() == [True]
     assert got_notes == []
     np.testing.assert_allclose(got_c, [[1.5 / 1.5e308, 3.0 / 1e300]], rtol=1e-15)
     np.testing.assert_allclose(got_r, [math.sqrt(0.5)], rtol=1e-15)
