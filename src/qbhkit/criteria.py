@@ -46,12 +46,15 @@ JACOBI_STRUCTURE_SIGN = -1.0
 
 
 def _singular_values(stack: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """Smallest singular value of each matrix of the stack where
-    ``defined`` (NaN elsewhere), from one batched values-only SVD. It is
+    """k-th singular value of each n x k matrix of the stack where
+    ``defined`` (NaN elsewhere): 0 if n < k, as k vectors in n-space are
+    dependent, else the smallest from one batched values-only SVD. It is
     bit-identical to that of one ``svd(matrix, compute_uv=False)`` call
     per matrix, so threshold decisions match a per-point loop."""
     values = np.full(len(stack), np.nan)
-    if defined.any():
+    if stack.shape[1] < stack.shape[2]:
+        values[defined] = 0.0
+    elif defined.any():
         values[defined] = np.linalg.svd(stack[defined], compute_uv=False)[:, -1]
     return values
 
@@ -117,7 +120,7 @@ class _FactoredBasis:
 
     ``stack`` (m, n, k) holds at entry i the n x k matrix whose column j
     is field j at point i. ``defined`` marks its finite matrices and
-    ``smallest`` their smallest singular values (NaN elsewhere), such
+    ``smallest`` their k-th singular values (NaN elsewhere), such
     that every comparison with the independence tolerance is that of one
     values-only SVD per matrix; ``independent`` marks the defined
     matrices above the tolerance. A stack of n x 2 matrices
@@ -147,17 +150,14 @@ class _FactoredBasis:
         return cls(np.stack([X.components_at(points) for X in fields], axis=-1), tol)
 
 
-def _independent_points(pairs, points, tol, what):
-    """(usable, dropped): the points where each pair of fields is
-    linearly independent, and how many points that leaves out. Raises
+def _usable_points(bases, what):
+    """(usable, dropped): the mask of the points where every basis is
+    independent, and how many points it leaves out. Raises
     AllPointsSkippedError, naming ``what``, if it leaves out all."""
-    mask = np.logical_and.reduce(
-        [_FactoredBasis.of(pair, points, tol).independent for pair in pairs]
-    )
-    usable = points[mask]
-    if not usable:
+    usable = np.logical_and.reduce([basis.independent for basis in bases])
+    if not usable.any():
         raise AllPointsSkippedError(f"degenerate {what} at every sampled point")
-    return usable, len(points) - len(usable)
+    return usable, int((~usable).sum())
 
 
 def _least_squares(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -287,8 +287,8 @@ def span_expand(V: VectorField, basis, points, tol) -> SpanDecomposition:
     """Expand V(p) in the basis columns by least squares at every point.
 
     ``basis`` is a tuple of fields, or a ``_FactoredBasis`` of them on
-    ``points``. Points where the basis is degenerate (smallest singular
-    value at or below the independence tolerance) or where some
+    ``points``. Points where the basis of k fields is degenerate (k-th
+    singular value at or below the independence tolerance) or where some
     component is undefined are skipped and counted; if no point
     survives, AllPointsSkippedError.
     """
@@ -317,9 +317,9 @@ def _skipped_everywhere(name, points, exc) -> ConditionResult:
     return ConditionResult(name, None, None, len(points), True, (str(exc),))
 
 
-def _span_condition(name, V, basis, points, tol, informative=False):
-    """Span expansion as a report condition. Informative conditions
-    swallow the all-points-skipped error instead of raising."""
+def _span_condition(name, V, basis, points, tol, usable=True, informative=False):
+    """Span expansion as a condition over the ``usable`` points; informative
+    conditions swallow the all-points-skipped error instead of raising."""
     try:
         decomp = span_expand(V, basis, points, tol)
     except AllPointsSkippedError as exc:
@@ -327,7 +327,7 @@ def _span_condition(name, V, basis, points, tol, informative=False):
             raise
         return _skipped_everywhere(name, points, exc), None
     cond = condition(
-        name, decomp.residual_values(), points, informative, notes=decomp.notes
+        name, decomp.residual_values(), points, informative, usable, decomp.notes
     )
     return cond, decomp
 
@@ -421,29 +421,27 @@ def check_compatibility(
     conditions; their bases may legitimately degenerate (the fixtures
     include an X3 that is pointwise dependent on X1, X2).
 
-    Points where either wedge pair (X1, X2) or (XH, X3) degenerates are
-    excluded everywhere; if none survive the check aborts.
+    Every condition skips the points where either wedge pair (X1, X2)
+    or (XH, X3), also the bases of four spans, degenerates; if no point
+    is left the check aborts.
     """
     points = cfg.points()
-    usable, dropped = _independent_points(
-        ((X1, X2), (XH, X3)), points, cfg.tol, "wedge pair (X1, X2) or (XH, X3)"
-    )
+    named = {"x1": X1, "x2": X2, "x3": X3, "xh": XH}
+    pairs = {
+        names: _FactoredBasis.of(tuple(named[n] for n in names), points, cfg.tol)
+        for names in (("x1", "x2"), ("xh", "x3"))
+    }
+    usable, dropped = _usable_points(pairs.values(), "wedge pair (X1, X2) or (XH, X3)")
     notes = []
     if dropped:
         notes.append(f"dropped {dropped} point(s) with degenerate wedge pairs")
     bracket_tensor = schouten_bb(wedge(X1, X2), wedge(XH, X3))
-    conditions = [
-        condition("schouten", bracket_tensor, usable, extra_skipped=dropped)
-    ]
-    named = {"x1": X1, "x2": X2, "x3": X3, "xh": XH}
-    x12 = _FactoredBasis.of((X1, X2), usable, cfg.tol)  # the basis of three spans
+    conditions = [condition("schouten", bracket_tensor, points, usable=usable)]
     for cond_name, (a, b), basis_names in _COMPAT_SPANS:
         bracket = lie_bracket(named[a], named[b])
-        basis = tuple(named[n] for n in basis_names)
-        if basis_names == ("x1", "x2"):
-            basis = x12
+        basis = pairs.get(basis_names, tuple(named[n] for n in basis_names))
         cond, _ = _span_condition(
-            cond_name, bracket, basis, usable, cfg.tol, informative=True
+            cond_name, bracket, basis, points, cfg.tol, usable, informative=True
         )
         conditions.append(cond)
     return make_report(
@@ -714,35 +712,36 @@ def check_jacobi(
     (coefficient of X1 in [XH,X1] plus coefficient of X2 in [XH,X2]).
     Direct form: [[L,L]] - 2*sigma*XH^L = 0 and [[XH, L]] = 0 with
     L = X1^X2 and sigma the global sign convention. Both forms gate.
+
+    Every condition skips the points where (X1, X2), also the basis of
+    both spans, degenerates; if no point is left the check aborts.
     """
     points = cfg.points()
-    usable, dropped = _independent_points(((X1, X2),), points, cfg.tol, "pair (X1, X2)")
+    basis = _FactoredBasis.of((X1, X2), points, cfg.tol)
+    usable, dropped = _usable_points((basis,), "pair (X1, X2)")
     notes = [f"sign convention sigma = {JACOBI_STRUCTURE_SIGN:+g}"]
     if dropped:
         notes.append(f"dropped {dropped} degenerate point(s)")
 
     bracket_cond = condition(
-        "bracket-plus-xh", lie_bracket(X1, X2) + XH, usable, extra_skipped=dropped
+        "bracket-plus-xh", lie_bracket(X1, X2) + XH, points, usable=usable
     )
-    basis = _FactoredBasis.of((X1, X2), usable, cfg.tol)
     span1, decomp1 = _span_condition(
-        "bracket-xh-x1-in-span", lie_bracket(XH, X1), basis, usable, cfg.tol
+        "bracket-xh-x1-in-span", lie_bracket(XH, X1), basis, points, cfg.tol, usable
     )
     span2, decomp2 = _span_condition(
-        "bracket-xh-x2-in-span", lie_bracket(XH, X2), basis, usable, cfg.tol
+        "bracket-xh-x2-in-span", lie_bracket(XH, X2), basis, points, cfg.tol, usable
     )
     trace = decomp1.coefficient_values(0) + decomp2.coefficient_values(1)
-    trace_cond = condition("automorphism-trace", trace, usable)
+    trace_cond = condition("automorphism-trace", trace, points, usable=usable)
 
     lam = wedge(X1, X2)
     residual_tensor = schouten_bb(lam, lam) - wedge3(
         XH, X1, X2, 2.0 * JACOBI_STRUCTURE_SIGN
     )
-    direct_cond = condition(
-        "schouten-identity", residual_tensor, usable, extra_skipped=dropped
-    )
+    direct_cond = condition("schouten-identity", residual_tensor, points, usable=usable)
     invariance_cond = condition(
-        "invariance", lie_derivative_bivector(XH, lam), usable, extra_skipped=dropped
+        "invariance", lie_derivative_bivector(XH, lam), points, usable=usable
     )
     conditions = (
         bracket_cond,

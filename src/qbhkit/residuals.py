@@ -44,12 +44,12 @@ def values_at(residual, points) -> np.ndarray:
     return np.asarray(residual, dtype=float)
 
 
-def condition(name, residual, points, informative=False, extra_skipped=0, notes=()):
-    """Build a ConditionResult from the max |residual| over ``points``;
-    a point where the residual is not finite is skipped."""
+def condition(name, residual, points, informative=False, usable=True, notes=()):
+    """Build a ConditionResult from the max |residual| over the points the
+    mask ``usable`` keeps (default all); a non-finite residual is skipped."""
     values = values_at(residual, points)
-    valid = np.isfinite(values)
-    skipped = int((~valid).sum()) + extra_skipped
+    valid = np.isfinite(values) & usable
+    skipped = int((~valid).sum())
     notes = list(notes)
     if skipped and not notes:
         notes.append(f"{skipped} point(s) skipped")

@@ -91,15 +91,21 @@ def fresh_copy(X):
     return qk.VectorField(X.chart, X.components)
 
 
+def perfbench_module(name):
+    """The benchmark's module perfbench/NAME.py, loaded from its file
+    without adding perfbench/ to the import path."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def generated_problem_text(seed, index):
     """Problem ``index`` of seed ``seed`` of the generated-poisson
     benchmark workload, from perfbench/generate.py."""
-    spec = importlib.util.spec_from_file_location(
-        "generate", Path(__file__).parents[1] / "perfbench" / "generate.py"
-    )
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return generate.problem_text(seed, index)
+    return perfbench_module("generate").problem_text(seed, index)
 
 
 def nested_cyclic_sums(B, triples, points):

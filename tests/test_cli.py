@@ -394,6 +394,41 @@ def test_check_jacobi_requires_structure_field(tmp_path):
     assert "XH" in err
 
 
+# two fields on a chart of one coordinate are dependent at every point:
+# a 1 x 2 basis has no second singular value, so its second is 0
+ON_A_LINE = """
+[space]
+coordinates = x
+
+[field X1]
+x = 1
+
+[field X2]
+x = x
+
+[field X3]
+x = x^2
+
+[field XH]
+x = 1 + x
+
+[domain]
+box = x:0.5:1.5
+samples = 20
+seed = 1
+"""
+
+
+@pytest.mark.parametrize("what", ["poisson", "compat", "automorphism", "jacobi"])
+def test_more_fields_than_coordinates_are_a_degenerate_basis(tmp_path, what):
+    path = tmp_path / "line.prob"
+    path.write_text(ON_A_LINE)
+    code, _, out, err = invoke(["check", what, "--input", str(path)])
+    assert code == 3
+    assert out == ""
+    assert "AllPointsSkippedError" in err and "degenerate" in err
+
+
 def test_render_json_excludes_wall_time(exp_path):
     _, run, _, _ = invoke(["check", "delta", "--input", exp_path])
     payload = json.loads(render_json(run))

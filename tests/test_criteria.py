@@ -162,10 +162,10 @@ def test_span_expand_in_a_basis_degenerate_everywhere_raises_either_way():
 # (span bases factored, span expansions) in one `example run`: the checks
 # factor each basis once per point cloud and expand every bracket in it
 DECISIONS = {
-    "exp-realization": (8, 9),
-    "rotation": (8, 9),
-    "so3-jacobi": (2, 2),
-    "heisenberg-jacobi": (2, 2),
+    "exp-realization": (6, 9),
+    "rotation": (6, 9),
+    "so3-jacobi": (1, 2),
+    "heisenberg-jacobi": (1, 2),
     "linear-abelian": (0, 0),
     "hojman-2d": (0, 0),
 }

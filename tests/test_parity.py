@@ -105,12 +105,20 @@ def test_unsatisfiable_guard_raises_like_reference(guards, samples):
 # closed-form and per-point SVD and least squares
 
 
+def kth_singular_value(matrix):
+    """sigma_k of an n x k matrix: that of the matrix padded with zero
+    rows to k x k, so 0 when n < k (k vectors in n-space)."""
+    n, k = matrix.shape
+    padded = np.vstack([matrix, np.zeros((max(k - n, 0), k))])
+    return np.linalg.svd(padded, compute_uv=False)[k - 1]
+
+
 def sequential_independent(stack, tol):
     mask = np.zeros(len(stack), dtype=bool)
     for i, matrix in enumerate(stack):
         if not np.isfinite(matrix).all():
             continue
-        mask[i] = np.linalg.svd(matrix, compute_uv=False)[-1] > tol.independence
+        mask[i] = kth_singular_value(matrix) > tol.independence
     return mask
 
 
@@ -126,7 +134,7 @@ def sequential_expand(stack, target, tol):
             undefined += 1
             skipped.append(i)
             continue
-        if np.linalg.svd(matrix, compute_uv=False)[-1] <= tol.independence:
+        if kth_singular_value(matrix) <= tol.independence:
             degenerate += 1
             skipped.append(i)
             continue

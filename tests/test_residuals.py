@@ -1,11 +1,15 @@
 """Residual conditions: ``condition`` evaluates what must vanish, and the
 checks that restrict themselves to points where pairs of fields are
 independent count the points they drop."""
+import itertools
+
 import numpy as np
 import pytest
 
 import qbhkit as qk
-from qbhkit.residuals import condition, grid_values
+from qbhkit.criteria import _FactoredBasis, _span_condition
+from qbhkit.fixtures import fixture_names, load_fixture
+from qbhkit.residuals import condition, grid_values, values_at
 
 from helpers import make_cfg
 
@@ -36,9 +40,12 @@ def test_condition_evaluates_each_residual_kind_as_its_array_route():
     )
     for residual, values in routes:
         assert 0 < np.isnan(values).sum() < len(points)
+        # the mask leaves out two points where the residual is defined
+        usable = np.ones(len(points), dtype=bool)
+        usable[np.flatnonzero(np.isfinite(values))[:2]] = False
         for informative in (False, True):
-            got = condition("r", residual, points, informative, extra_skipped=2)
-            want = condition("r", values, points, informative, extra_skipped=2)
+            got = condition("r", residual, points, informative, usable)
+            want = condition("r", values, points, informative, usable)
             assert got == want
             assert got.skipped == np.isnan(values).sum() + 2
 
@@ -82,19 +89,15 @@ def test_jacobi_counts_the_points_where_the_pair_degenerates():
         "commutation-rule form pass: True",
         "direct-identity form pass: True",
     )
-    # the conditions restricted to the usable points count the dropped
-    # ones; the span expansions and the trace over them do not
-    skipped = {c.name: c.skipped for c in report.conditions}
-    assert skipped == {
-        "bracket-plus-xh": 98,
-        "bracket-xh-x1-in-span": 0,
-        "bracket-xh-x2-in-span": 0,
-        "automorphism-trace": 0,
-        "schouten-identity": 98,
-        "invariance": 98,
-    }
+    # every condition counts the dropped points as skipped; the spans
+    # expand in the pair itself, which is degenerate there
     for cond in report.conditions:
+        assert cond.skipped == 98
         assert cond.max_residual == 0.0
+    assert report.condition("bracket-xh-x1-in-span").notes == (
+        "degenerate basis at 98 point(s)",
+    )
+    assert report.condition("automorphism-trace").notes == ("98 point(s) skipped",)
     # more than the allowed tenth of the points is skipped
     assert not report.passed
 
@@ -107,21 +110,21 @@ def test_compatibility_counts_the_points_where_a_wedge_pair_degenerates():
     skipped = {c.name: c.skipped for c in report.conditions}
     assert skipped == {
         "schouten": 98,
-        "span-x1-x2-bracket": 0,
-        "span-xh-x3-bracket": 0,
-        "span-xh-x1-bracket": 0,
-        "span-xh-x2-bracket": 0,
-        "span-x3-x1-bracket": 0,
-        "span-x3-x2-bracket": 102,
+        "span-x1-x2-bracket": 98,
+        "span-xh-x3-bracket": 98,
+        "span-xh-x1-bracket": 98,
+        "span-xh-x2-bracket": 98,
+        "span-x3-x1-bracket": 98,
+        "span-x3-x2-bracket": 200,
     }
     # [[X1^X2, X1^X3]] = 2 d/dy^d/dx^d/dz wherever x > 0
     schouten = report.condition("schouten")
     assert schouten.notes == ("98 point(s) skipped",)
     assert schouten.max_residual == 2.0
     # the basis (XH, X1) = (X1, X1) of that expansion is degenerate at
-    # each of the 102 usable points
+    # every sampled point
     assert report.condition("span-x3-x2-bracket").notes == (
-        "span expansion skipped every sampled point: degenerate basis at 102 point(s)",
+        "span expansion skipped every sampled point: degenerate basis at 200 point(s)",
     )
     assert not report.passed
 
@@ -137,3 +140,51 @@ def test_a_pair_degenerate_everywhere_ends_the_check_naming_the_pair():
     assert str(compatibility.value) == (
         "degenerate wedge pair (X1, X2) or (XH, X3) at every sampled point"
     )
+
+
+# ---------------------------------------------------------------------------
+# a mask on the sampled cloud against the sub-cloud of the points it keeps:
+# the checks leave out the points they drop by a mask on the cloud they
+# sampled, which must give at every kept point what that point gives alone
+
+
+def _same_worst(got, want):
+    return (got.max_residual, got.worst_point) == (want.max_residual, want.worst_point)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_mask_on_the_sampled_cloud_gives_what_its_sub_cloud_gives(name):
+    spec = load_fixture(name)
+    cfg = spec.config()
+    points = cfg.points()
+    fields = list(spec.fields.values())
+    pairs = list(itertools.combinations(fields, 2))
+    brackets = [qk.lie_bracket(X, Y) for X, Y in pairs]
+    residuals = fields + brackets + [qk.wedge(X, Y) for X, Y in pairs]
+    residuals += [
+        qk.schouten_bb(qk.wedge(*p), qk.wedge(*q)) for p, q in zip(pairs, pairs[1:])
+    ]
+    rng = np.random.default_rng(len(fields))
+    for keep in (0.9, 0.5, 0.1):
+        mask = rng.random(len(points)) < keep
+        sub = points[mask]
+        dropped = int((~mask).sum())
+        for residual in residuals:
+            want = values_at(residual, sub)
+            assert want.tobytes() == values_at(residual, points)[mask].tobytes()
+            got = condition("r", residual, points, usable=mask)
+            want = condition("r", residual, sub)
+            assert _same_worst(got, want)
+            assert got.skipped == want.skipped + dropped
+        for pair in pairs:
+            full = _FactoredBasis.of(pair, points, cfg.tol)
+            part = _FactoredBasis.of(pair, sub, cfg.tol)
+            assert part.smallest.tobytes() == full.smallest[mask].tobytes()
+            assert part.independent.tolist() == full.independent[mask].tolist()
+            for V in brackets:
+                got, _ = _span_condition(
+                    "s", V, full, points, cfg.tol, mask, informative=True
+                )
+                want, _ = _span_condition("s", V, part, sub, cfg.tol, informative=True)
+                assert _same_worst(got, want)
+                assert got.skipped == want.skipped + dropped
