@@ -27,9 +27,12 @@ MAX_SAMPLE_VALUES = 1_000_000
 # for later evaluations while its cache holds fewer than this many
 # values (1 MiB of floats); every entry counts as one value per point.
 # Past the bound an evaluation still reads the cache, but keeps its new
-# values only for the call. So everything evaluated at 200 points fits,
-# most of a check at 1 000 does, and little at 5 000, where arithmetic
-# rather than per-node dispatch is the cost.
+# values only for the call. A domain draws one cloud (see
+# ``sampling.sample_points``), so every check of a run shares that cloud
+# and this one bound. So at 200 points a run keeps nearly all it
+# evaluates (exp-realization, the largest fixture, passes the bound near
+# its end), at 1 000 most of a check, and at 5 000 26 node values, where
+# arithmetic rather than per-node dispatch is the cost.
 MAX_CACHED_VALUES = 2**17
 
 
@@ -131,7 +134,9 @@ class PointCloud(Sequence):
     ``cache`` maps expression nodes to their values over this cloud. It
     is filled by evaluation, up to ``MAX_CACHED_VALUES``, so that every
     evaluation on the cloud reuses the subexpressions already computed.
-    It is keyed by the node object, not its ``id()``: the nodes stay
+    The cloud a domain samples is the one every check of a run
+    evaluates on, so its cache, and its one bound, serve them all. It
+    is keyed by the node object, not its ``id()``: the nodes stay
     alive as long as the cloud, so no key can be reused.
     """
 

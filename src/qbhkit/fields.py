@@ -353,22 +353,10 @@ def schouten_bb(B1: DecomposableBivector, B2: DecomposableBivector) -> Trivector
 # pointwise components
 
 
-def bivector_components_at(B, points) -> np.ndarray:
-    """Components B^{ij}, shape (len(points), n, n), antisymmetric. A
-    product that overflows gives an inf or NaN component, silently."""
-    B = _as_bivector_sum(B)
-    points = PointCloud.of(B.chart, points)
-    n = B.chart.dimension
-    out = np.zeros((len(points), n, n))
-    for coeff, biv in B.terms:
-        c = evaluate_at_points(coeff, points)
-        u = biv.left.components_at(points)
-        v = biv.right.components_at(points)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out += c[:, None, None] * (
-                u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]
-            )
-    return out
+def _index_combinations(n: int, r: int):
+    """Index arrays (i, j, ...) of the r-subsets of range(n), in
+    ``combinations`` order."""
+    return tuple(np.array(list(combinations(range(n), r)), int).reshape(-1, r).T)
 
 
 def _det3(u, v, w, i, j, k):
@@ -379,26 +367,68 @@ def _det3(u, v, w, i, j, k):
     )
 
 
+def independent_components_at(M, points):
+    """(components, diagonal) of a bivector or trivector sum at points.
+
+    ``components`` (len(points), K) holds B^{ij}, i < j, or T^{ijk},
+    i < j < k, in ``combinations`` order; every other entry of the full
+    antisymmetric array is 0.0 minus one of them, or 0. A bivector's
+    ``diagonal`` (len(points), n) holds its B^{ii}, sums of
+    c (u_i v_i - u_i v_i): +0 where every such product is finite, NaN
+    where one overflows, which no B^{ij} need show (u = (1e200, 0),
+    v = (1e200, 1)). A trivector's entries with a repeated index are
+    never formed, so its ``diagonal`` is None. A product that overflows
+    gives an inf or NaN entry, silently.
+    """
+    if isinstance(M, TrivectorSum):
+        points = PointCloud.of(M.chart, points)
+        i, j, k = _index_combinations(M.chart.dimension, 3)
+        out = np.zeros((len(points), len(i)))
+        for coeff, (U, V, W) in M.terms:
+            c = evaluate_at_points(coeff, points)[:, None]
+            u = U.components_at(points)
+            v = V.components_at(points)
+            w = W.components_at(points)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out += c * _det3(u, v, w, i, j, k)
+        return out, None
+    B = _as_bivector_sum(M)
+    points = PointCloud.of(B.chart, points)
+    i, j = _index_combinations(B.chart.dimension, 2)
+    out = np.zeros((len(points), len(i)))
+    diagonal = np.zeros((len(points), B.chart.dimension))
+    for coeff, biv in B.terms:
+        c = evaluate_at_points(coeff, points)[:, None]
+        u = biv.left.components_at(points)
+        v = biv.right.components_at(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += c * (u[:, i] * v[:, j] - u[:, j] * v[:, i])
+            diagonal += c * (u * v - u * v)
+    return out, diagonal
+
+
+def bivector_components_at(B, points) -> np.ndarray:
+    """Components B^{ij}, shape (len(points), n, n), antisymmetric,
+    scattered from ``independent_components_at``."""
+    upper, diagonal = independent_components_at(B, points)
+    m, n = diagonal.shape
+    i, j = _index_combinations(n, 2)
+    out = np.empty((m, n, n))
+    out[:, i, j] = upper
+    out[:, j, i] = 0.0 - upper
+    out[:, range(n), range(n)] = diagonal
+    return out
+
+
 def trivector_components_at(T: TrivectorSum, points) -> np.ndarray:
     """Components T^{ijk}, shape (len(points), n, n, n), antisymmetric,
-    with overflow handled as in ``bivector_components_at``."""
-    points = PointCloud.of(T.chart, points)
+    scattered from ``independent_components_at``."""
+    d, _ = independent_components_at(T, points)
     n = T.chart.dimension
-    out = np.zeros((len(points), n, n, n))
-    for coeff, (U, V, W) in T.terms:
-        c = evaluate_at_points(coeff, points)
-        u = U.components_at(points)
-        v = V.components_at(points)
-        w = W.components_at(points)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, j, k in combinations(range(n), 3):
-                d = c * _det3(u, v, w, i, j, k)
-                out[:, i, j, k] += d
-                out[:, j, k, i] += d
-                out[:, k, i, j] += d
-                out[:, j, i, k] -= d
-                out[:, i, k, j] -= d
-                out[:, k, j, i] -= d
+    i, j, k = _index_combinations(n, 3)
+    out = np.zeros((len(d), n, n, n))
+    out[:, i, j, k] = out[:, j, k, i] = out[:, k, i, j] = d
+    out[:, j, i, k] = out[:, i, k, j] = out[:, k, j, i] = 0.0 - d
     return out
 
 

@@ -5,9 +5,14 @@ sampled points. A residual is one of
 
 - a ``ScalarExpr``: its value at each point;
 - a ``VectorField``, a ``DecomposableBivector`` or ``BivectorSum``, or a
-  ``TrivectorSum``: the max |component| at each point, taken over the
-  full component array (n, n x n or n x n x n entries), and NaN where
-  any component is undefined;
+  ``TrivectorSum``: the max |component| at each point, and NaN where any
+  component is undefined. A multivector is reduced over its independent
+  components only (i < j, or i < j < k: for n = 3, 3 of the 9 entries of
+  a bivector and 1 of the 27 of a trivector); every other entry is an
+  exact negation of one of them or 0, so the maximum has the bits of the
+  one over the full array. A bivector's diagonal only marks where it is
+  undefined (see ``fields.independent_components_at``), and a trivector
+  on fewer than three coordinates is 0 at every point;
 - a ready array of one value per point, as span expansions and other
   derived quantities give.
 
@@ -25,8 +30,7 @@ from .fields import (
     DecomposableBivector,
     TrivectorSum,
     VectorField,
-    bivector_components_at,
-    trivector_components_at,
+    independent_components_at,
 )
 from .reports import ConditionResult
 
@@ -37,10 +41,12 @@ def values_at(residual, points) -> np.ndarray:
         return evaluate_at_points(residual, points)
     if isinstance(residual, VectorField):
         return grid_values(residual.components_at(points))
-    if isinstance(residual, (DecomposableBivector, BivectorSum)):
-        return grid_values(bivector_components_at(residual, points))
-    if isinstance(residual, TrivectorSum):
-        return grid_values(trivector_components_at(residual, points))
+    if isinstance(residual, (DecomposableBivector, BivectorSum, TrivectorSum)):
+        components, diagonal = independent_components_at(residual, points)
+        values = grid_values(components)
+        if diagonal is not None:
+            values[~np.isfinite(diagonal).all(axis=1)] = np.nan
+        return values
     return np.asarray(residual, dtype=float)
 
 
@@ -87,9 +93,10 @@ def require_nonvanishing(label, factor, points, eps, error):
 
 
 def grid_values(arr: np.ndarray) -> np.ndarray:
-    """Collapse (m, ...) component arrays to per-point max |entry|."""
+    """Collapse (m, ...) component arrays to per-point max |entry|, 0
+    where a point has no entry."""
     flat = arr.reshape(arr.shape[0], -1)
     bad = ~np.isfinite(flat).all(axis=1)
-    values = np.max(np.abs(flat), axis=1)
+    values = np.max(np.abs(flat), axis=1, initial=0.0)
     values[bad] = np.nan
     return values

@@ -7,7 +7,8 @@ draws continues the stream exactly as k single draws would, so the
 points do not depend on block sizes: candidates are taken in stream
 order and surplus draws are discarded. Identical (seed, domain) inputs
 therefore give identical points, and reports built from them are
-reproducible.
+reproducible. A domain object draws its cloud once and keeps it, so the
+checks of one run share one cloud.
 """
 from __future__ import annotations
 
@@ -138,7 +139,16 @@ def sample_points(domain: SampleDomain) -> PointCloud:
     may ask points for (``MAX_SAMPLE_VALUES`` coordinate values), so a
     guard that accepts few candidates cannot make one block, or a guard
     value over it, larger than the largest cloud of points.
+
+    The cloud is drawn once per domain object and kept in its
+    ``__dict__``: every later call on that domain returns the same
+    cloud, so the checks of one run share it and the values its cache
+    holds. It dies with the domain; an equal domain built anew draws
+    the same points again, with an empty cache.
     """
+    cloud = domain.__dict__.get("cloud")
+    if cloud is not None:
+        return cloud
     rng = np.random.default_rng(domain.seed)
     lows = np.array([lo for lo, _ in domain.box])
     highs = np.array([hi for _, hi in domain.box])
@@ -168,7 +178,10 @@ def sample_points(domain: SampleDomain) -> PointCloud:
             ]
         accepted.append(candidates[:missing])
         found += len(accepted[-1])
-    return PointCloud(domain.chart, np.concatenate(accepted))
+    cloud = domain.__dict__["cloud"] = PointCloud(
+        domain.chart, np.concatenate(accepted)
+    )
+    return cloud
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import qbhkit as qk
+import qbhkit.criteria as criteria
+import qbhkit.qbh as qbh
+import qbhkit.residuals as residuals
 from qbhkit.criteria import _FactoredBasis, _span_condition
-from qbhkit.fixtures import fixture_names, load_fixture
+from qbhkit.fixtures import fixture_names, load_fixture, run_fixture
 from qbhkit.residuals import condition, grid_values, values_at
 
 from helpers import make_cfg
@@ -188,3 +191,138 @@ def test_a_mask_on_the_sampled_cloud_gives_what_its_sub_cloud_gives(name):
                 want, _ = _span_condition("s", V, part, sub, cfg.tol, informative=True)
                 assert _same_worst(got, want)
                 assert got.skipped == want.skipped + dropped
+
+
+# ---------------------------------------------------------------------------
+# independent components against the full arrays
+
+
+def reference_bivector_components(B, points):
+    """B^{ij} with every entry accumulated from its own products."""
+    B = B.as_sum() if isinstance(B, qk.DecomposableBivector) else B
+    n = B.chart.dimension
+    out = np.zeros((len(points), n, n))
+    for coeff, biv in B.terms:
+        c = qk.evaluate_at_points(coeff, points)
+        u = biv.left.components_at(points)
+        v = biv.right.components_at(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += c[:, None, None] * (
+                u[:, :, None] * v[:, None, :] - u[:, None, :] * v[:, :, None]
+            )
+    return out
+
+
+def reference_trivector_components(T, points):
+    """T^{ijk} with every entry accumulated from its own determinants."""
+    n = T.chart.dimension
+    out = np.zeros((len(points), n, n, n))
+    for coeff, (U, V, W) in T.terms:
+        c = qk.evaluate_at_points(coeff, points)
+        u, v, w = (F.components_at(points) for F in (U, V, W))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, j, k in itertools.combinations(range(n), 3):
+                d = c * (
+                    u[:, i] * (v[:, j] * w[:, k] - v[:, k] * w[:, j])
+                    - u[:, j] * (v[:, i] * w[:, k] - v[:, k] * w[:, i])
+                    + u[:, k] * (v[:, i] * w[:, j] - v[:, j] * w[:, i])
+                )
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    out[:, a, b, e] += d
+                    out[:, b, a, e] -= d
+    return out
+
+
+def assert_components_match_full_arrays(residual, points, rng):
+    """The scattered full array equals the reference byte for byte, and
+    ``values_at`` and ``condition`` give what the full array gives,
+    also under three random masks."""
+    if isinstance(residual, qk.TrivectorSum):
+        got = qk.trivector_components_at(residual, points)
+        full = reference_trivector_components(residual, points)
+    else:
+        got = qk.bivector_components_at(residual, points)
+        full = reference_bivector_components(residual, points)
+    assert got.tobytes() == full.tobytes()
+    want = grid_values(full)
+    assert values_at(residual, points).tobytes() == want.tobytes()
+    for keep in (1.0, 0.9, 0.5, 0.1):
+        usable = rng.random(len(points)) < keep
+        assert condition("r", residual, points, usable=usable) == condition(
+            "r", want, points, usable=usable
+        )
+
+
+def _multivectors_the_checks_build(name, monkeypatch):
+    """(residual, points) for every bivector and trivector that a run of
+    fixture ``name`` evaluates."""
+    seen = []
+    kinds = (qk.DecomposableBivector, qk.BivectorSum, qk.TrivectorSum)
+
+    def recording(original):
+        def record(residual, points):
+            if isinstance(residual, kinds):
+                seen.append((residual, points))
+            return original(residual, points)
+
+        return record
+
+    for module in (residuals, criteria, qbh):
+        monkeypatch.setattr(module, "values_at", recording(values_at))
+    monkeypatch.setattr(
+        qbh, "trivector_components_at", recording(qk.trivector_components_at)
+    )
+    run_fixture(name)
+    monkeypatch.undo()
+    return seen
+
+
+def test_independent_components_give_the_full_arrays(monkeypatch):
+    seen = {
+        name: _multivectors_the_checks_build(name, monkeypatch)
+        for name in fixture_names()
+    }
+    # five trivectors (one contracted by jacobi_identity_check) and
+    # three bivectors
+    assert [len(built) for built in seen.values()] == [3, 1, 2, 2, 0, 0]
+    rng = np.random.default_rng(14)
+    for built in seen.values():
+        for residual, points in built:
+            assert_components_match_full_arrays(residual, points, rng)
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y")])
+def test_a_trivector_on_fewer_than_three_coordinates_is_zero(names):
+    chart = qk.CoordinateChart(names)
+    points = make_cfg(chart, samples=40, seed=2).points()
+    rng = np.random.default_rng(3)
+    X = qk.VectorField(chart, tuple(qk.exp(c) for c in chart.coordinates()))
+    Y = qk.VectorField(chart, tuple(c * c for c in chart.coordinates()))
+    B = qk.wedge(X, Y)
+    for residual in (B, qk.schouten_bb(B, B), qk.wedge3(X, Y, X)):
+        assert_components_match_full_arrays(residual, points, rng)
+    values = values_at(qk.schouten_bb(B, B), points)
+    assert values.tobytes() == np.zeros(len(points)).tobytes()
+
+
+def test_an_overflowing_product_skips_the_points_the_full_array_skips():
+    # 1e200 d/dx ^ (d/dy + x d/dz): its Schouten bracket overflows. And
+    # in 1e200 d/dx ^ (1e200 d/dx + d/dy) only the diagonal product
+    # 1e200 * 1e200 overflows, which the one independent component
+    # 1e200 * 1 does not show
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    points = make_cfg(chart, samples=50, seed=1).points()
+    rng = np.random.default_rng(5)
+    X1 = qk.VectorField.from_mapping(chart, {"x": chart.constant(1e200)})
+    X2 = qk.VectorField.from_mapping(
+        chart, {"y": chart.constant(1.0), "z": chart.coordinate("x")}
+    )
+    X3 = qk.VectorField.from_mapping(
+        chart, {"x": chart.constant(1e200), "y": chart.constant(1.0)}
+    )
+    B = qk.wedge(X1, X2)
+    cases = (qk.schouten_bb(B, B), qk.wedge(X1, X3), qk.wedge(X1, X2))
+    for residual in cases:
+        assert_components_match_full_arrays(residual, points, rng)
+    skipped = [condition("r", residual, points).skipped for residual in cases]
+    assert skipped == [50, 50, 0]

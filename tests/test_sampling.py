@@ -1,9 +1,16 @@
-"""Sampling determinism, guards, and the finite-difference oracles."""
+"""Sampling determinism, guards, one cloud per domain, and the
+finite-difference oracles."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import qbhkit as qk
+import qbhkit.expr as expr
 import qbhkit.sampling as sampling
+from qbhkit.chart import MAX_CACHED_VALUES
+from qbhkit.fixtures import FIXTURES, fixture_names, load_fixture, run_fixture
 from qbhkit.sampling import MAX_SAMPLE_VALUES
 
 from helpers import exp_triple, make_cfg, rotation_cfg
@@ -82,7 +89,8 @@ def rare_guard_domain():
     ids=["rotation-guard", "rare-guard"],
 )
 def test_capped_blocks_draw_the_same_points(domain, monkeypatch):
-    uncapped = qk.sample_points(domain)
+    # a fresh equal domain: ``domain`` itself must still draw its cloud
+    uncapped = qk.sample_points(domain.with_overrides())
     rows = 16
     blocks = []
     guard_mask = sampling._guard_mask
@@ -97,6 +105,86 @@ def test_capped_blocks_draw_the_same_points(domain, monkeypatch):
     assert capped.values.tobytes() == uncapped.values.tobytes()
     assert max(blocks) == rows
     assert len(blocks) > len(capped) // rows
+
+
+# ---------------------------------------------------------------------------
+# one cloud per domain
+
+
+def test_a_config_samples_its_cloud_once():
+    cfg = make_cfg(CHART, samples=30, seed=4)
+    assert cfg.points() is cfg.points()
+    again = qk.sample_points(cfg.domain.with_overrides())
+    assert again is not cfg.points()
+    assert again.values.tobytes() == cfg.points().values.tobytes()
+
+
+def test_a_fixture_pass_draws_one_cloud_per_config(monkeypatch):
+    clouds = []
+    sample_points = sampling.sample_points
+
+    def recording_sample_points(domain):
+        clouds.append(sample_points(domain))
+        return clouds[-1]
+
+    monkeypatch.setattr(sampling, "sample_points", recording_sample_points)
+    for name in fixture_names():
+        run_fixture(name)
+    assert len(clouds) == 24
+    assert len({id(cloud) for cloud in clouds}) == 6
+
+
+def test_a_config_frees_its_cloud_with_it():
+    # no reference cycle holds the cloud or its cache: with the cycle
+    # collector off, dropping the config frees them, while the reports
+    # built from the cloud stay
+    spec = load_fixture("exp-realization")
+    gc.disable()
+    try:
+        cfg = spec.config()
+        reports = FIXTURES["exp-realization"].runner(spec, cfg)
+        cloud = cfg.points()
+        assert cloud.cache
+        held = [weakref.ref(cloud.values)]
+        held += [
+            weakref.ref(value)
+            for value in cloud.cache.values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert len(held) > 100
+        del cfg, cloud
+        assert [ref() for ref in held] == [None] * len(held)
+        assert len(reports) > 1
+    finally:
+        gc.enable()
+
+
+def test_one_cache_bound_holds_over_a_whole_run(monkeypatch):
+    # every check of the run evaluates on one cloud and fills one cache,
+    # whose entries count as one value per point; the bound is tested
+    # once per call, so only the call that crosses it may end past it,
+    # by its own new values
+    evaluate = expr._evaluate
+    calls = []
+
+    def recording_evaluate(node, cloud):
+        before = len(cloud.cache)
+        result = evaluate(node, cloud)
+        calls.append((cloud, before, len(cloud.cache) - before))
+        return result
+
+    monkeypatch.setattr(expr, "_evaluate", recording_evaluate)
+    spec = load_fixture("exp-realization")
+    cfg = spec.config(samples=5000)
+    FIXTURES["exp-realization"].runner(spec, cfg)
+    cloud = cfg.points()
+    shared = [(before, added) for c, before, added in calls if c is cloud]
+    assert len(shared) > 100
+    under = [added for before, added in shared if before * 5000 < MAX_CACHED_VALUES]
+    over = [added for before, added in shared if before * 5000 >= MAX_CACHED_VALUES]
+    assert over and set(over) == {0}
+    held = len(cloud.cache) * 5000
+    assert MAX_CACHED_VALUES <= held <= MAX_CACHED_VALUES + under[-1] * 5000
 
 
 def test_tolerance_validation():
