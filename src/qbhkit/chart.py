@@ -25,14 +25,15 @@ MAX_SAMPLE_VALUES = 1_000_000
 
 # A point cloud keeps the values of the expression nodes evaluated on it
 # for later evaluations while its cache holds fewer than this many
-# values (1 MiB of floats); every entry counts as one value per point.
-# Past the bound an evaluation still reads the cache, but keeps its new
-# values only for the call. A domain draws one cloud (see
-# ``sampling.sample_points``), so every check of a run shares that cloud
-# and this one bound. So at 200 points a run keeps nearly all it
-# evaluates (exp-realization, the largest fixture, passes the bound near
-# its end), at 1 000 most of a check, and at 5 000 26 node values, where
-# arithmetic rather than per-node dispatch is the cost.
+# values (1 MiB of floats), counted as they are held: an array as one
+# value per point, a constant as one value. Past the bound an evaluation
+# still reads the cache, but keeps its new values only for the call. A
+# domain draws one cloud (see ``sampling.sample_points``), so every check
+# of a run shares that cloud and this one bound. So at 200 points a run
+# keeps nearly all it evaluates (exp-realization, the largest fixture,
+# passes the bound near its end), at 1 000 most of a check, and at 5 000
+# 26 node arrays and the call that passes the bound, where arithmetic
+# rather than per-node dispatch is the cost.
 MAX_CACHED_VALUES = 2**17
 
 
@@ -131,8 +132,9 @@ class PointCloud(Sequence):
     mask gives another PointCloud. Evaluators read ``values`` directly,
     so Point objects exist only where a report names one.
 
-    ``cache`` maps expression nodes to their values over this cloud. It
-    is filled by evaluation, up to ``MAX_CACHED_VALUES``, so that every
+    ``cache`` maps expression nodes to their values over this cloud,
+    and ``cached_values`` counts the values it holds. It is filled by
+    evaluation, up to ``MAX_CACHED_VALUES``, so that every
     evaluation on the cloud reuses the subexpressions already computed.
     The cloud a domain samples is the one every check of a run
     evaluates on, so its cache, and its one bound, serve them all. It
@@ -140,7 +142,7 @@ class PointCloud(Sequence):
     alive as long as the cloud, so no key can be reused.
     """
 
-    __slots__ = ("chart", "values", "cache")
+    __slots__ = ("chart", "values", "cache", "cached_values")
 
     def __init__(self, chart: CoordinateChart, values):
         values = np.array(values, dtype=float, order="F").reshape(
@@ -150,6 +152,7 @@ class PointCloud(Sequence):
         self.chart = chart
         self.values = values
         self.cache = {}
+        self.cached_values = 0
 
     @classmethod
     def of(cls, chart: CoordinateChart, points) -> "PointCloud":

@@ -31,7 +31,7 @@ from .fields import (
     wedge3,
 )
 from .reports import ConditionResult, CriterionReport, make_report
-from .residuals import condition, require_nonvanishing, values_at
+from .residuals import condition, finite_points, require_nonvanishing, values_at
 from .sampling import VerifyConfig
 
 # Global sign reconciling the Schouten convention of fields.schouten_bb
@@ -89,9 +89,14 @@ def _two_column_factor(stack: np.ndarray):
     NaN where either singular value is not finite, band = _BAND *
     ||A||_F, (q1, q2, r11, r12, r22)), with q1 and q2 of shape (n, m);
     a zero column gives NaN.
+
+    It works on the columns as contiguous (2, n, m) rows: reductions
+    over the short axes of (m, n, 2) cost more than the arithmetic, and
+    the sums over i in the einsums keep the order they have on those
+    rows. A stack built by ``_FactoredBasis.of`` is stored that way
+    (component-major, see ``residuals``), so ``stack.T`` is not copied;
+    any other stack is copied once.
     """
-    # one (2, n, m) copy: reductions over the short axes of (m, n, 2)
-    # cost more than the arithmetic
     columns = np.ascontiguousarray(stack.T)
     with np.errstate(all="ignore"):
         exponent = np.frexp(np.abs(columns).max(axis=(0, 1)))[1]
@@ -133,7 +138,7 @@ class _FactoredBasis:
 
     def __init__(self, stack: np.ndarray, tol):
         n, k = stack.shape[1:]
-        self.defined = defined = np.isfinite(stack).all(axis=(1, 2))
+        self.defined = defined = finite_points(stack)
         smallest = np.full(len(stack), np.nan)
         settled = np.zeros(len(stack), bool)
         self.factors = None
@@ -147,7 +152,10 @@ class _FactoredBasis:
 
     @classmethod
     def of(cls, fields, points, tol) -> "_FactoredBasis":
-        return cls(np.stack([X.components_at(points) for X in fields], axis=-1), tol)
+        """The basis of ``fields`` on ``points``, its stack stored
+        component-major: the (m, n, k) view of a C-ordered (k, n, m)
+        array."""
+        return cls(np.stack([X.components_at(points).T for X in fields]).T, tol)
 
 
 def _usable_points(bases, what):
@@ -259,8 +267,10 @@ def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
     Rows that are undefined or whose basis is not independent are NaN
     and counted in the notes. Rows the two-column closed form settled
     are solved from its factors, every other row by ``_least_squares``."""
-    stack = basis.stack
-    defined = basis.defined & np.isfinite(target).all(axis=1)
+    # the sums below, in lstsq's overflow test and in the einsum, take
+    # C-ordered operands (see the layout note in ``residuals``)
+    stack = np.ascontiguousarray(basis.stack)
+    defined = basis.defined & finite_points(target)
     solvable = defined & basis.independent
     closed = solvable & basis.settled
     coeffs = np.full((len(stack), stack.shape[2]), np.nan)
@@ -272,7 +282,8 @@ def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
     if rest.any():
         coeffs[rest] = _least_squares(stack[rest], target[rest])
     # NaN coefficients make the residual NaN at every unsolved row
-    residuals = _row_norms(target - np.einsum("mik,mk->mi", stack, coeffs))
+    fitted = np.einsum("mik,mk->mi", stack, coeffs)
+    residuals = _row_norms(np.subtract(target, fitted, order="C"))
     degenerate = int((defined & ~solvable).sum())
     undefined = int((~defined).sum())
     notes = []

@@ -17,7 +17,6 @@ verification, not of this module.
 from __future__ import annotations
 
 import math
-from collections import ChainMap
 from dataclasses import dataclass
 
 import numpy as np
@@ -537,16 +536,19 @@ def _nsimplify(node):
 # evaluation
 
 
-def _eval_array(node: Node, env: dict, memo: dict):
+def _eval_array(node: Node, env: dict, cache: dict, new: dict):
     """Evaluate over columns of coordinate values; NaN marks undefined
-    entries.
+    entries. Values are looked up in ``cache``, then in ``new``, which
+    receives every value computed here.
 
     Constants stay numpy scalars and broadcast, so a result can be a
     scalar; ``ScalarExpr.sample`` expands it. Sums and products start
     from a fresh array and accumulate in place in term order, so no
-    operand's value, which ``memo`` may keep, is ever written to.
+    operand's value, which a cache may keep, is ever written to.
     """
-    hit = memo.get(node)
+    hit = cache.get(node)
+    if hit is None:
+        hit = new.get(node)
     if hit is not None:
         return hit
     if isinstance(node, Const):
@@ -554,8 +556,8 @@ def _eval_array(node: Node, env: dict, memo: dict):
     elif isinstance(node, Coord):
         value = env[node.name]
     else:
-        value = _combine(node, [_eval_array(a, env, memo) for a in node.args])
-    memo[node] = value
+        value = _combine(node, [_eval_array(a, env, cache, new) for a in node.args])
+    new[node] = value
     return value
 
 
@@ -607,21 +609,23 @@ def _undefined_to_nan(value):
 
 
 def _evaluate(node: Node, cloud: PointCloud):
-    """``node`` over ``cloud`` with the map of every subexpression's
-    value, which ``_domain_error`` reads.
+    """``node`` over ``cloud``.
 
-    Values are read from and kept in the cloud's cache. Once the cache
-    holds ``MAX_CACHED_VALUES`` values, the new ones of this call go to a
-    map of their own that ends with the call. The bound is tested once
-    per call, so a cache can pass it by one call's values.
+    Values are read from the cloud's cache, and the values this call
+    computes join it while it holds fewer than ``MAX_CACHED_VALUES``
+    values, counted by ``np.size`` (a constant, a numpy scalar, is one
+    value) in ``cloud.cached_values``. Past the bound they are kept for
+    the call only. The bound is tested once per call, so a cache can
+    pass it by one call's values.
     """
     env = {name: cloud.values[:, i] for i, name in enumerate(cloud.chart.names)}
-    memo = cloud.cache
-    if len(memo) * len(cloud) >= MAX_CACHED_VALUES:
-        memo = ChainMap({}, memo)
+    new = {}
     with np.errstate(all="ignore"):
-        value = _eval_array(node, env, memo)
-    return value, memo
+        value = _eval_array(node, env, cloud.cache, new)
+    if cloud.cached_values < MAX_CACHED_VALUES:
+        cloud.cache.update(new)
+        cloud.cached_values += sum(np.size(v) for v in new.values())
+    return value
 
 
 def _domain_error(root: Node, memo: dict) -> EvaluationDomainError:
@@ -751,10 +755,11 @@ class ScalarExpr:
         """The value at one point, bit for bit ``sample([point])[0]``;
         raises EvaluationDomainError exactly where that is NaN."""
         require_same_chart(self, point)
-        value, memo = _evaluate(self.node, PointCloud(self.chart, [point.values]))
-        value = value.item()
+        cloud = PointCloud(self.chart, [point.values])
+        value = _evaluate(self.node, cloud).item()
         if math.isnan(value):
-            raise _domain_error(self.node, memo)
+            # a new cloud keeps every value of its first evaluation
+            raise _domain_error(self.node, cloud.cache)
         return value
 
     def sample(self, points) -> np.ndarray:
@@ -762,7 +767,7 @@ class ScalarExpr:
         objects); NaN marks undefined points, exactly where ``at``
         raises EvaluationDomainError."""
         cloud = PointCloud.of(self.chart, points)
-        value, _ = _evaluate(self.node, cloud)
+        value = _evaluate(self.node, cloud)
         if np.ndim(value) == 0:
             return np.full(len(cloud), value)
         # a copy, so that a caller writing to its result cannot change

@@ -91,9 +91,14 @@ class VectorField:
 
     def components_at(self, points) -> np.ndarray:
         """Component values, shape (len(points), dimension). NaN marks
-        points where a component is undefined."""
+        points where a component is undefined.
+
+        The array is stored component-major: it is the transposed view
+        of a C-ordered (dimension, len(points)) array, so each
+        component's values are one contiguous row of ``.T``, over which
+        a reduction across components runs elementwise."""
         cloud = PointCloud.of(self.chart, points)
-        return np.column_stack([evaluate_at_points(c, cloud) for c in self.components])
+        return np.array([evaluate_at_points(c, cloud) for c in self.components]).T
 
     def at(self, point: Point) -> np.ndarray:
         return np.array([c.at(point) for c in self.components])
@@ -361,9 +366,9 @@ def _index_combinations(n: int, r: int):
 
 def _det3(u, v, w, i, j, k):
     return (
-        u[:, i] * (v[:, j] * w[:, k] - v[:, k] * w[:, j])
-        - u[:, j] * (v[:, i] * w[:, k] - v[:, k] * w[:, i])
-        + u[:, k] * (v[:, i] * w[:, j] - v[:, j] * w[:, i])
+        u[i] * (v[j] * w[k] - v[k] * w[j])
+        - u[j] * (v[i] * w[k] - v[k] * w[i])
+        + u[k] * (v[i] * w[j] - v[j] * w[i])
     )
 
 
@@ -379,32 +384,37 @@ def independent_components_at(M, points):
     v = (1e200, 1)). A trivector's entries with a repeated index are
     never formed, so its ``diagonal`` is None. A product that overflows
     gives an inf or NaN entry, silently.
+
+    Both arrays are component-major, like ``components_at``: each is
+    computed one component row at a time from the fields' rows, with
+    the same elementwise operations in the same order as on (m, n)
+    arrays, and returned as the (len(points), ...) view.
     """
     if isinstance(M, TrivectorSum):
         points = PointCloud.of(M.chart, points)
         i, j, k = _index_combinations(M.chart.dimension, 3)
-        out = np.zeros((len(points), len(i)))
+        out = np.zeros((len(i), len(points)))
         for coeff, (U, V, W) in M.terms:
-            c = evaluate_at_points(coeff, points)[:, None]
-            u = U.components_at(points)
-            v = V.components_at(points)
-            w = W.components_at(points)
+            c = evaluate_at_points(coeff, points)
+            u = U.components_at(points).T
+            v = V.components_at(points).T
+            w = W.components_at(points).T
             with np.errstate(over="ignore", invalid="ignore"):
                 out += c * _det3(u, v, w, i, j, k)
-        return out, None
+        return out.T, None
     B = _as_bivector_sum(M)
     points = PointCloud.of(B.chart, points)
     i, j = _index_combinations(B.chart.dimension, 2)
-    out = np.zeros((len(points), len(i)))
-    diagonal = np.zeros((len(points), B.chart.dimension))
+    out = np.zeros((len(i), len(points)))
+    diagonal = np.zeros((B.chart.dimension, len(points)))
     for coeff, biv in B.terms:
-        c = evaluate_at_points(coeff, points)[:, None]
-        u = biv.left.components_at(points)
-        v = biv.right.components_at(points)
+        c = evaluate_at_points(coeff, points)
+        u = biv.left.components_at(points).T
+        v = biv.right.components_at(points).T
         with np.errstate(over="ignore", invalid="ignore"):
-            out += c * (u[:, i] * v[:, j] - u[:, j] * v[:, i])
+            out += c * (u[i] * v[j] - u[j] * v[i])
             diagonal += c * (u * v - u * v)
-    return out, diagonal
+    return out.T, diagonal.T
 
 
 def bivector_components_at(B, points) -> np.ndarray:

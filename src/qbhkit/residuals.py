@@ -19,8 +19,22 @@ sampled points. A residual is one of
 A NaN or infinite value marks a skipped point. The condition's value is
 the max |residual| over the remaining points, with the point where it
 is reached.
+
+Layout. Per-point component arrays keep the public shape (m, ...), m
+points first, but are stored component-major: each is the transposed
+view of a C-ordered (..., m) array, so every component's values over
+the points are one contiguous row. A reduction over components (max,
+abs, isfinite, all) then runs elementwise across those rows instead of
+over the short inner axis of an (m, ...) array, which costs numpy far
+more per point; these reductions are exact, so their order does not
+matter. A floating-point sum over components (a norm, an einsum) keeps
+the order it has on C-ordered (m, ...) arrays: it is handed a C-ordered
+array, because numpy may sum an array of another layout in another
+order and so round differently.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,7 +59,7 @@ def values_at(residual, points) -> np.ndarray:
         components, diagonal = independent_components_at(residual, points)
         values = grid_values(components)
         if diagonal is not None:
-            values[~np.isfinite(diagonal).all(axis=1)] = np.nan
+            values[~finite_points(diagonal)] = np.nan
         return values
     return np.asarray(residual, dtype=float)
 
@@ -92,11 +106,22 @@ def require_nonvanishing(label, factor, points, eps, error):
     return values
 
 
+def _component_rows(arr: np.ndarray) -> np.ndarray:
+    """The entries of an (m, ...) component array as rows (K, m), one
+    per component, in some order: a view when ``arr`` is stored
+    component-major (see the module note), else a copy."""
+    return arr.T.reshape(math.prod(arr.shape[1:]), arr.shape[0])
+
+
+def finite_points(arr: np.ndarray) -> np.ndarray:
+    """The mask of the points at which every entry of the (m, ...)
+    component array ``arr`` is finite."""
+    return np.isfinite(_component_rows(arr)).all(axis=0)
+
+
 def grid_values(arr: np.ndarray) -> np.ndarray:
     """Collapse (m, ...) component arrays to per-point max |entry|, 0
-    where a point has no entry."""
-    flat = arr.reshape(arr.shape[0], -1)
-    bad = ~np.isfinite(flat).all(axis=1)
-    values = np.max(np.abs(flat), axis=1, initial=0.0)
-    values[bad] = np.nan
+    where a point has no entry, NaN where an entry is not finite."""
+    values = np.abs(_component_rows(arr)).max(axis=0, initial=0.0)
+    values[~finite_points(arr)] = np.nan
     return values

@@ -1,0 +1,104 @@
+"""tools/compare_reports.py: how it runs a matrix and sorts differences."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).parents[1] / "tools" / "compare_reports.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def report(**changes):
+    base = {
+        "command": "check poisson",
+        "pass": True,
+        "criteria": [
+            {
+                "name": "poisson-pair:self-schouten",
+                "pass": True,
+                "max_residual": 1.5e-16,
+                "worst_point": [0.25, -0.5],
+                "skipped": 0,
+                "notes": [],
+            }
+        ],
+        "tolerances": {"residual": 1e-9},
+    }
+    base["criteria"][0].update(changes)
+    return base
+
+
+def run(stdout, code=0, stderr=""):
+    return {"stdout": json.dumps(stdout), "stderr": stderr, "code": code}
+
+
+def kinds(tool, a, b):
+    return [kind for _, kind, _ in tool.differences(a, b)]
+
+
+def test_residual_bits_are_listed_but_pass(tool):
+    a = run(report())
+    b = run(report(max_residual=1.5000000000000002e-16, worst_point=[0.25, -0.4]))
+    assert kinds(tool, a, b) == ["bits", "bits"]
+    lines = []
+    assert tool.compare([["check", "poisson"]], [a], [b], lines.append) == 0
+    assert lines[0] == "BITS qbhkit check poisson"
+    assert lines[-1].endswith("1 differ in residual bits only, 0 differ otherwise")
+
+
+@pytest.mark.parametrize(
+    "a, b, kind",
+    [
+        (run(report()), run(report(), code=1), "exit code"),
+        (run(report()), run(report(), stderr="warning"), "stderr"),
+        (run(report()), run(report(**{"pass": False})), "pass"),
+        (run(report()), run(report(skipped=3)), "skipped"),
+        (run(report()), run(report(notes=["3 point(s) skipped"])), "notes"),
+        (run(report()), run(report(max_residual=None)), "max_residual"),
+        (run(report()), run({**report(), "extra": 1}), "keys"),
+        (run(report()), run(dict(reversed(list(report().items())))), "keys"),
+        # a tolerance is no residual, though it is a float
+        (run(report()), run({**report(), "tolerances": {"residual": 1e-8}}), "residual"),
+    ],
+)
+def test_anything_but_residual_bits_fails(tool, a, b, kind):
+    found = kinds(tool, a, b)
+    assert found[0] == kind
+    assert tool.compare([["check", "poisson"]], [a], [b], lambda line: None) == 1
+
+
+def test_equal_runs_show_nothing(tool):
+    lines = []
+    assert tool.compare([["x"]], [run(report())], [run(report())], lines.append) == 0
+    assert lines == ["1 runs: 1 identical, 0 differ in residual bits only, 0 differ otherwise"]
+
+
+def test_runs_in_one_interpreter_match_the_cli_and_warn_once_each(tool, monkeypatch):
+    import warnings
+
+    import qbhkit.cli as cli
+
+    run_command = cli.run_command
+
+    def warning_run(argv, stdout=None, stderr=None):
+        warnings.warn("overflow", RuntimeWarning)
+        return run_command(argv, stdout=stdout, stderr=stderr)
+
+    monkeypatch.setattr(cli, "run_command", warning_run)
+    argv = ["example", "run", "hojman-2d", "--samples", "20", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        first, second = tool.run_matrix([argv, argv])
+    assert first == second
+    assert first["code"] == 0, first["stderr"]
+    assert json.loads(first["stdout"])["command"] == "example run hojman-2d"
+    # each run prints the warning, as a new process would
+    assert first["stderr"].count("RuntimeWarning: overflow") == 1

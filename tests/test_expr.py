@@ -469,22 +469,39 @@ def test_samples_on_one_cloud_are_equal_and_the_callers_own():
         assert e.sample(points).tobytes() == second.tobytes()
 
 
+def held_values(cloud):
+    return sum(np.size(value) for value in cloud.cache.values())
+
+
 def test_cloud_cache_stays_within_its_bound():
-    # At 5 000 points the bound holds 26 node values. It is tested once
-    # per call, so a call may end past it by at most its own new values,
-    # and no call after that keeps anything.
+    # At 5 000 points the bound holds 26 node arrays; a constant counts
+    # as the one value it holds. The bound is tested once per call, so a
+    # call may end past it by at most its own new values, and no call
+    # after that keeps anything.
     points = make_cfg(CHART, samples=5000, seed=5).points()
     rng = np.random.default_rng(8)
     for _ in range(12):
         e = qk.random_polynomial(CHART, rng, degree=2)
-        before = len(points.cache)
+        before = held_values(points)
+        assert points.cached_values == before
+        entries = len(points.cache)
         e.sample(points)
-        added = len(points.cache) - before
-        if before * len(points) >= MAX_CACHED_VALUES:
-            assert added == 0
-        held = sum(np.size(value) for value in points.cache.values())
-        assert held <= MAX_CACHED_VALUES + added * len(points)
-    assert len(points.cache) * len(points) >= MAX_CACHED_VALUES
+        added = held_values(points) - before
+        assert points.cached_values == before + added
+        if before >= MAX_CACHED_VALUES:
+            assert added == 0 and len(points.cache) == entries
+        else:
+            assert added <= (len(points.cache) - entries) * len(points)
+    assert points.cached_values >= MAX_CACHED_VALUES
+
+
+def test_cached_constants_count_as_one_value():
+    points = make_cfg(CHART, samples=5000, seed=5).points()
+    qk.parse_expression("7", CHART).sample(points)
+    assert points.cached_values == held_values(points) == 1
+    # a new constant node, and the arrays of x and of the sum
+    qk.parse_expression("x + 7", CHART).sample(points)
+    assert points.cached_values == held_values(points) == 2 + 2 * 5000
 
 
 def test_point_cloud_indexing():

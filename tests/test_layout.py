@@ -1,0 +1,324 @@
+"""Component-major storage of per-point arrays moves no bit.
+
+Per-point component arrays keep their (m, ...) shape but are stored
+component-major, and their reductions over components run across
+contiguous rows (see the layout note in ``qbhkit.residuals``). Every
+result here must equal, bit for bit, a reference that applies the
+formulas the arrays had when they were C-ordered (m, ...) arrays. A
+9-coordinate chart puts the sums over components above numpy's
+8-element switch to pairwise summation, where the order of a sum
+depends on the layout it is handed; a 3-coordinate chart stays below it
+and also carries a pair whose products overflow.
+"""
+from itertools import combinations
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import qbhkit as qk
+import qbhkit.criteria as criteria
+import qbhkit.qbh as qbh
+from qbhkit.criteria import _FactoredBasis
+from qbhkit.fields import TrivectorSum, _as_bivector_sum
+from qbhkit.residuals import condition, values_at
+
+from helpers import make_cfg, random_fields
+
+# ---------------------------------------------------------------------------
+# the reference: the formulas on C-ordered (m, ...) arrays
+
+
+def ref_components(X, points):
+    return np.column_stack([c.sample(points) for c in X.components])
+
+
+def ref_index(n, r):
+    return tuple(np.array(list(combinations(range(n), r)), int).reshape(-1, r).T)
+
+
+def ref_det3(u, v, w, i, j, k):
+    return (
+        u[:, i] * (v[:, j] * w[:, k] - v[:, k] * w[:, j])
+        - u[:, j] * (v[:, i] * w[:, k] - v[:, k] * w[:, i])
+        + u[:, k] * (v[:, i] * w[:, j] - v[:, j] * w[:, i])
+    )
+
+
+def ref_independent(M, points):
+    n = M.chart.dimension
+    if isinstance(M, TrivectorSum):
+        i, j, k = ref_index(n, 3)
+        out = np.zeros((len(points), len(i)))
+        for coeff, (U, V, W) in M.terms:
+            c = coeff.sample(points)[:, None]
+            u, v, w = (ref_components(F, points) for F in (U, V, W))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out += c * ref_det3(u, v, w, i, j, k)
+        return out, None
+    B = _as_bivector_sum(M)
+    i, j = ref_index(n, 2)
+    out = np.zeros((len(points), len(i)))
+    diagonal = np.zeros((len(points), n))
+    for coeff, biv in B.terms:
+        c = coeff.sample(points)[:, None]
+        u = ref_components(biv.left, points)
+        v = ref_components(biv.right, points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += c * (u[:, i] * v[:, j] - u[:, j] * v[:, i])
+            diagonal += c * (u * v - u * v)
+    return out, diagonal
+
+
+def ref_bivector_components(B, points):
+    upper, diagonal = ref_independent(B, points)
+    m, n = diagonal.shape
+    i, j = ref_index(n, 2)
+    out = np.empty((m, n, n))
+    out[:, i, j] = upper
+    out[:, j, i] = 0.0 - upper
+    out[:, range(n), range(n)] = diagonal
+    return out
+
+
+def ref_trivector_components(T, points):
+    d, _ = ref_independent(T, points)
+    n = T.chart.dimension
+    i, j, k = ref_index(n, 3)
+    out = np.zeros((len(d), n, n, n))
+    out[:, i, j, k] = out[:, j, k, i] = out[:, k, i, j] = d
+    out[:, j, i, k] = out[:, i, k, j] = out[:, k, j, i] = 0.0 - d
+    return out
+
+
+def ref_grid_values(arr):
+    flat = arr.reshape(arr.shape[0], -1)
+    bad = ~np.isfinite(flat).all(axis=1)
+    values = np.max(np.abs(flat), axis=1, initial=0.0)
+    values[bad] = np.nan
+    return values
+
+
+def ref_values_at(residual, points):
+    if isinstance(residual, qk.VectorField):
+        return ref_grid_values(ref_components(residual, points))
+    components, diagonal = ref_independent(residual, points)
+    values = ref_grid_values(components)
+    if diagonal is not None:
+        values[~np.isfinite(diagonal).all(axis=1)] = np.nan
+    return values
+
+
+def ref_factored(fields, points, tol):
+    stack = np.stack([ref_components(X, points) for X in fields], axis=-1)
+    n, k = stack.shape[1:]
+    defined = np.isfinite(stack).all(axis=(1, 2))
+    smallest = np.full(len(stack), np.nan)
+    settled = np.zeros(len(stack), bool)
+    factors = None
+    if k == 2 and 2 <= n <= criteria._CLOSED_FORM_MAX_N:
+        smallest, band, factors = criteria._two_column_factor(stack)
+        with np.errstate(invalid="ignore"):
+            settled = defined & (np.abs(smallest - tol.independence) > band)
+    smallest[~settled] = criteria._singular_values(stack, defined & ~settled)[~settled]
+    return SimpleNamespace(
+        stack=stack,
+        defined=defined,
+        smallest=smallest,
+        settled=settled,
+        factors=factors,
+        independent=defined & (smallest > tol.independence),
+    )
+
+
+def ref_row_norms(rows):
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    redo = norms == np.inf
+    if redo.any():
+        huge = rows[redo]
+        exponent = np.frexp(np.abs(huge).max(axis=1))[1]
+        scaled = np.linalg.norm(np.ldexp(huge, -exponent[:, None]), axis=1)
+        norms[redo] = np.ldexp(scaled, exponent)
+    return norms
+
+
+def ref_span(V, fields, points, tol):
+    """(coefficients, residuals) of the expansion of V in ``fields``."""
+    basis = ref_factored(fields, points, tol)
+    target = ref_components(V, points)
+    stack = basis.stack
+    defined = basis.defined & np.isfinite(target).all(axis=1)
+    solvable = defined & basis.independent
+    closed = solvable & basis.settled
+    coeffs = np.full((len(stack), stack.shape[2]), np.nan)
+    if closed.any():
+        solved = criteria._two_column_solve(basis.factors, target)
+        coeffs = np.where(closed[:, None], solved, np.nan)
+    rest = solvable & ~closed
+    if rest.any():
+        coeffs[rest] = criteria._least_squares(stack[rest], target[rest])
+    residuals = ref_row_norms(target - np.einsum("mik,mk->mi", stack, coeffs))
+    return coeffs, residuals
+
+
+def ref_gradient(f, points):
+    return np.column_stack([f.diff(name).sample(points) for name in f.chart.names])
+
+
+def ref_cyclic_sums(B, triples, points):
+    """jacobi_identity_check's per-point values."""
+    B = _as_bivector_sum(B)
+    wedges = [qk.wedge(biv.left.scaled(c), biv.right) for c, biv in B.terms]
+    tensor = TrivectorSum.zero(B.chart)
+    for a in wedges:
+        for b in wedges:
+            tensor = tensor + qk.schouten_bb(a, b)
+    T = ref_trivector_components(tensor, points)
+    rows = []
+    for F, G, K in triples:
+        dF, dG, dK = (ref_gradient(f, points) for f in (F, G, K))
+        rows.append(-0.5 * np.einsum("mijk,mi,mj,mk->m", T, dF, dG, dK))
+    defined = np.isfinite(ref_values_at(B, points))
+    return np.where(defined, np.abs(np.vstack(rows)).max(axis=0), np.nan)
+
+
+# ---------------------------------------------------------------------------
+# problems
+
+
+def layout_problem(case):
+    """(cfg, fields X, Y, Z, W, coefficient, test functions) on a
+    3- or 9-coordinate chart. X has a component sqrt(x1) + xn, undefined
+    at about half of the points. In the "overflow" case X, Y and the
+    coefficient have a component exp(700 x1), finite on the box, whose
+    products overflow where x1 > 0.507."""
+    n = 9 if case == "9" else 3
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    chart = qk.CoordinateChart(names)
+    cfg = make_cfg(chart, samples=300, seed=11 + n)
+    rng = np.random.default_rng(5 + n)
+    X, Y, Z, W = random_fields(chart, rng, degree=1 if n == 9 else 2, count=4)
+    coeff = qk.random_polynomial(chart, rng, degree=1)
+    root = qk.parse_expression(f"sqrt(x1) + {names[-1]}", chart)
+    X = qk.VectorField(chart, (X.components[0], root) + X.components[2:])
+    if case == "overflow":
+        huge = qk.parse_expression("exp(700 * x1)", chart)
+        X = qk.VectorField(chart, (huge,) + X.components[1:])
+        Y = qk.VectorField(chart, (huge,) + Y.components[1:])
+        coeff = (coeff * huge).simplified()
+    triples = [
+        tuple(qk.random_polynomial(chart, rng, degree=2) for _ in range(3))
+        for _ in range(2)
+    ]
+    return cfg, (X, Y, Z, W), coeff, triples
+
+
+CASES = ("3", "9", "overflow")
+
+
+def residual_kinds(fields, coeff):
+    X, Y, Z, W = fields
+    chart = X.chart
+    bivectors = qk.BivectorSum(
+        chart, ((coeff, qk.wedge(X, Y)), (chart.constant(2.0), qk.wedge(Z, W)))
+    )
+    trivectors = qk.TrivectorSum(
+        chart,
+        ((coeff, (X, Y, Z)), (chart.constant(-1.5), (Y, Z, W)), (coeff, (W, X, Y))),
+    )
+    return {
+        "field": X,
+        "bracket": qk.lie_bracket(Y, Z),
+        "bivector-sum": bivectors,
+        "trivector-sum": trivectors,
+    }
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_values_and_conditions_match_the_reference(case):
+    cfg, fields, coeff, _ = layout_problem(case)
+    points = cfg.points()
+    masks = [np.ones(len(points), bool)]
+    masks += [np.random.default_rng(s).random(len(points)) < 0.7 for s in (1, 2)]
+    for name, residual in residual_kinds(fields, coeff).items():
+        want = ref_values_at(residual, points)
+        assert_same_bits(values_at(residual, points), want)
+        if name != "bracket":
+            assert np.isnan(want).any(), name
+        for usable in masks:
+            assert condition(name, residual, points, usable=usable) == condition(
+                name, want, points, usable=usable
+            )
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_multivector_components_match_the_reference(case):
+    cfg, fields, coeff, _ = layout_problem(case)
+    points = cfg.points()
+    kinds = residual_kinds(fields, coeff)
+    B, T = kinds["bivector-sum"], kinds["trivector-sum"]
+    assert_same_bits(qk.bivector_components_at(B, points), ref_bivector_components(B, points))
+    got = qk.trivector_components_at(T, points)
+    assert got.flags.c_contiguous
+    assert_same_bits(got, ref_trivector_components(T, points))
+    assert_same_bits(fields[0].components_at(points), ref_components(fields[0], points))
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("k", [2, 3])
+def test_factored_bases_match_the_reference(case, k):
+    cfg, (X, Y, Z, W), _, _ = layout_problem(case)
+    points = cfg.points()
+    basis = (X, Y, Z)[:k]
+    got = _FactoredBasis.of(basis, points, cfg.tol)
+    want = ref_factored(basis, points, cfg.tol)
+    assert_same_bits(got.stack, want.stack)
+    for name in ("defined", "smallest", "settled", "independent"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+    assert want.independent.any() and not want.defined.all()
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("k", [2, 3])
+def test_span_expansions_match_the_reference(case, k):
+    cfg, (X, Y, Z, W), _, _ = layout_problem(case)
+    points = cfg.points()
+    tol = cfg.tol
+    for target, basis in ((X, (Y, Z, W)[:k]), (W, (X, Y, Z)[:k])):
+        got = criteria.span_expand(target, basis, points, tol)
+        coeffs, residuals = ref_span(target, basis, points, tol)
+        assert_same_bits(got.coefficient_array, coeffs)
+        assert_same_bits(got.residual_array, residuals)
+        if case == "9":
+            # no residual vanishes, so the order of every sum shows
+            assert np.nanmin(residuals) > 0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_jacobi_identity_check_matches_the_reference(case, monkeypatch):
+    cfg, fields, coeff, triples = layout_problem(case)
+    points = cfg.points()
+    B = residual_kinds(fields, coeff)["bivector-sum"]
+    seen = []
+
+    def recording_condition(name, residual, *args, **kwargs):
+        seen.append(residual)
+        return condition(name, residual, *args, **kwargs)
+
+    monkeypatch.setattr(qbh, "condition", recording_condition)
+    report = qbh.jacobi_identity_check(B, triples, cfg)
+    want = ref_cyclic_sums(B, triples, points)
+    (got,) = seen
+    assert_same_bits(got, want)
+    assert report.conditions == (condition("cyclic-sum", want, points),)
+    assert np.isfinite(want).any()

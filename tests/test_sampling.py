@@ -161,16 +161,20 @@ def test_a_config_frees_its_cloud_with_it():
 
 def test_one_cache_bound_holds_over_a_whole_run(monkeypatch):
     # every check of the run evaluates on one cloud and fills one cache,
-    # whose entries count as one value per point; the bound is tested
-    # once per call, so only the call that crosses it may end past it,
-    # by its own new values
+    # whose entries count as the values they hold (one per point for an
+    # array, one for a constant); the bound is tested once per call, so
+    # only the call that crosses it may end past it, by its own new values
     evaluate = expr._evaluate
     calls = []
 
+    def held(cloud):
+        return sum(np.size(value) for value in cloud.cache.values())
+
     def recording_evaluate(node, cloud):
-        before = len(cloud.cache)
+        before = held(cloud)
+        assert cloud.cached_values == before
         result = evaluate(node, cloud)
-        calls.append((cloud, before, len(cloud.cache) - before))
+        calls.append((cloud, before, held(cloud) - before))
         return result
 
     monkeypatch.setattr(expr, "_evaluate", recording_evaluate)
@@ -180,11 +184,11 @@ def test_one_cache_bound_holds_over_a_whole_run(monkeypatch):
     cloud = cfg.points()
     shared = [(before, added) for c, before, added in calls if c is cloud]
     assert len(shared) > 100
-    under = [added for before, added in shared if before * 5000 < MAX_CACHED_VALUES]
-    over = [added for before, added in shared if before * 5000 >= MAX_CACHED_VALUES]
+    under = [added for before, added in shared if before < MAX_CACHED_VALUES]
+    over = [added for before, added in shared if before >= MAX_CACHED_VALUES]
     assert over and set(over) == {0}
-    held = len(cloud.cache) * 5000
-    assert MAX_CACHED_VALUES <= held <= MAX_CACHED_VALUES + under[-1] * 5000
+    assert MAX_CACHED_VALUES <= cloud.cached_values == held(cloud)
+    assert cloud.cached_values <= MAX_CACHED_VALUES + under[-1]
 
 
 def test_tolerance_validation():

@@ -1,0 +1,359 @@
+"""Compare the reports of two qbhkit source trees on a fixed matrix of runs.
+
+    python3 tools/compare_reports.py SRC_A SRC_B
+
+SRC_A and SRC_B are checkouts of this repository (directories holding
+``src/qbhkit``) or directories holding the ``qbhkit`` package itself.
+Each tree runs the whole matrix in an interpreter of its own, one
+``qbhkit.cli.run_command`` call per CLI invocation, every report as
+``--format json``:
+
+- the six shipped fixtures (``example run``) at their default setting,
+  at ``--samples 1000 --seed 7``, at ``--samples 50 --seed 123`` and at
+  ``--samples 5000``, and ``example list``;
+- every ``check`` subcommand, ``coeffs lemma4`` and ``build qbh`` on
+  each shipped problem file (those of SRC_B) and on the edge inputs:
+  X1 = 1e200 d/dx with X2 = d/dy + x d/dz, 1e200 d/dx with
+  1e200 d/dx + d/dy, a 1-coordinate, a 2-coordinate and a 9-coordinate
+  chart;
+- ``check poisson`` on 40 generated problems (``perfbench/generate.py``
+  of this checkout, seed 15).
+
+Each run's stdout, stderr and exit code are compared and every
+difference is listed. The exit status is 1 if a verdict, an exit code,
+a skip count, a note, a key or the key order differs, or stderr does;
+a difference only in the bits of residuals and worst points is listed
+but leaves the exit status 0. Warnings print once per source line and
+run, as in a new process; the source tree's path in a warning or a
+traceback reads ``<src>``.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+FIXTURE_SETTINGS = (
+    (),
+    ("--samples", "1000", "--seed", "7"),
+    ("--samples", "50", "--seed", "123"),
+    ("--samples", "5000"),
+)
+SUBCOMMANDS = tuple(
+    ("check", what)
+    for what in ("poisson", "automorphism", "compat", "delta", "hamiltonian", "jacobi", "hojman")
+) + (("coeffs", "lemma4"), ("build", "qbh"))
+GENERATED_SEED = 15
+GENERATED_COUNT = 40
+
+# keys whose floating-point values follow the bits of a residual
+RESIDUAL_KEYS = ("max_residual", "worst_point")
+
+_NINE = tuple(f"x{i}" for i in range(1, 10))
+
+EDGE_INPUTS = {
+    "overflow-1e200-x-y": """
+[space]
+coordinates = x y z
+
+[field X1]
+x = 1e200
+
+[field X2]
+y = 1
+z = x
+
+[field X3]
+z = 1
+
+[field XH]
+y = x
+
+[function H]
+expr = y
+
+[function F]
+expr = z
+""",
+    "overflow-1e200-x-1e200-x-plus-y": """
+[space]
+coordinates = x y z
+
+[field X1]
+x = 1e200
+
+[field X2]
+x = 1e200
+y = 1
+
+[field X3]
+z = 1
+
+[field XH]
+z = 1e200
+
+[function H]
+expr = z
+
+[function F]
+expr = y
+""",
+    "one-coordinate": """
+[space]
+coordinates = x
+
+[field X1]
+x = 1
+
+[field X2]
+x = x
+
+[field X3]
+x = x^2
+
+[field XH]
+x = -1
+
+[function H]
+expr = x
+
+[function F]
+expr = x^2
+""",
+    "two-coordinate": """
+[space]
+coordinates = x y
+
+[field X1]
+x = 1
+
+[field X2]
+y = exp(x)
+
+[field X3]
+x = y
+y = x
+
+[field XH]
+y = -exp(x)
+
+[function H]
+expr = x * y
+
+[function F]
+expr = y
+""",
+    "nine-coordinate": "\n".join(
+        ["[space]", "coordinates = " + " ".join(_NINE), "", "[field X1]"]
+        + [f"{c} = {i + 1} + {_NINE[i - 1]} * {c}" for i, c in enumerate(_NINE)]
+        + ["", "[field X2]"]
+        + [f"{c} = sin({_NINE[i - 2]}) - {i} * {c}" for i, c in enumerate(_NINE)]
+        + ["", "[field X3]"]
+        + [f"{c} = {c}^2 - {_NINE[i - 3]}" for i, c in enumerate(_NINE)]
+        + ["", "[field XH]"]
+        + [f"{c} = {_NINE[i - 4]} / {c}" for i, c in enumerate(_NINE)]
+        + ["", "[function H]", "expr = " + " + ".join(f"{c}^2" for c in _NINE)]
+        + ["", "[function F]", "expr = x1 * x9", ""]
+        + ["[domain]", "box = " + " ".join(f"{c}:0.5:1.5" for c in _NINE), ""]
+    ),
+}
+
+
+def package_root(path: str) -> Path:
+    """The directory to put on sys.path for the qbhkit tree at ``path``."""
+    path = Path(path).resolve()
+    for candidate in (path / "src", path):
+        if (candidate / "qbhkit" / "__init__.py").is_file():
+            return candidate
+    raise SystemExit(f"compare_reports: no qbhkit package under {path}")
+
+
+def _generator():
+    spec = importlib.util.spec_from_file_location(
+        "generate", REPO / "perfbench" / "generate.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_matrix(shipped: Path, workdir: Path) -> list[list[str]]:
+    """The argv of every run, with the problem files it names written
+    under ``workdir``."""
+    json_flag = ["--format", "json"]
+    matrix = [["example", "list"]]
+    names = sorted(p.stem for p in shipped.glob("*.prob"))
+    for setting in FIXTURE_SETTINGS:
+        for name in names:
+            matrix.append(["example", "run", name, *setting, *json_flag])
+    inputs = [str(shipped / f"{name}.prob") for name in names]
+    for label, text in EDGE_INPUTS.items():
+        path = workdir / f"{label}.prob"
+        path.write_text(text, encoding="utf-8")
+        inputs.append(str(path))
+    for path in inputs:
+        for command in SUBCOMMANDS:
+            matrix.append([*command, "--input", path, *json_flag])
+    generate = _generator()
+    for index in range(GENERATED_COUNT):
+        path = generate.write_problem(str(workdir), GENERATED_SEED, index)
+        matrix.append(["check", "poisson", "--input", path, *json_flag])
+    return matrix
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Python's default warning printer, to the current sys.stderr, in
+    place of whatever a caller installed."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_matrix(matrix) -> list[dict]:
+    """Every run of ``matrix`` in this interpreter: its stdout, stderr
+    and exit code, or the traceback of an exception that escaped."""
+    import qbhkit
+    from qbhkit.cli import run_command
+
+    src = str(Path(qbhkit.__file__).resolve().parents[1])
+    results = []
+    for argv in matrix:
+        out, err = io.StringIO(), io.StringIO()
+        # catch_warnings starts each run's once-per-line warning record afresh
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.showwarning = _print_warning
+            try:
+                code, _ = run_command(argv, stdout=out, stderr=err)
+            except Exception:  # reported and compared, not raised
+                code = "traceback"
+                err.write(traceback.format_exc())
+        results.append(
+            {
+                "stdout": out.getvalue(),
+                "stderr": err.getvalue().replace(src, "<src>"),
+                "code": code,
+            }
+        )
+    return results
+
+
+def run_side(root: Path, matrix_path: Path) -> list[dict]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env.pop("QBHKIT_FORMAT", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, __file__, "--run-matrix", str(matrix_path), "--expect", str(root)],
+        env=env,
+        capture_output=True,
+        text=True,
+        cwd=matrix_path.parent,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"compare_reports: the run on {root} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def json_differences(a, b, path="", key=""):
+    """(path, kind, a, b) for every difference between two JSON values.
+    ``kind`` is "bits" for two floats under a key of RESIDUAL_KEYS, else
+    the innermost key, which a list's items share."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return [(path, "keys", list(a), list(b))]
+        found = []
+        for k in a:
+            found += json_differences(a[k], b[k], f"{path}.{k}", k)
+        return found
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        found = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            found += json_differences(x, y, f"{path}[{i}]", key)
+        return found
+    if type(a) is type(b) and repr(a) == repr(b):
+        return []
+    floats = type(a) is float and type(b) is float
+    kind = "bits" if floats and key in RESIDUAL_KEYS else key or "value"
+    return [(path, kind, a, b)]
+
+
+def differences(a: dict, b: dict):
+    """(stream, kind, detail) for every difference between two runs."""
+    found = []
+    if a["code"] != b["code"]:
+        found.append(("exit", "exit code", f"{a['code']} != {b['code']}"))
+    if a["stderr"] != b["stderr"]:
+        found.append(("stderr", "stderr", f"{a['stderr']!r} != {b['stderr']!r}"))
+    if a["stdout"] != b["stdout"]:
+        try:
+            pairs = json_differences(json.loads(a["stdout"]), json.loads(b["stdout"]))
+        except json.JSONDecodeError:
+            pairs = [("", "text", a["stdout"], b["stdout"])]
+        for path, kind, x, y in pairs:
+            found.append(("stdout", kind, f"{path or '(output)'}: {x!r} != {y!r}"))
+    return found
+
+
+def compare(matrix, results_a, results_b, write=print) -> int:
+    """List the differences; 1 if one is more than residual bits."""
+    severe = residual_only = 0
+    for argv, a, b in zip(matrix, results_a, results_b):
+        found = differences(a, b)
+        if not found:
+            continue
+        only_bits = all(kind == "bits" for _, kind, _ in found)
+        residual_only += only_bits
+        severe += not only_bits
+        write(("BITS " if only_bits else "DIFF ") + "qbhkit " + " ".join(argv))
+        for stream, kind, detail in found:
+            write(f"    {stream} [{kind}] {detail}")
+    write(
+        f"{len(matrix)} runs: {len(matrix) - severe - residual_only} identical, "
+        f"{residual_only} differ in residual bits only, {severe} differ otherwise"
+    )
+    return 1 if severe else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_a", nargs="?")
+    parser.add_argument("src_b", nargs="?")
+    parser.add_argument("--run-matrix", help=argparse.SUPPRESS)
+    parser.add_argument("--expect", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run_matrix:
+        import qbhkit
+
+        where = Path(qbhkit.__file__).resolve().parents[1]
+        if where != Path(args.expect):
+            raise SystemExit(f"compare_reports: imported qbhkit from {where}")
+        matrix = json.loads(Path(args.run_matrix).read_text(encoding="utf-8"))
+        json.dump(run_matrix(matrix), sys.stdout)
+        return 0
+    if not (args.src_a and args.src_b):
+        parser.error("SRC_A and SRC_B are required")
+    root_a, root_b = package_root(args.src_a), package_root(args.src_b)
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as workdir:
+        workdir = Path(workdir)
+        matrix = build_matrix(root_b / "qbhkit" / "problems", workdir)
+        matrix_path = workdir / "matrix.json"
+        matrix_path.write_text(json.dumps(matrix), encoding="utf-8")
+        results_a = run_side(root_a, matrix_path)
+        results_b = run_side(root_b, matrix_path)
+        return compare(matrix, results_a, results_b)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
