@@ -236,29 +236,70 @@ class SpanDecomposition:
 def _two_column_solve(factors, target: np.ndarray) -> np.ndarray:
     """Least-squares solutions (m, 2) from the Gram-Schmidt factors of
     n x 2 systems: y = Q^T v, with v projected off q1 before q2, then
-    back substitution in R. Meaningful at full-rank rows only."""
+    back substitution in R. Meaningful at full-rank rows only. The
+    solutions are the ``.T`` view of a C-ordered (2, m) array, one row
+    per coefficient."""
     q1, q2, r11, r12, r22 = factors
     v = target.T
     with np.errstate(all="ignore"):
         y1 = np.einsum("im,im->m", q1, v)
         y2 = np.einsum("im,im->m", q2, v - y1 * q1)
         c1 = y2 / r22
-        return np.stack([(y1 - r12 * c1) / r11, c1], axis=1)
+        return np.stack([(y1 - r12 * c1) / r11, c1]).T
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row. A row whose sum of squares overflowed
-    is scaled first by the power of two that puts its largest entry in
-    [0.5, 1), which is exact, so a finite row has a finite norm."""
+    """Euclidean norm of each row, rescaled where it overflowed (see
+    ``_rescale_overflowed``)."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(rows, axis=1)
+    return _rescale_overflowed(norms, rows)
+
+
+def _rescale_overflowed(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``norms``, the norms of the rows (m, n) of ``rows``, with each one
+    whose sum of squares overflowed recomputed from its row scaled by
+    the power of two that puts its largest entry in [0.5, 1), which is
+    exact, so a finite row has a finite norm. The rescaled rows are
+    summed C-ordered, as ``_row_norms`` sums."""
     redo = norms == np.inf
     if redo.any():
-        huge = rows[redo]
+        huge = np.ascontiguousarray(rows[redo])
         exponent = np.frexp(np.abs(huge).max(axis=1))[1]
         scaled = np.linalg.norm(np.ldexp(huge, -exponent[:, None]), axis=1)
         norms[redo] = np.ldexp(scaled, exponent)
     return norms
+
+
+# numpy (2.4) sums a C-ordered row of at most this many values in order
+# and a longer one pairwise, so only up to this many components does a
+# sum over component rows, taken in order, have the bits of
+# ``np.linalg.norm`` on C-ordered rows. This is a fact of numpy's
+# summation, not a tunable; ``tests/test_layout.py`` pins both sides.
+_IN_ORDER_MAX_N = 7
+
+
+def _two_column_residuals(columns, coeffs, target_rows) -> np.ndarray:
+    """Norms |t - (c1 a + c2 b)| at every point, on component rows:
+    ``columns`` (2, n, m) holds a and b, ``coeffs`` (2, m) holds c1 and
+    c2 and ``target_rows`` (n, m) holds t, with n <= _IN_ORDER_MAX_N.
+    Each difference d_i is formed elementwise and the sum of the d_i^2
+    is taken in i order, so the norms have the bits of ``_row_norms`` on
+    the C-ordered differences, and the differences those of the
+    ``mik,mk->mi`` einsum this replaces. Like that einsum, the fit does
+    not warn."""
+    (a, b), (c1, c2) = columns, coeffs
+    with np.errstate(all="ignore"):
+        fitted = a * c1
+        fitted += b * c2
+    rows = target_rows - fitted
+    with np.errstate(over="ignore"):
+        squares = np.multiply(rows, rows, out=fitted)
+        total = squares[0]
+        for square in squares[1:]:
+            total += square
+        norms = np.sqrt(total, out=total)
+    return _rescale_overflowed(norms, rows.T)
 
 
 def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
@@ -266,24 +307,37 @@ def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
     basis.stack[i]: (coefficients (m, k), residual norms (m,), notes).
     Rows that are undefined or whose basis is not independent are NaN
     and counted in the notes. Rows the two-column closed form settled
-    are solved from its factors, every other row by ``_least_squares``."""
-    # the sums below, in lstsq's overflow test and in the einsum, take
-    # C-ordered operands (see the layout note in ``residuals``)
-    stack = np.ascontiguousarray(basis.stack)
+    are solved from its factors, every other row by ``_least_squares``.
+
+    The coefficients are the ``.T`` view of a C-ordered (k, m) array.
+    For k = 2 and n <= _IN_ORDER_MAX_N (every span of the shipped
+    fixtures) the fit, the difference and the sum of squares run on the
+    component rows of ``basis.stack.T`` and ``target.T``, with no copy.
+    Other shapes take the C-ordered route: a ``mik,mk->mi`` einsum on a
+    C-ordered copy of the stack and ``_row_norms``, as numpy sums longer
+    rows pairwise (see the layout note in ``residuals``). On both routes
+    only the ``rest`` rows are copied for ``_least_squares``.
+    """
+    m, n, k = basis.stack.shape
     defined = basis.defined & finite_points(target)
     solvable = defined & basis.independent
     closed = solvable & basis.settled
-    coeffs = np.full((len(stack), stack.shape[2]), np.nan)
     if closed.any():
-        coeffs = np.where(
-            closed[:, None], _two_column_solve(basis.factors, target), np.nan
-        )
+        coeffs = np.where(closed, _two_column_solve(basis.factors, target).T, np.nan)
+    else:
+        coeffs = np.full((k, m), np.nan)
     rest = solvable & ~closed
     if rest.any():
-        coeffs[rest] = _least_squares(stack[rest], target[rest])
+        # lstsq's overflow test sums over each matrix: hand it C order
+        A = np.ascontiguousarray(basis.stack[rest])
+        coeffs[:, rest] = _least_squares(A, target[rest]).T
     # NaN coefficients make the residual NaN at every unsolved row
-    fitted = np.einsum("mik,mk->mi", stack, coeffs)
-    residuals = _row_norms(np.subtract(target, fitted, order="C"))
+    if k == 2 and n <= _IN_ORDER_MAX_N:
+        residuals = _two_column_residuals(basis.stack.T, coeffs, target.T)
+    else:
+        stack = np.ascontiguousarray(basis.stack)
+        fitted = np.einsum("mik,mk->mi", stack, np.ascontiguousarray(coeffs.T))
+        residuals = _row_norms(np.subtract(target, fitted, order="C"))
     degenerate = int((defined & ~solvable).sum())
     undefined = int((~defined).sum())
     notes = []
@@ -291,7 +345,7 @@ def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
         notes.append(f"degenerate basis at {degenerate} point(s)")
     if undefined:
         notes.append(f"undefined expressions at {undefined} point(s)")
-    return coeffs, residuals, notes
+    return coeffs.T, residuals, notes
 
 
 def span_expand(V: VectorField, basis, points, tol) -> SpanDecomposition:

@@ -28,9 +28,21 @@ abs, isfinite, all) then runs elementwise across those rows instead of
 over the short inner axis of an (m, ...) array, which costs numpy far
 more per point; these reductions are exact, so their order does not
 matter. A floating-point sum over components (a norm, an einsum) keeps
-the order it has on C-ordered (m, ...) arrays: it is handed a C-ordered
-array, because numpy may sum an array of another layout in another
-order and so round differently.
+the order it has on C-ordered (m, ...) arrays, because numpy may sum an
+array of another layout in another order and so round differently:
+
+- on component rows, where the order is known. The two-column span
+  factors and solutions (``criteria._two_column_factor``,
+  ``_two_column_solve``) sum over the rows of (n, m) arrays in an
+  ``im,im->m`` einsum. A span expansion in two fields on n <= 7
+  coordinates (every span of the shipped fixtures) forms its fit, its
+  difference and its sum of squares on component rows and sums the
+  squares in component order, which is the order in which numpy sums a
+  C-ordered row of at most 7 values; n <= 7 is that fact of numpy's
+  summation, not a tunable;
+- else on a C-ordered copy: span expansions in other numbers of fields
+  or on 8 or more coordinates, whose rows numpy sums pairwise, and the
+  sums over whole matrices in ``criteria._least_squares``.
 """
 from __future__ import annotations
 

@@ -102,3 +102,19 @@ def test_runs_in_one_interpreter_match_the_cli_and_warn_once_each(tool, monkeypa
     assert json.loads(first["stdout"])["command"] == "example run hojman-2d"
     # each run prints the warning, as a new process would
     assert first["stderr"].count("RuntimeWarning: overflow") == 1
+
+
+def test_matrix_runs_every_subcommand_on_both_sides_of_the_row_route(tool, tmp_path):
+    """Span residuals are summed row by row up to 7 coordinates and
+    C-ordered from 8 on; the matrix runs every subcommand on a chart of
+    each size, among its 182 runs."""
+    import qbhkit as qk
+
+    shipped = Path(__file__).parents[1] / "src" / "qbhkit" / "problems"
+    matrix = tool.build_matrix(shipped, tmp_path)
+    assert len(matrix) == 182
+    for n, label in ((7, "seven-coordinate"), (8, "eight-coordinate")):
+        path = str(tmp_path / f"{label}.prob")
+        assert qk.load_problem(path).chart.dimension == n
+        runs = [argv[:2] for argv in matrix if path in argv]
+        assert runs == [list(command) for command in tool.SUBCOMMANDS]

@@ -675,6 +675,25 @@ def test_every_walk_handles_a_chain_at_the_depth_bound(shape):
         assert str(d.simplified())
 
 
+def nested_quotients(count):
+    """The text ``y/(y/(...(y/x)))`` with ``count`` quotients."""
+    text = "x"
+    for _ in range(count):
+        text = f"y/({text})"
+    return text
+
+
+@pytest.mark.parametrize("name, deepest", [("x", 66), ("y", 50)])
+def test_nested_quotients_differentiate_up_to_the_measured_count(name, deepest):
+    # the counts the README states
+    chart = qk.CoordinateChart(("x", "y"))
+    e = qk.parse_expression(nested_quotients(deepest), chart)
+    assert e.diff(name).node.depth <= MAX_NODE_DEPTH
+    deeper = qk.parse_expression(nested_quotients(deepest + 1), chart)
+    with pytest.raises(qk.ExpressionTooDeepError):
+        deeper.diff(name)
+
+
 # ---------------------------------------------------------------------------
 # chart and point plumbing
 

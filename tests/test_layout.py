@@ -8,8 +8,11 @@ formulas the arrays had when they were C-ordered (m, ...) arrays. A
 9-coordinate chart puts the sums over components above numpy's
 8-element switch to pairwise summation, where the order of a sum
 depends on the layout it is handed; a 3-coordinate chart stays below it
-and also carries a pair whose products overflow.
+and also carries a pair whose products overflow. Span expansions of two
+fields sum their squares on component rows up to 7 coordinates, and
+C-ordered from 8 on, so 7- and 8-coordinate charts pin that boundary.
 """
+import functools
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -111,6 +114,11 @@ def ref_values_at(residual, points):
 
 def ref_factored(fields, points, tol):
     stack = np.stack([ref_components(X, points) for X in fields], axis=-1)
+    return ref_basis(stack, tol)
+
+
+def ref_basis(stack, tol):
+    """The factored basis of a C-ordered (m, n, k) stack."""
     n, k = stack.shape[1:]
     defined = np.isfinite(stack).all(axis=(1, 2))
     smallest = np.full(len(stack), np.nan)
@@ -146,7 +154,12 @@ def ref_row_norms(rows):
 def ref_span(V, fields, points, tol):
     """(coefficients, residuals) of the expansion of V in ``fields``."""
     basis = ref_factored(fields, points, tol)
-    target = ref_components(V, points)
+    return ref_expand(basis, ref_components(V, points))
+
+
+def ref_expand(basis, target):
+    """(coefficients, residuals) of the expansion of the C-ordered (m, n)
+    ``target`` in ``basis``, a ``ref_basis``."""
     stack = basis.stack
     defined = basis.defined & np.isfinite(target).all(axis=1)
     solvable = defined & basis.independent
@@ -189,16 +202,17 @@ def ref_cyclic_sums(B, triples, points):
 
 def layout_problem(case):
     """(cfg, fields X, Y, Z, W, coefficient, test functions) on a
-    3- or 9-coordinate chart. X has a component sqrt(x1) + xn, undefined
-    at about half of the points. In the "overflow" case X, Y and the
-    coefficient have a component exp(700 x1), finite on the box, whose
-    products overflow where x1 > 0.507."""
-    n = 9 if case == "9" else 3
+    3-coordinate chart, or on one of as many coordinates as ``case``
+    names. X has a component sqrt(x1) + xn, undefined at about half of
+    the points. In the "overflow" case X, Y and the coefficient have a
+    component exp(700 x1), finite on the box, whose products overflow
+    where x1 > 0.507."""
+    n = int(case) if case.isdigit() else 3
     names = tuple(f"x{i}" for i in range(1, n + 1))
     chart = qk.CoordinateChart(names)
     cfg = make_cfg(chart, samples=300, seed=11 + n)
     rng = np.random.default_rng(5 + n)
-    X, Y, Z, W = random_fields(chart, rng, degree=1 if n == 9 else 2, count=4)
+    X, Y, Z, W = random_fields(chart, rng, degree=1 if n > 3 else 2, count=4)
     coeff = qk.random_polynomial(chart, rng, degree=1)
     root = qk.parse_expression(f"sqrt(x1) + {names[-1]}", chart)
     X = qk.VectorField(chart, (X.components[0], root) + X.components[2:])
@@ -322,3 +336,103 @@ def test_jacobi_identity_check_matches_the_reference(case, monkeypatch):
     assert_same_bits(got, want)
     assert report.conditions == (condition("cyclic-sum", want, points),)
     assert np.isfinite(want).any()
+
+
+# ---------------------------------------------------------------------------
+# the boundary of the row-wise span residual
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9])
+def test_in_order_sums_have_numpys_bits_up_to_seven_terms(n):
+    """The fact behind ``_IN_ORDER_MAX_N``: numpy sums a C-ordered row of
+    up to 7 values in order, and a longer one otherwise."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((4000, n)) * 2.0 ** rng.integers(-30, 30, (4000, n))
+    in_order = np.sqrt(functools.reduce(np.add, (rows * rows).T))
+    same = in_order == np.linalg.norm(rows, axis=1)
+    assert same.all() == (n <= criteria._IN_ORDER_MAX_N)
+
+
+def spy_on_row_residuals(monkeypatch):
+    """The list of calls that take the row-wise span residual."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return row_residuals(*args)
+
+    row_residuals = criteria._two_column_residuals
+    monkeypatch.setattr(criteria, "_two_column_residuals", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["7", "8"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_span_expansions_at_the_route_boundary_match_the_reference(case, k, monkeypatch):
+    cfg, (X, Y, Z, W), _, _ = layout_problem(case)
+    points = cfg.points()
+    calls = spy_on_row_residuals(monkeypatch)
+    for target, basis in ((X, (Y, Z, W)[:k]), (W, (X, Y, Z)[:k])):
+        got = criteria.span_expand(target, basis, points, cfg.tol)
+        coeffs, residuals = ref_span(target, basis, points, cfg.tol)
+        assert_same_bits(got.coefficient_array, coeffs)
+        assert_same_bits(got.residual_array, residuals)
+        # no residual vanishes, so the order of every sum shows
+        assert np.nanmin(residuals) > 0
+        assert np.isnan(residuals).any() and not np.isnan(residuals).all()
+    assert len(calls) == (2 if k == 2 and case == "7" else 0)
+
+
+def planted_systems(n, m=600, seed=0):
+    """C-ordered (m, n, 2) stacks and (m, n) targets: rows whose smallest
+    singular value lies within 1e-13 of the independence tolerance, so
+    the closed form leaves them to LAPACK; rows whose residual is about
+    2^600, so its sum of squares overflows; undefined entries; exactly
+    dependent columns; and well-conditioned rows."""
+    rng = np.random.default_rng(seed + n)
+    tol = qk.ToleranceConfig()
+    stack = rng.uniform(-1.0, 1.0, size=(m, n, 2))
+    target = rng.uniform(-1.0, 1.0, size=(m, n))
+    for i in range(40):
+        u, _, vh = np.linalg.svd(rng.standard_normal((n, 2)), full_matrices=False)
+        smallest = tol.independence * (1 + rng.uniform(-1e-13, 1e-13))
+        stack[i] = (u * [10 ** rng.uniform(-1, 1), smallest]) @ vh
+    target[40:80] = np.ldexp(target[40:80], 600)
+    stack[80:84, rng.integers(n), 0] = np.nan
+    target[84:88, rng.integers(n)] = np.inf
+    stack[88:100, :, 1] = 2.0 * stack[88:100, :, 0]
+    return stack, target, tol
+
+
+def component_major(arr):
+    """``arr`` with its shape, stored as the transposed view of a
+    C-ordered array, as the library stores per-point arrays."""
+    return np.ascontiguousarray(arr.T).T
+
+
+@pytest.mark.parametrize("layout", ["component-major", "C-ordered"])
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9])
+def test_planted_two_column_expansions_match_the_reference(n, layout, monkeypatch):
+    """Rows solved by LAPACK, residuals rescaled after their squares
+    overflowed, and both routes, on either layout."""
+    stack, target, tol = planted_systems(n)
+    want = ref_basis(stack, tol)
+    want_c, want_r = ref_expand(want, target)
+    if layout == "component-major":
+        stack, target = component_major(stack), component_major(target)
+    calls = spy_on_row_residuals(monkeypatch)
+    basis = _FactoredBasis(stack, tol)
+    coeffs, residuals, notes = criteria._expand_rows(basis, target)
+    assert_same_bits(coeffs, want_c)
+    assert_same_bits(residuals, want_r)
+    assert len(calls) == (n <= 7)
+    # LAPACK solves some rows, the closed form others
+    rest = basis.independent & ~basis.settled
+    assert rest.any() and (basis.independent & basis.settled).any()
+    assert np.isfinite(residuals[rest]).all()
+    # some residuals are finite only thanks to the rescale
+    assert np.nanmax(residuals) > np.sqrt(np.finfo(float).max)
+    defined = want.defined & np.isfinite(target).all(axis=1)
+    assert notes == [
+        f"degenerate basis at {(defined & ~want.independent).sum()} point(s)",
+        "undefined expressions at 8 point(s)",
+    ]

@@ -14,8 +14,9 @@ Each tree runs the whole matrix in an interpreter of its own, one
 - every ``check`` subcommand, ``coeffs lemma4`` and ``build qbh`` on
   each shipped problem file (those of SRC_B) and on the edge inputs:
   X1 = 1e200 d/dx with X2 = d/dy + x d/dz, 1e200 d/dx with
-  1e200 d/dx + d/dy, a 1-coordinate, a 2-coordinate and a 9-coordinate
-  chart;
+  1e200 d/dx + d/dy, and charts of 1, 2, 7, 8 and 9 coordinates (span
+  residuals are summed row by row up to 7 coordinates, C-ordered from 8
+  on);
 - ``check poisson`` on 40 generated problems (``perfbench/generate.py``
   of this checkout, seed 15).
 
@@ -60,7 +61,26 @@ GENERATED_COUNT = 40
 # keys whose floating-point values follow the bits of a residual
 RESIDUAL_KEYS = ("max_residual", "worst_point")
 
-_NINE = tuple(f"x{i}" for i in range(1, 10))
+
+
+def _many_coordinates(n: int) -> str:
+    """A problem file on the chart x1 ... xn whose fields mix every
+    coordinate into every component."""
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    return "\n".join(
+        ["[space]", "coordinates = " + " ".join(names), "", "[field X1]"]
+        + [f"{c} = {i + 1} + {names[i - 1]} * {c}" for i, c in enumerate(names)]
+        + ["", "[field X2]"]
+        + [f"{c} = sin({names[i - 2]}) - {i} * {c}" for i, c in enumerate(names)]
+        + ["", "[field X3]"]
+        + [f"{c} = {c}^2 - {names[i - 3]}" for i, c in enumerate(names)]
+        + ["", "[field XH]"]
+        + [f"{c} = {names[i - 4]} / {c}" for i, c in enumerate(names)]
+        + ["", "[function H]", "expr = " + " + ".join(f"{c}^2" for c in names)]
+        + ["", "[function F]", f"expr = x1 * {names[-1]}", ""]
+        + ["[domain]", "box = " + " ".join(f"{c}:0.5:1.5" for c in names), ""]
+    )
+
 
 EDGE_INPUTS = {
     "overflow-1e200-x-y": """
@@ -154,19 +174,10 @@ expr = x * y
 [function F]
 expr = y
 """,
-    "nine-coordinate": "\n".join(
-        ["[space]", "coordinates = " + " ".join(_NINE), "", "[field X1]"]
-        + [f"{c} = {i + 1} + {_NINE[i - 1]} * {c}" for i, c in enumerate(_NINE)]
-        + ["", "[field X2]"]
-        + [f"{c} = sin({_NINE[i - 2]}) - {i} * {c}" for i, c in enumerate(_NINE)]
-        + ["", "[field X3]"]
-        + [f"{c} = {c}^2 - {_NINE[i - 3]}" for i, c in enumerate(_NINE)]
-        + ["", "[field XH]"]
-        + [f"{c} = {_NINE[i - 4]} / {c}" for i, c in enumerate(_NINE)]
-        + ["", "[function H]", "expr = " + " + ".join(f"{c}^2" for c in _NINE)]
-        + ["", "[function F]", "expr = x1 * x9", ""]
-        + ["[domain]", "box = " + " ".join(f"{c}:0.5:1.5" for c in _NINE), ""]
-    ),
+    # span sums over 7 components run row by row, over 8 or more C-ordered
+    "seven-coordinate": _many_coordinates(7),
+    "eight-coordinate": _many_coordinates(8),
+    "nine-coordinate": _many_coordinates(9),
 }
 
 
