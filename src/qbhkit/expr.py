@@ -386,6 +386,103 @@ def _ndiff(node, coord):
     raise TypeError(f"cannot differentiate node {node!r}")
 
 
+def gradient_at(f: "ScalarExpr", points) -> np.ndarray:
+    """The components of df over ``points`` (a PointCloud or Point
+    objects), shape (len(points), dimension). Column i is bit for bit
+    ``f.diff(names[i]).sample(points)``.
+
+    A polynomial in the form ``nsum``/``nprod`` build, a sum of terms
+    that are each an optional leading constant followed by coordinates,
+    is differentiated from its terms: no derivative node is built and no
+    value joins the cloud's cache. Any other tree takes the symbolic
+    route.
+    """
+    cloud = PointCloud.of(f.chart, points)
+    names = f.chart.names
+    terms = _monomials(f.node)
+    if terms is None:
+        return np.column_stack([f.diff(name).sample(cloud) for name in names])
+    columns = dict(zip(names, cloud.values.T))
+    with np.errstate(all="ignore"):
+        return np.column_stack(
+            [_monomial_derivative(terms, name, columns, len(cloud)) for name in names]
+        )
+
+
+def _monomials(node):
+    """The terms of ``node`` as (coefficient, coordinate names) pairs,
+    with no names for a constant; None unless every term is a ``Const``,
+    a ``Coord`` or a ``Product`` of an optional leading ``Const`` and
+    one or more ``Coord``."""
+    terms = []
+    for term in node.args if isinstance(node, Sum) else (node,):
+        if isinstance(term, Const):
+            terms.append((term.value, ()))
+            continue
+        factors = term.args if isinstance(term, Product) else (term,)
+        coeff = 1.0
+        if isinstance(factors[0], Const):
+            coeff = factors[0].value
+            factors = factors[1:]
+        if not factors or not all(isinstance(c, Coord) for c in factors):
+            return None
+        terms.append((coeff, tuple(c.name for c in factors)))
+    return terms
+
+
+def _monomial_derivative(terms, name, columns, m):
+    """``ndiff`` of the ``_monomials`` ``terms`` in ``name``, sampled on
+    ``columns`` (coordinate name -> values) without building it.
+
+    It mirrors the tree ``ndiff`` builds and ``_eval_array``'s order:
+    the product-rule terms in tree order, each ``nprod``'s constant
+    times the other coordinates from left to right (a factor 1.0 leaves
+    every bit as it is), summed in order; the constant ones are folded
+    into one float and added last, as ``nsum`` does. ``_eval_array``
+    turns every non-finite node value into NaN, and products and sums
+    never make a non-finite value finite again, so doing it once at the
+    end gives the same bits, but for a derivative that is a lone
+    coordinate, whose value is the column itself.
+    """
+    total = None
+    owned = False  # whether ``total`` is an array made by this call
+    const = 0.0
+    for coeff, factors in terms:
+        for i, factor in enumerate(factors):
+            if factor != name or coeff == 0.0:
+                continue
+            rest = factors[:i] + factors[i + 1 :]
+            if not rest:
+                const += coeff
+                continue
+            lone = coeff == 1.0 and len(rest) == 1
+            if lone:
+                value = columns[rest[0]]
+            else:
+                value = coeff * columns[rest[0]]
+                for other in rest[1:]:
+                    value *= columns[other]
+            if total is None:
+                total, owned = value, not lone
+            elif owned:
+                total += value
+            else:
+                total, owned = total + value, True
+    if const != 0.0:
+        if total is None:
+            total, owned = np.full(m, const), True
+        elif owned:
+            total += const
+        else:
+            total, owned = total + const, True
+    if total is None:
+        return np.zeros(m)
+    if not owned:
+        # a lone coordinate, whose value ``_eval_array`` does not check
+        return total
+    return _undefined_to_nan(total)
+
+
 # ---------------------------------------------------------------------------
 # structural fingerprints and simplification
 

@@ -21,7 +21,7 @@ from .errors import (
     NonVanishingRhoError,
     NotAnIntegralError,
 )
-from .expr import ScalarExpr, constant
+from .expr import ScalarExpr, constant, gradient_at
 from .fields import (
     BivectorSum,
     TrivectorSum,
@@ -170,11 +170,6 @@ def build_qbh(
     )
 
 
-def _gradient_at(f: ScalarExpr, points) -> np.ndarray:
-    """Components of df, shape (len(points), dimension)."""
-    return np.column_stack([f.diff(name).sample(points) for name in f.chart.names])
-
-
 def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionReport:
     """Max |{{F,G},K} + {{G,K},F} + {{K,F},G}| over triples and points.
 
@@ -196,7 +191,7 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
     T = trivector_components_at(tensor, points)
     rows = []
     for F, G, K in triples:
-        dF, dG, dK = (_gradient_at(f, points) for f in (F, G, K))
+        dF, dG, dK = (gradient_at(f, points) for f in (F, G, K))
         rows.append(-0.5 * np.einsum("mijk,mi,mj,mk->m", T, dF, dG, dK))
     # a point is usable if B and the cyclic sum of every triple are defined
     defined = np.isfinite(values_at(B, points))

@@ -233,12 +233,16 @@ def fd_lie_bracket(X: VectorField, Y: VectorField, p: Point, h: float = 1e-5) ->
 def random_polynomial(chart: CoordinateChart, rng, degree: int = 3) -> ScalarExpr:
     """A dense random polynomial of total degree <= degree with
     coefficients uniform in [-1, 1], deterministic for a given rng state."""
-    n = chart.dimension
-    terms = []
-    for total in range(degree + 1):
-        for combo in combinations_with_replacement(range(n), total):
-            coeff = float(rng.uniform(-1.0, 1.0))
-            factors = [Const(coeff)]
-            factors.extend(Coord(chart.names[i]) for i in combo)
-            terms.append(nprod(factors))
+    combos = [
+        combo
+        for total in range(degree + 1)
+        for combo in combinations_with_replacement(chart.names, total)
+    ]
+    # one draw of all coefficients continues the stream exactly as one
+    # draw per monomial would
+    coeffs = rng.uniform(-1.0, 1.0, len(combos)).tolist()
+    terms = [
+        nprod([Const(coeff)] + [Coord(name) for name in combo])
+        for coeff, combo in zip(coeffs, combos)
+    ]
     return ScalarExpr(chart, nsum(terms))

@@ -36,8 +36,13 @@ def report(**changes):
     return base
 
 
-def run(stdout, code=0, stderr=""):
-    return {"stdout": json.dumps(stdout), "stderr": stderr, "code": code}
+def run(stdout, code=0, stderr="", values=("a1", "b2")):
+    return {
+        "stdout": json.dumps(stdout),
+        "stderr": stderr,
+        "code": code,
+        "values": list(values),
+    }
 
 
 def kinds(tool, a, b):
@@ -54,9 +59,22 @@ def test_residual_bits_are_listed_but_pass(tool):
     assert lines[-1].endswith("1 differ in residual bits only, 0 differ otherwise")
 
 
+def test_per_point_value_bits_are_listed_but_pass(tool):
+    a = run(report())
+    b = run(report(), values=("a1", "c3"))
+    assert kinds(tool, a, b) == ["bits"]
+    lines = []
+    assert tool.compare([["check", "poisson"]], [a], [b], lines.append) == 0
+    assert lines[:2] == [
+        "BITS qbhkit check poisson",
+        "    values [bits] per-point arrays [1] of 2 differ",
+    ]
+
+
 @pytest.mark.parametrize(
     "a, b, kind",
     [
+        (run(report()), run(report(), values=("a1",)), "arrays"),
         (run(report()), run(report(), code=1), "exit code"),
         (run(report()), run(report(), stderr="warning"), "stderr"),
         (run(report()), run(report(**{"pass": False})), "pass"),
@@ -118,3 +136,39 @@ def test_matrix_runs_every_subcommand_on_both_sides_of_the_row_route(tool, tmp_p
         assert qk.load_problem(path).chart.dimension == n
         runs = [argv[:2] for argv in matrix if path in argv]
         assert runs == [list(command) for command in tool.SUBCOMMANDS]
+
+
+def test_a_per_point_value_away_from_the_maximum_shows(tool, monkeypatch):
+    """A report prints each condition's maximum only; a change of one
+    ulp at the point of the smallest residual shows in the digests of
+    the per-point arrays, as residual bits."""
+    import numpy as np
+
+    import qbhkit.residuals as residuals
+
+    argv = ["example", "run", "rotation", "--samples", "30", "--format", "json"]
+    (before,) = tool.run_matrix([argv])
+    values_at = residuals.values_at
+    changed = []
+
+    def nudged_values_at(residual, points):
+        values = values_at(residual, points)
+        sizes = np.abs(values)
+        if changed or len(np.unique(sizes[np.isfinite(sizes)])) < 2:
+            return values
+        values = values.copy()
+        low = int(np.nanargmin(sizes))
+        values[low] = np.nextafter(values[low], np.inf)
+        changed.append(low)
+        return values
+
+    monkeypatch.setattr(residuals, "values_at", nudged_values_at)
+    (after,) = tool.run_matrix([argv])
+    assert changed
+    assert after["stdout"] == before["stdout"] and after["code"] == before["code"] == 0
+    assert len(after["values"]) == len(before["values"]) > 10
+    found = tool.differences(before, after)
+    assert [(stream, kind) for stream, kind, _ in found] == [("values", "bits")]
+    assert tool.compare([argv], [before], [after], lambda line: None) == 0
+    # run_matrix puts back the function it wraps
+    assert residuals.values_at is nudged_values_at

@@ -12,7 +12,20 @@ import pytest
 
 import qbhkit as qk
 from qbhkit.chart import MAX_CACHED_VALUES
-from qbhkit.expr import MAX_NODE_DEPTH, Call, Coord, node_to_text
+import qbhkit.expr as expr
+from qbhkit.expr import (
+    MAX_NODE_DEPTH,
+    Call,
+    Const,
+    Coord,
+    Neg,
+    Product,
+    Sum,
+    gradient_at,
+    node_to_text,
+    nprod,
+    nsum,
+)
 
 from helpers import DEEP_EXPRESSIONS, make_cfg
 
@@ -516,6 +529,168 @@ def test_point_cloud_indexing():
     assert qk.PointCloud.of(CHART, list(points)).values.tolist() == points.values.tolist()
     with pytest.raises(ValueError):
         points.values[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# gradients: polynomials from their terms, anything else symbolically
+
+
+def chart_of(n):
+    return qk.CoordinateChart(tuple(f"x{i}" for i in range(1, n + 1)))
+
+
+def quadratic(chart, coeffs):
+    """A dense polynomial of total degree <= 2, built as random_polynomial
+    builds one, with the coefficients ``coeffs`` taken in turn."""
+    names = chart.names
+    monomials = [()] + [(a,) for a in names]
+    monomials += [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    terms = [
+        nprod([Const(coeffs[k % len(coeffs)])] + [Coord(c) for c in m])
+        for k, m in enumerate(monomials)
+    ]
+    return qk.ScalarExpr(chart, nsum(terms))
+
+
+def fresh_points(chart, samples=200, seed=3, lo=-1.0, hi=1.0):
+    """A new cloud, with an empty cache, of seeded points in the box."""
+    cfg = make_cfg(chart, lo, hi, samples, seed)
+    return qk.PointCloud(chart, cfg.points().values)
+
+
+def gradient_and_reference(monkeypatch, f, points):
+    """(gradient_at's value, the derivatives' column stack, how many node
+    derivatives gradient_at built), on a fresh cloud ``points``. Where
+    gradient_at builds no derivative it also caches no value."""
+    built = []
+    ndiff = expr._ndiff
+
+    def recording_ndiff(node, coord):
+        built.append(node)
+        return ndiff(node, coord)
+
+    monkeypatch.setattr(expr, "_ndiff", recording_ndiff)
+    got = gradient_at(f, points)
+    monkeypatch.setattr(expr, "_ndiff", ndiff)
+    assert built or not points.cache
+    want = np.column_stack([f.diff(name).sample(points) for name in f.chart.names])
+    assert got.shape == want.shape == (len(points), f.chart.dimension)
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    return got, want, len(built)
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_polynomial_gradients_equal_the_symbolic_route(monkeypatch, n, degree):
+    chart = chart_of(n)
+    rng = np.random.default_rng(10 * n + degree)
+    for seed in range(2):
+        f = qk.random_polynomial(chart, rng, degree=degree)
+        points = fresh_points(chart, seed=seed)
+        got, want, built = gradient_and_reference(monkeypatch, f, points)
+        assert got.tobytes() == want.tobytes()
+        assert built == 0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "coeffs, symbolic",
+    [
+        ((1.0,), False),
+        ((1.0, 0.25, -2.0), False),
+        ((-1.0,), True),
+        ((0.5, -1.0, 1.0), True),
+    ],
+)
+def test_unit_coefficients_take_their_routes(monkeypatch, n, coeffs, symbolic):
+    # nprod drops a coefficient 1.0, which leaves a polynomial term; it
+    # turns -1.0 into a Neg term, which only the symbolic route takes
+    f = quadratic(chart_of(n), coeffs)
+    assert any(isinstance(t, Neg) for t in f.node.args) == symbolic
+    got, want, built = gradient_and_reference(
+        monkeypatch, f, fresh_points(f.chart)
+    )
+    assert got.tobytes() == want.tobytes()
+    assert (built > 0) == symbolic
+
+
+@pytest.mark.parametrize("text", ["x2", "3.5", "0", "x1 * x2 * x2", "2 * x3"])
+def test_single_terms_equal_the_symbolic_route(monkeypatch, text):
+    f = qk.parse_expression(text, CHART_N)
+    got, want, built = gradient_and_reference(monkeypatch, f, fresh_points(CHART_N))
+    assert got.tobytes() == want.tobytes()
+    assert built == 0
+
+
+def test_terms_nprod_would_not_build_equal_the_symbolic_route(monkeypatch):
+    # a leading 0, 1 or -1 that nprod would have folded away; a 0 term
+    # is dropped, where multiplying would give -0.0 at negative points
+    x1, x2, x3 = (Coord(name) for name in CHART_N.names)
+    for coeff in (0.0, -0.0, 1.0, -1.0):
+        term = Product((Const(coeff), x1, x2))
+        for node in (term, Sum((term, x3)), Sum((x3, term, Const(2.0)))):
+            f = qk.ScalarExpr(CHART_N, node)
+            points = fresh_points(CHART_N)
+            got, want, built = gradient_and_reference(monkeypatch, f, points)
+            assert got.tobytes() == want.tobytes()
+            assert built == 0
+
+
+def test_a_lone_coordinate_derivative_is_the_column_itself(monkeypatch):
+    # the symbolic route leaves the value of a bare coordinate unchecked,
+    # so an infinite coordinate stays infinite there and is NaN in a
+    # product or a sum
+    values = [[np.inf, 0.5, 2.0], [1.0, -np.inf, 0.0]]
+    results = []
+    for text in ("x1 * x2", "x1 * x2 + x3", "2 * x1 * x2"):
+        f = qk.parse_expression(text, CHART_N)
+        points = qk.PointCloud(CHART_N, values)
+        got, want, built = gradient_and_reference(monkeypatch, f, points)
+        assert got.tobytes() == want.tobytes()
+        assert built == 0
+        results.append(got)
+    assert np.isinf(results[0]).any()
+    assert not np.isinf(results[2]).any() and np.isnan(results[2]).any()
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+@pytest.mark.parametrize(
+    "coeffs, lo, hi",
+    [
+        ((3e200, -1e200, 3e200, 0.5), -1e108, 1e108),
+        ((1e200,), -1e120, 1e120),
+        ((1.5e308, 1.5e308, -1e308), -1.0, 1.0),
+    ],
+)
+def test_overflowing_polynomial_gradients_equal_the_symbolic_route(
+    monkeypatch, n, coeffs, lo, hi
+):
+    # 1e200 times coordinates up to 1e108 or 1e120 overflows in some
+    # products and sums and not in others; a polynomial summed with
+    # itself folds two 1.5e308 coefficients into an infinite constant
+    chart = chart_of(n)
+    f = quadratic(chart, coeffs)
+    doubled = qk.ScalarExpr(chart, nsum([f.node, f.node]))
+    for g in (f, doubled):
+        points = fresh_points(chart, lo=lo, hi=hi, seed=n)
+        got, want, built = gradient_and_reference(monkeypatch, g, points)
+        assert got.tobytes() == want.tobytes()
+        assert built == 0
+    assert np.isnan(got).any()
+
+
+@pytest.mark.parametrize("text", ["x^2", "sin(x)", "x*y - x/(y + 2)", "-x*y"])
+def test_other_trees_take_the_symbolic_route(monkeypatch, text):
+    f = qk.parse_expression(text, CHART)
+    got, want, built = gradient_and_reference(monkeypatch, f, fresh_points(CHART))
+    assert got.tobytes() == want.tobytes()
+    assert built > 0
+
+
+def test_gradient_at_takes_points_or_a_cloud():
+    f = qk.random_polynomial(CHART, np.random.default_rng(4), degree=3)
+    cloud = fresh_points(CHART, samples=7)
+    assert gradient_at(f, list(cloud)).tobytes() == gradient_at(f, cloud).tobytes()
 
 
 # ---------------------------------------------------------------------------

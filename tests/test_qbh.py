@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import qbhkit as qk
+import qbhkit.expr as expr
+import qbhkit.fixtures as fixtures
+import qbhkit.qbh as qbh
+from qbhkit.residuals import condition
 
 from helpers import (
     exp_cfg,
@@ -13,6 +17,7 @@ from helpers import (
     non_poisson_pair,
     random_fields,
 )
+from test_layout import ref_cyclic_sums
 
 
 def exp_system(F_text, **kwargs):
@@ -304,3 +309,65 @@ def test_rotation_composite_jacobi_identity():
     ]
     report = qk.jacobi_identity_check(composite, triples, cfg)
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# the exp-realization fixture's Jacobi sweep
+
+
+def tree_nodes(roots):
+    """Every node of the trees under ``roots``."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.args)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("samples", [None, 5000])
+def test_exp_realization_sweep_differentiates_no_test_function(monkeypatch, samples):
+    # the fixture's test functions are random polynomials, so their
+    # gradients come from their terms; a silent fallback to the symbolic
+    # route would build derivatives of their nodes. The sweep's per-point
+    # cyclic sums equal, bit for bit, those of the symbolic gradients.
+    differentiated = []
+    sweeps = []
+    cyclic_sums = []
+    ndiff = expr._ndiff
+    check = qbh.jacobi_identity_check
+
+    def recording_ndiff(node, coord):
+        differentiated.append(node)
+        return ndiff(node, coord)
+
+    def recording_check(B, triples, cfg):
+        start = len(differentiated)
+        report = check(B, triples, cfg)
+        sweeps.append((B, triples, cfg, differentiated[start:]))
+        return report
+
+    def recording_condition(name, residual, *args, **kwargs):
+        if name == "cyclic-sum":
+            cyclic_sums.append(residual)
+        return condition(name, residual, *args, **kwargs)
+
+    monkeypatch.setattr(expr, "_ndiff", recording_ndiff)
+    monkeypatch.setattr(fixtures, "jacobi_identity_check", recording_check)
+    monkeypatch.setattr(qbh, "condition", recording_condition)
+    spec = fixtures.load_fixture("exp-realization")
+    cfg = spec.config(samples=samples)
+    fixtures.FIXTURES["exp-realization"].runner(spec, cfg)
+
+    ((B, triples, sweep_cfg, built),) = sweeps
+    assert sweep_cfg is cfg and len(triples) == 3
+    test_nodes = {id(node) for node in tree_nodes(f.node for t in triples for f in t)}
+    assert not [node for node in built if id(node) in test_nodes]
+    (got,) = cyclic_sums
+    points = cfg.points()
+    assert len(got) == len(points) == (samples or spec.domain.samples)
+    want = ref_cyclic_sums(B, triples, points)
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(want).all()

@@ -2,6 +2,7 @@
 finite-difference oracles."""
 import gc
 import weakref
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import qbhkit as qk
 import qbhkit.expr as expr
 import qbhkit.sampling as sampling
 from qbhkit.chart import MAX_CACHED_VALUES
+from qbhkit.expr import Const, Coord, _same_tree as same_tree, nprod, nsum
 from qbhkit.fixtures import FIXTURES, fixture_names, load_fixture, run_fixture
 from qbhkit.sampling import MAX_SAMPLE_VALUES
 
@@ -138,11 +140,11 @@ def test_a_config_frees_its_cloud_with_it():
     # no reference cycle holds the cloud or its cache: with the cycle
     # collector off, dropping the config frees them, while the reports
     # built from the cloud stay
-    spec = load_fixture("exp-realization")
+    spec = load_fixture("rotation")
     gc.disable()
     try:
         cfg = spec.config()
-        reports = FIXTURES["exp-realization"].runner(spec, cfg)
+        reports = FIXTURES["rotation"].runner(spec, cfg)
         cloud = cfg.points()
         assert cloud.cache
         held = [weakref.ref(cloud.values)]
@@ -178,9 +180,9 @@ def test_one_cache_bound_holds_over_a_whole_run(monkeypatch):
         return result
 
     monkeypatch.setattr(expr, "_evaluate", recording_evaluate)
-    spec = load_fixture("exp-realization")
+    spec = load_fixture("rotation")
     cfg = spec.config(samples=5000)
-    FIXTURES["exp-realization"].runner(spec, cfg)
+    FIXTURES["rotation"].runner(spec, cfg)
     cloud = cfg.points()
     shared = [(before, added) for c, before, added in calls if c is cloud]
     assert len(shared) > 100
@@ -279,3 +281,29 @@ def test_random_polynomial_is_seed_deterministic():
     a = qk.random_polynomial(chart, np.random.default_rng(77))
     b = qk.random_polynomial(chart, np.random.default_rng(77))
     assert str(a) == str(b)
+
+
+def per_monomial_polynomial(chart, rng, degree):
+    """random_polynomial as built with one coefficient draw per monomial."""
+    terms = []
+    for total in range(degree + 1):
+        for combo in combinations_with_replacement(range(chart.dimension), total):
+            factors = [Const(float(rng.uniform(-1.0, 1.0)))]
+            factors.extend(Coord(chart.names[i]) for i in combo)
+            terms.append(nprod(factors))
+    return qk.ScalarExpr(chart, nsum(terms))
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+@pytest.mark.parametrize("degree", [0, 1, 3, 4])
+def test_random_polynomial_draws_as_one_draw_per_monomial(n, degree):
+    # one draw of all coefficients gives the same coefficients, and
+    # leaves the generator where one draw per monomial leaves it
+    chart = qk.CoordinateChart(tuple(f"x{i}" for i in range(n)))
+    rng, ref_rng = np.random.default_rng(71), np.random.default_rng(71)
+    for _ in range(3):
+        got = qk.random_polynomial(chart, rng, degree=degree)
+        want = per_monomial_polynomial(chart, ref_rng, degree)
+        assert same_tree(got.node, want.node)
+        assert str(got) == str(want)
+    assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()

@@ -21,17 +21,22 @@ Each tree runs the whole matrix in an interpreter of its own, one
   of this checkout, seed 15).
 
 Each run's stdout, stderr and exit code are compared and every
-difference is listed. The exit status is 1 if a verdict, an exit code,
-a skip count, a note, a key or the key order differs, or stderr does;
-a difference only in the bits of residuals and worst points is listed
-but leaves the exit status 0. Warnings print once per source line and
-run, as in a new process; the source tree's path in a warning or a
-traceback reads ``<src>``.
+difference is listed. A report prints only each condition's maximum, so
+each run also records a sha256 digest of every per-point array that
+``qbhkit.residuals.values_at`` hands a condition or a non-vanishing
+guard to reduce, and the digests are compared in order. The exit status
+is 1 if a verdict, an exit code, a skip count, a note, a key or the key
+order differs, or stderr or the number of per-point arrays does; a
+difference only in the bits of residuals, worst points and per-point
+values is listed but leaves the exit status 0. Warnings print once per
+source line and run, as in a new process; the source tree's path in a
+warning or a traceback reads ``<src>``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -229,9 +234,38 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
+def _digest(values) -> str:
+    """The sha256 of a per-point array's dtype, shape and bytes."""
+    head = f"{values.dtype.str}{values.shape}".encode()
+    return hashlib.sha256(head + values.tobytes()).hexdigest()
+
+
+@contextlib.contextmanager
+def recorded_values(digests: list):
+    """Within the block, append to ``digests`` the digest of every array
+    ``qbhkit.residuals.values_at`` returns to the conditions and
+    non-vanishing guards of ``qbhkit.residuals``, which look it up in
+    their module when they reduce a residual."""
+    import qbhkit.residuals as residuals
+
+    values_at = residuals.values_at
+
+    def recording_values_at(residual, points):
+        values = values_at(residual, points)
+        digests.append(_digest(values))
+        return values
+
+    residuals.values_at = recording_values_at
+    try:
+        yield
+    finally:
+        residuals.values_at = values_at
+
+
 def run_matrix(matrix) -> list[dict]:
-    """Every run of ``matrix`` in this interpreter: its stdout, stderr
-    and exit code, or the traceback of an exception that escaped."""
+    """Every run of ``matrix`` in this interpreter: its stdout, stderr,
+    exit code (or the traceback of an exception that escaped) and the
+    digests of the per-point arrays its conditions reduced."""
     import qbhkit
     from qbhkit.cli import run_command
 
@@ -239,11 +273,13 @@ def run_matrix(matrix) -> list[dict]:
     results = []
     for argv in matrix:
         out, err = io.StringIO(), io.StringIO()
+        digests = []
         # catch_warnings starts each run's once-per-line warning record afresh
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.showwarning = _print_warning
             try:
-                code, _ = run_command(argv, stdout=out, stderr=err)
+                with recorded_values(digests):
+                    code, _ = run_command(argv, stdout=out, stderr=err)
             except Exception:  # reported and compared, not raised
                 code = "traceback"
                 err.write(traceback.format_exc())
@@ -252,6 +288,7 @@ def run_matrix(matrix) -> list[dict]:
                 "stdout": out.getvalue(),
                 "stderr": err.getvalue().replace(src, "<src>"),
                 "code": code,
+                "values": digests,
             }
         )
     return results
@@ -314,6 +351,15 @@ def differences(a: dict, b: dict):
             pairs = [("", "text", a["stdout"], b["stdout"])]
         for path, kind, x, y in pairs:
             found.append(("stdout", kind, f"{path or '(output)'}: {x!r} != {y!r}"))
+    digests_a, digests_b = a["values"], b["values"]
+    if len(digests_a) != len(digests_b):
+        found.append(
+            ("values", "arrays", f"{len(digests_a)} != {len(digests_b)} per-point arrays")
+        )
+    elif digests_a != digests_b:
+        changed = [i for i, (x, y) in enumerate(zip(digests_a, digests_b)) if x != y]
+        detail = f"per-point arrays {changed} of {len(digests_a)} differ"
+        found.append(("values", "bits", detail))
     return found
 
 
