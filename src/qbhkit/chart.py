@@ -29,11 +29,12 @@ MAX_SAMPLE_VALUES = 1_000_000
 # value per point, a constant as one value. Past the bound an evaluation
 # still reads the cache, but keeps its new values only for the call. A
 # domain draws one cloud (see ``sampling.sample_points``), so every check
-# of a run shares that cloud and this one bound. So at 200 points a run
-# keeps nearly all it evaluates (exp-realization, the largest fixture,
-# passes the bound near its end), at 1 000 most of a check, and at 5 000
-# 26 node arrays and the call that passes the bound, where arithmetic
-# rather than per-node dispatch is the cost.
+# of a run shares that cloud and this one bound. Counted after one
+# ``example run`` of each shipped fixture: at 200 points no run reaches
+# the bound, and rotation's cache holds the most (206 entries, 33 837
+# values); at 1 000 points rotation's passes it (152 032 values), and at
+# 5 000 rotation's (140 005) and linear-abelian's (155 003) do, where
+# arithmetic rather than per-node dispatch is the cost.
 MAX_CACHED_VALUES = 2**17
 
 
@@ -126,11 +127,13 @@ class Point:
 
 class PointCloud(Sequence):
     """Points of one chart held as a read-only (m, n) float array, stored
-    column-major so that each coordinate's values are contiguous.
+    column-major so that each coordinate's values are contiguous. Every
+    value is finite, as in a Point.
 
     Indexing with an integer builds that one Point; a slice or a boolean
     mask gives another PointCloud. Evaluators read ``values`` directly,
-    so Point objects exist only where a report names one.
+    or ``columns``, which maps each coordinate name to its column of
+    ``values``, so Point objects exist only where a report names one.
 
     ``cache`` maps expression nodes to their values over this cloud,
     and ``cached_values`` counts the values it holds. It is filled by
@@ -142,15 +145,20 @@ class PointCloud(Sequence):
     alive as long as the cloud, so no key can be reused.
     """
 
-    __slots__ = ("chart", "values", "cache", "cached_values")
+    __slots__ = ("chart", "values", "columns", "cache", "cached_values")
 
     def __init__(self, chart: CoordinateChart, values):
         values = np.array(values, dtype=float, order="F").reshape(
             -1, chart.dimension
         )
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[~finite][0])
+            raise ValueError(f"non-finite coordinate value {bad!r}")
         values.flags.writeable = False
         self.chart = chart
         self.values = values
+        self.columns = dict(zip(chart.names, values.T))
         self.cache = {}
         self.cached_values = 0
 

@@ -402,10 +402,9 @@ def gradient_at(f: "ScalarExpr", points) -> np.ndarray:
     terms = _monomials(f.node)
     if terms is None:
         return np.column_stack([f.diff(name).sample(cloud) for name in names])
-    columns = dict(zip(names, cloud.values.T))
     with np.errstate(all="ignore"):
         return np.column_stack(
-            [_monomial_derivative(terms, name, columns, len(cloud)) for name in names]
+            [_monomial_derivative(terms, name, cloud) for name in names]
         )
 
 
@@ -430,22 +429,21 @@ def _monomials(node):
     return terms
 
 
-def _monomial_derivative(terms, name, columns, m):
+def _monomial_derivative(terms, name, cloud):
     """``ndiff`` of the ``_monomials`` ``terms`` in ``name``, sampled on
-    ``columns`` (coordinate name -> values) without building it.
+    ``cloud`` without building it.
 
     It mirrors the tree ``ndiff`` builds and ``_eval_array``'s order:
     the product-rule terms in tree order, each ``nprod``'s constant
     times the other coordinates from left to right (a factor 1.0 leaves
-    every bit as it is), summed in order; the constant ones are folded
-    into one float and added last, as ``nsum`` does. ``_eval_array``
-    turns every non-finite node value into NaN, and products and sums
-    never make a non-finite value finite again, so doing it once at the
-    end gives the same bits, but for a derivative that is a lone
-    coordinate, whose value is the column itself.
+    every bit as it is), summed in place in order; the constant ones are
+    folded into one float and added last, as ``nsum`` does.
+    ``_eval_array`` turns every non-finite node value into NaN, and
+    products and sums never make a non-finite value finite again, so
+    doing it once at the end gives the same bits.
     """
+    columns = cloud.columns
     total = None
-    owned = False  # whether ``total`` is an array made by this call
     const = 0.0
     for coeff, factors in terms:
         for i, factor in enumerate(factors):
@@ -455,31 +453,17 @@ def _monomial_derivative(terms, name, columns, m):
             if not rest:
                 const += coeff
                 continue
-            lone = coeff == 1.0 and len(rest) == 1
-            if lone:
-                value = columns[rest[0]]
-            else:
-                value = coeff * columns[rest[0]]
-                for other in rest[1:]:
-                    value *= columns[other]
+            value = coeff * columns[rest[0]]
+            for other in rest[1:]:
+                value *= columns[other]
             if total is None:
-                total, owned = value, not lone
-            elif owned:
-                total += value
+                total = value
             else:
-                total, owned = total + value, True
-    if const != 0.0:
-        if total is None:
-            total, owned = np.full(m, const), True
-        elif owned:
-            total += const
-        else:
-            total, owned = total + const, True
+                total += value
     if total is None:
-        return np.zeros(m)
-    if not owned:
-        # a lone coordinate, whose value ``_eval_array`` does not check
-        return total
+        total = np.full(len(cloud), const)
+    elif const != 0.0:
+        total += const
     return _undefined_to_nan(total)
 
 
@@ -633,10 +617,10 @@ def _nsimplify(node):
 # evaluation
 
 
-def _eval_array(node: Node, env: dict, cache: dict, new: dict):
-    """Evaluate over columns of coordinate values; NaN marks undefined
-    entries. Values are looked up in ``cache``, then in ``new``, which
-    receives every value computed here.
+def _eval_array(node: Node, columns: dict, cache: dict, new: dict):
+    """Evaluate over a cloud's ``columns`` of coordinate values, which
+    are finite; NaN marks undefined entries. Values are looked up in
+    ``cache``, then in ``new``, which receives every value computed here.
 
     Constants stay numpy scalars and broadcast, so a result can be a
     scalar; ``ScalarExpr.sample`` expands it. Sums and products start
@@ -651,9 +635,9 @@ def _eval_array(node: Node, env: dict, cache: dict, new: dict):
     if isinstance(node, Const):
         value = _undefined_to_nan(np.float64(node.value))
     elif isinstance(node, Coord):
-        value = env[node.name]
+        value = columns[node.name]
     else:
-        value = _combine(node, [_eval_array(a, env, cache, new) for a in node.args])
+        value = _combine(node, [_eval_array(a, columns, cache, new) for a in node.args])
     new[node] = value
     return value
 
@@ -715,10 +699,9 @@ def _evaluate(node: Node, cloud: PointCloud):
     the call only. The bound is tested once per call, so a cache can
     pass it by one call's values.
     """
-    env = {name: cloud.values[:, i] for i, name in enumerate(cloud.chart.names)}
     new = {}
     with np.errstate(all="ignore"):
-        value = _eval_array(node, env, cloud.cache, new)
+        value = _eval_array(node, cloud.columns, cloud.cache, new)
     if cloud.cached_values < MAX_CACHED_VALUES:
         cloud.cache.update(new)
         cloud.cached_values += sum(np.size(v) for v in new.values())

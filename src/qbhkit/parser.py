@@ -23,6 +23,7 @@ input is rejected here as a syntax error.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -164,8 +165,11 @@ class _Parser:
     def atom(self):
         token = self.peek()
         if token.kind == "num":
+            value = float(token.text)
+            if not math.isfinite(value):
+                self.fail(f"number {token.text!r} is too large for a float")
             self.advance()
-            return Const(float(token.text))
+            return Const(value)
         if token.kind == "ident":
             self.advance()
             if self.peek().kind == "(":
@@ -208,8 +212,9 @@ class _Parser:
 def parse_expression(text: str, chart: CoordinateChart) -> ScalarExpr:
     """Parse UTF-8 expression text over ``chart``.
 
-    Raises ExprSyntaxError (with a byte offset) on malformed input or
-    input nested deeper than MAX_DEPTH levels, and
+    Raises ExprSyntaxError (with a byte offset) on malformed input, a
+    number too large for a float, or input nested deeper than MAX_DEPTH
+    levels, and
     UnknownIdentifierError for identifiers that are neither chart
     coordinates nor known functions.
     """

@@ -277,6 +277,23 @@ def test_box_of_infinite_width_is_usage_error(tmp_path, box):
     assert "finite width" in lines[0]
 
 
+def test_number_too_large_for_a_float_is_usage_error(tmp_path):
+    # it parsed as inf, so that every point was skipped and the run exited 3
+    path = tmp_path / "heisenberg.prob"
+    text = fixture_text("heisenberg-jacobi").replace(
+        "[field X1]\nx = 1\n", "[field X1]\nx = 1e999\n"
+    )
+    path.write_text(text)
+    code, run, _, err = invoke(["check", "poisson", "--input", str(path)])
+    assert code == 2
+    assert run is None
+    line = text.splitlines().index("x = 1e999") + 1
+    assert err.strip() == (
+        f"qbhkit: error: ProblemFormatError: line {line}: bad expression "
+        "'1e999': number '1e999' is too large for a float (byte offset 0)"
+    )
+
+
 def test_vanishing_rho_exit_code(exp_path):
     code, run, _, err = invoke(
         ["build", "qbh", "--input", exp_path, "--F", "y"]

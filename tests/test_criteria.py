@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qbhkit as qk
-from qbhkit import criteria
+from qbhkit import criteria, expr
 from qbhkit.cli import run_command
 from qbhkit.criteria import _FactoredBasis
 
@@ -171,23 +171,57 @@ DECISIONS = {
 }
 
 
+# (node derivatives built by ``expr._ndiff``, composite values computed
+# by ``expr._combine``) in one `example run`: the derivative caches, the
+# cloud's value cache and the Jacobi sweep's term-wise gradients keep
+# these down, so a change that loses a share of them changes a count
+NODE_WORK = {
+    "exp-realization": (81, 12),
+    "rotation": (122, 160),
+    "so3-jacobi": (36, 6),
+    "heisenberg-jacobi": (16, 0),
+    "linear-abelian": (29, 28),
+    "hojman-2d": (16, 0),
+}
+
+
+def counted(counts, key, function):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+def run_example(name):
+    argv = ["example", "run", name, "--format", "json"]
+    run_command(argv, stdout=io.StringIO(), stderr=io.StringIO())
+
+
 @pytest.mark.parametrize("name", sorted(DECISIONS))
 def test_each_span_basis_is_factored_once_per_cloud(name, monkeypatch):
     counts = {"bases": 0, "spans": 0}
-
-    def counted(key, function):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return function(*args, **kwargs)
-
-        return wrapper
-
-    init = counted("bases", _FactoredBasis.__init__)
+    init = counted(counts, "bases", _FactoredBasis.__init__)
     monkeypatch.setattr(_FactoredBasis, "__init__", init)
-    monkeypatch.setattr(criteria, "span_expand", counted("spans", criteria.span_expand))
-    argv = ["example", "run", name, "--format", "json"]
-    run_command(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    spans = counted(counts, "spans", criteria.span_expand)
+    monkeypatch.setattr(criteria, "span_expand", spans)
+    run_example(name)
     assert (counts["bases"], counts["spans"]) == DECISIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(NODE_WORK))
+def test_each_run_differentiates_and_evaluates_a_fixed_number_of_nodes(
+    name, monkeypatch
+):
+    # every tree shares the nodes ZERO and ONE, whose derivatives stay
+    # cached on them after whichever run asked first
+    for node in (expr.ZERO, expr.ONE):
+        monkeypatch.delitem(node.__dict__, "derivatives", raising=False)
+    counts = {"ndiff": 0, "combine": 0}
+    monkeypatch.setattr(expr, "_ndiff", counted(counts, "ndiff", expr._ndiff))
+    monkeypatch.setattr(expr, "_combine", counted(counts, "combine", expr._combine))
+    run_example(name)
+    assert (counts["ndiff"], counts["combine"]) == NODE_WORK[name]
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,21 @@ def test_syntax_error_reports_byte_offset():
     assert err.value.offset == len("x + ".encode("utf-8"))
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    # a no-break space is whitespace of two bytes
+    [("1e999*x", 0), ("x + 2*1.8e308", 6), ("x +\u00a01e400", 5)],
+)
+def test_a_number_too_large_for_a_float_is_a_syntax_error(text, offset):
+    # float() would make it inf, which prints as no number the parser reads
+    with pytest.raises(qk.ExprSyntaxError, match="too large for a float") as err:
+        qk.parse_expression(text, CHART)
+    assert err.value.offset == offset
+    # the largest float and a literal that underflows to 0 still parse
+    assert qk.parse_expression("1.7976931348623157e308", CHART).node.value > 0
+    assert qk.parse_expression("1e-999", CHART).node.value == 0.0
+
+
 def test_trailing_input_rejected():
     with pytest.raises(qk.ExprSyntaxError):
         qk.parse_expression("x y", CHART)
@@ -636,21 +651,27 @@ def test_terms_nprod_would_not_build_equal_the_symbolic_route(monkeypatch):
             assert built == 0
 
 
-def test_a_lone_coordinate_derivative_is_the_column_itself(monkeypatch):
-    # the symbolic route leaves the value of a bare coordinate unchecked,
-    # so an infinite coordinate stays infinite there and is NaN in a
-    # product or a sum
-    values = [[np.inf, 0.5, 2.0], [1.0, -np.inf, 0.0]]
-    results = []
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_cloud_holds_only_finite_coordinates(bad):
+    values = [[1.0, 0.5, 2.0], [1.0, 0.0, 0.0]]
+    values[1][1] = bad
+    with pytest.raises(ValueError, match="non-finite coordinate value"):
+        qk.PointCloud(CHART_N, values)
+    cloud = fresh_points(CHART_N, samples=5)
+    assert np.array_equal(cloud[1:3].values, cloud.values[1:3])
+    mask = cloud.values[:, 0] > 0
+    assert np.array_equal(cloud[mask].values, cloud.values[mask])
+
+
+def test_a_lone_coordinate_derivative_equals_the_symbolic_route(monkeypatch):
+    # d(x1*x2)/dx1 is the bare coordinate x2, whose value is its column
     for text in ("x1 * x2", "x1 * x2 + x3", "2 * x1 * x2"):
         f = qk.parse_expression(text, CHART_N)
-        points = qk.PointCloud(CHART_N, values)
-        got, want, built = gradient_and_reference(monkeypatch, f, points)
+        got, want, built = gradient_and_reference(
+            monkeypatch, f, fresh_points(CHART_N)
+        )
         assert got.tobytes() == want.tobytes()
         assert built == 0
-        results.append(got)
-    assert np.isinf(results[0]).any()
-    assert not np.isinf(results[2]).any() and np.isnan(results[2]).any()
 
 
 @pytest.mark.parametrize("n", [1, 3, 9])
