@@ -17,6 +17,7 @@ verification, not of this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,7 @@ def nneg(node: Node) -> Node:
 
 
 def nsum(terms) -> Node:
+    # ``terms`` is a sequence: a fold that overflows reads it again
     flat = []
     const = 0.0
     for term in terms:
@@ -187,6 +189,10 @@ def nsum(terms) -> Node:
             else:
                 flat.append(sub)
     if const != 0.0:
+        if not math.isfinite(const):
+            # the fold is refused: the operands stay, in order
+            operands = [s for t in terms for s in (t.args if isinstance(t, Sum) else (t,))]
+            return operands[0] if len(operands) == 1 else Sum(tuple(operands))
         flat.append(Const(const))
     if not flat:
         return ZERO
@@ -214,6 +220,8 @@ def nprod(factors) -> Node:
             flat.append(factor)
     if const == 0.0:
         return ZERO
+    if not math.isfinite(const):
+        return _unfolded_product(queue)
     if not flat:
         return Const(const)
     core = flat[0] if len(flat) == 1 else Product(tuple(flat))
@@ -224,6 +232,17 @@ def nprod(factors) -> Node:
     return Product((Const(const),) + tuple(flat))
 
 
+def _unfolded_product(queue):
+    """The product of the factors in ``queue``, as ``nprod`` flattened
+    them, with their constants left unfolded, in order: the fold
+    overflowed. The sign of the negations goes to the first constant."""
+    factors = [f for f in queue if not isinstance(f, (Product, Neg))]
+    if sum(isinstance(f, Neg) for f in queue) % 2:
+        first = next(i for i, f in enumerate(factors) if isinstance(f, Const))
+        factors[first] = Const(-factors[first].value)
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+
 def nquot(numerator: Node, denominator: Node) -> Node:
     if isinstance(denominator, Const) and denominator.value != 0.0:
         if denominator.value == 1.0:
@@ -231,7 +250,9 @@ def nquot(numerator: Node, denominator: Node) -> Node:
         if denominator.value == -1.0:
             return nneg(numerator)
         if isinstance(numerator, Const):
-            return Const(numerator.value / denominator.value)
+            value = _finite_or_none(operator.truediv, numerator.value, denominator.value)
+            if value is not None:
+                return Const(value)
     if _is_const(numerator, 0.0):
         return ZERO
     return Quotient((numerator, denominator))
@@ -317,7 +338,7 @@ def _ndiff(node, coord):
     if isinstance(node, Neg):
         return nneg(ndiff(node.args[0], coord))
     if isinstance(node, Sum):
-        return nsum(ndiff(t, coord) for t in node.args)
+        return nsum([ndiff(t, coord) for t in node.args])
     if isinstance(node, Product):
         terms = []
         factors = node.args
@@ -437,7 +458,8 @@ def _monomial_derivative(terms, name, cloud):
     the product-rule terms in tree order, each ``nprod``'s constant
     times the other coordinates from left to right (a factor 1.0 leaves
     every bit as it is), summed in place in order; the constant ones are
-    folded into one float and added last, as ``nsum`` does.
+    folded into one float and added last, as ``nsum`` does, unless that
+    fold overflows (see ``_unfolded_derivative``).
     ``_eval_array`` turns every non-finite node value into NaN, and
     products and sums never make a non-finite value finite again, so
     doing it once at the end gives the same bits.
@@ -460,11 +482,39 @@ def _monomial_derivative(terms, name, cloud):
                 total = value
             else:
                 total += value
+    if not math.isfinite(const):
+        total = _unfolded_derivative(terms, name, columns)
+        return _undefined_to_nan(np.broadcast_to(total, len(cloud)).copy())
     if total is None:
         total = np.full(len(cloud), const)
     elif const != 0.0:
         total += const
     return _undefined_to_nan(total)
+
+
+def _unfolded_derivative(terms, name, columns):
+    """``_monomial_derivative``'s sum where the fold of its constant
+    terms overflows. ``nsum`` then keeps every operand in order: each
+    term's derivative, which is 0 for a term without ``name`` or with
+    coefficient 0, its coefficient for a linear term, and its
+    product-rule terms otherwise. They are added from left to right, as
+    ``_eval_array`` adds a sum's values."""
+    operands = []
+    for coeff, factors in terms:
+        hits = [i for i, factor in enumerate(factors) if factor == name]
+        if not hits or coeff == 0.0:
+            operands.append(np.float64(0.0))
+            continue
+        for i in hits:
+            rest = factors[:i] + factors[i + 1 :]
+            value = np.float64(coeff)
+            for other in rest:
+                value = value * columns[other]
+            operands.append(value)
+    total = operands[0] + operands[1]
+    for value in operands[2:]:
+        total = total + value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -597,20 +647,55 @@ def _nsimplify(node):
         else:
             groups[fp] = [coeff, core]
             order.append(fp)
+    if not math.isfinite(const):
+        return _unmerged(flat.args, groups, const)
     rebuilt = []
     for fp in order:
         coeff, core = groups[fp]
-        if coeff == 0.0:
-            continue
-        if coeff == 1.0:
-            rebuilt.append(core)
-        elif coeff == -1.0:
-            rebuilt.append(nneg(core))
-        else:
-            rebuilt.append(nprod([Const(coeff), core]))
+        if not math.isfinite(coeff):
+            return _unmerged(flat.args, groups, const)
+        if coeff != 0.0:
+            rebuilt.append(_times(coeff, core))
     if const != 0.0:
         rebuilt.append(Const(const))
     return nsum(rebuilt)
+
+
+def _unmerged(terms, groups, const):
+    """``_nsimplify``'s sum of ``terms`` when the fold of their constants
+    (``const``) or a merge of like terms (a coefficient in ``groups``)
+    overflows: those terms stay as they are, where they are, and every
+    other group of like terms merges at its first term."""
+    folded = math.isfinite(const)
+    rebuilt = []
+    for term in terms:
+        if isinstance(term, Const):
+            if not folded:
+                rebuilt.append(term)
+            continue
+        fp = _fingerprint(_split_coefficient(term)[1])
+        group = groups.get(fp)
+        if group is None:
+            continue
+        coeff, core = group
+        if not math.isfinite(coeff):
+            rebuilt.append(term)
+            continue
+        del groups[fp]
+        if coeff != 0.0:
+            rebuilt.append(_times(coeff, core))
+    if folded and const != 0.0:
+        rebuilt.append(Const(const))
+    return nsum(rebuilt)
+
+
+def _times(coeff, core):
+    """The merged term ``coeff * core``, for ``coeff`` not 0."""
+    if coeff == 1.0:
+        return core
+    if coeff == -1.0:
+        return nneg(core)
+    return nprod([Const(coeff), core])
 
 
 # ---------------------------------------------------------------------------

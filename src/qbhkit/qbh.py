@@ -11,6 +11,7 @@ trivial and the pair of structures is genuinely bi-Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -176,7 +177,10 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
     The cyclic sum is -1/2 [[B,B]](dF, dG, dK) under the fields.py
     Schouten convention; each term c X^Y of B is folded into (cX)^Y.
     Points where a component of B or a cyclic sum is undefined are
-    skipped and counted.
+    skipped and counted. The contraction adds the products of the
+    entries of [[B,B]] with distinct indices in the order, and so with
+    the bits, of ``np.einsum("mijk,mi,mj,mk->m", ...)`` on the full
+    array (see ``_contract``).
     """
     triples = list(test_functions)
     if not triples:
@@ -192,7 +196,7 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
     rows = []
     for F, G, K in triples:
         dF, dG, dK = (gradient_at(f, points) for f in (F, G, K))
-        rows.append(-0.5 * np.einsum("mijk,mi,mj,mk->m", T, dF, dG, dK))
+        rows.append(-0.5 * _contract(T, dF, dG, dK))
     # a point is usable if B and the cyclic sum of every triple are defined
     defined = np.isfinite(values_at(B, points))
     per_point = np.where(defined, np.abs(np.vstack(rows)).max(axis=0), np.nan)
@@ -204,3 +208,31 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
         cfg.tol,
         notes=(f"{len(triples)} test-function triple(s)",),
     )
+
+
+def _contract(T, dF, dG, dK):
+    """T(dF, dG, dK) at each point, for the C-ordered (m, n, n, n)
+    antisymmetric T and (m, n) gradients.
+
+    numpy's einsum over all n^3 entries adds the products
+    ((T^{ijk} dF_i) dG_j) dK_k one entry at a time in C order (i, j, k).
+    Only the n(n-1)(n-2) entries with distinct indices are nonzero, so
+    this adds just those, in the same order; a zero entry adds +-0,
+    which changes at most the sign of a zero. At a point where a
+    gradient component is not finite, the zero entries made the sum NaN
+    (0 * inf), and so does this.
+    """
+    out = np.zeros(len(T))
+    with np.errstate(all="ignore"):
+        for i, j, k in permutations(range(T.shape[1]), 3):
+            term = T[:, i, j, k] * dF[:, i]
+            term *= dG[:, j]
+            term *= dK[:, k]
+            out += term
+    # column by column: a reduction over the short rows of C-ordered
+    # gradients costs numpy several times more (see residuals' layout note)
+    finite = np.ones(len(T), dtype=bool)
+    for column in (*dF.T, *dG.T, *dK.T):
+        finite &= np.isfinite(column)
+    out[~finite] = np.nan
+    return out

@@ -42,7 +42,11 @@ array of another layout in another order and so round differently:
   summation, not a tunable;
 - else on a C-ordered copy: span expansions in other numbers of fields
   or on 8 or more coordinates, whose rows numpy sums pairwise, and the
-  sums over whole matrices in ``criteria._least_squares``.
+  sums over whole matrices in ``criteria._least_squares``;
+- entry by entry, on C-ordered arrays: the Jacobi sweep's contraction
+  (``qbh._contract``) of the (m, n, n, n) trivector with three (m, n)
+  gradients adds the products of its nonzero entries in the C order in
+  which ``np.einsum("mijk,mi,mj,mk->m", ...)`` adds all n^3 of them.
 """
 from __future__ import annotations
 

@@ -147,6 +147,59 @@ def test_a_number_too_large_for_a_float_is_a_syntax_error(text, offset):
     assert qk.parse_expression("1e-999", CHART).node.value == 0.0
 
 
+# Each folds constants whose sum, product or quotient overflows; the
+# fold is refused and the operands stay, in order.
+OVERFLOWING_FOLDS = {
+    "1e300*1e300*x": "1e+300 * 1e+300 * x",
+    "1e300/1e-300*x": "1e+300 / 1e-300 * x",
+    "1e308+1e308+x": "1e+308 + 1e+308 + x",
+    "1e308*x + 1e308*x": "1e+308 * x + 1e+308 * x",
+    "x + 1e308 + y + 1e308 - 1e308": "x + y + 1e+308 + 1e+308 - 1e+308",
+    "-(1e300*1e300*x)*2": "(-1e+300) * 1e+300 * x * 2.0",
+    "1e300*1e300*0*x": "1e+300 * 1e+300 * 0.0 * x",
+}
+
+
+def recorded_constants(monkeypatch):
+    """The list of the values of the ``Const`` nodes built from now on."""
+    values = []
+    init = expr.Const.__init__
+
+    def recording_init(self, value):
+        values.append(value)
+        init(self, value)
+
+    monkeypatch.setattr(expr.Const, "__init__", recording_init)
+    return values
+
+
+@pytest.mark.parametrize("text, printed", sorted(OVERFLOWING_FOLDS.items()))
+def test_a_fold_that_overflows_is_refused(text, printed, monkeypatch):
+    values = recorded_constants(monkeypatch)
+    f = qk.parse_expression(text, CHART)
+    assert str(f) == printed
+    assert qk.parse_expression(printed, CHART).fingerprint() == f.fingerprint()
+    assert f.simplified().node is f.node
+    assert values and all(math.isfinite(v) for v in values)
+
+
+def test_like_terms_merge_unless_the_merge_overflows(monkeypatch):
+    values = recorded_constants(monkeypatch)
+    f = qk.parse_expression("1e308*x + y + 1e307*z + 1e308*x + y + 1e307*z", CHART)
+    assert str(f.simplified()) == "1e+308 * x + 2.0 * y + 2e+307 * z + 1e+308 * x"
+    assert all(math.isfinite(v) for v in values)
+
+
+def test_an_unmerged_sum_is_finite_where_its_terms_add_up_finite():
+    # 2e308 * x overflows where |x| > 0.8988...
+    f = qk.parse_expression("1e308*x + 1e308*x", CHART).simplified()
+    points = make_cfg(CHART, samples=200, seed=5).points()
+    values = f.sample(points)
+    x = points.values[:, 0]
+    assert np.array_equal(np.isfinite(values), np.abs(x) < 0.8988)
+    assert np.isfinite(values).any() and not np.isfinite(values).all()
+
+
 def test_trailing_input_rejected():
     with pytest.raises(qk.ExprSyntaxError):
         qk.parse_expression("x y", CHART)
@@ -687,8 +740,9 @@ def test_overflowing_polynomial_gradients_equal_the_symbolic_route(
     monkeypatch, n, coeffs, lo, hi
 ):
     # 1e200 times coordinates up to 1e108 or 1e120 overflows in some
-    # products and sums and not in others; a polynomial summed with
-    # itself folds two 1.5e308 coefficients into an infinite constant
+    # products and sums and not in others; in a polynomial summed with
+    # itself the fold of the 1.5e308 coefficients overflows, so its
+    # derivatives keep every operand unfolded
     chart = chart_of(n)
     f = quadratic(chart, coeffs)
     doubled = qk.ScalarExpr(chart, nsum([f.node, f.node]))
@@ -698,6 +752,19 @@ def test_overflowing_polynomial_gradients_equal_the_symbolic_route(
         assert got.tobytes() == want.tobytes()
         assert built == 0
     assert np.isnan(got).any()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e308*x + -1e308*x*y + 1e308*x", "x*y + 1e308*x + z + -1e308*x*z + 1e308*x - 0*x"],
+)
+def test_gradients_with_an_overflowing_fold_equal_the_symbolic_route(monkeypatch, text):
+    # d/dx keeps its constants unfolded, in order, among the other terms
+    f = qk.parse_expression(text, CHART)
+    got, want, built = gradient_and_reference(monkeypatch, f, fresh_points(CHART))
+    assert got.tobytes() == want.tobytes()
+    assert built == 0
+    assert np.isnan(got[:, 0]).any() and np.isfinite(got[:, 0]).any()
 
 
 @pytest.mark.parametrize("text", ["x^2", "sin(x)", "x*y - x/(y + 2)", "-x*y"])

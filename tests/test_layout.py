@@ -318,11 +318,8 @@ def test_span_expansions_match_the_reference(case, k):
             assert np.nanmin(residuals) > 0
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_jacobi_identity_check_matches_the_reference(case, monkeypatch):
-    cfg, fields, coeff, triples = layout_problem(case)
-    points = cfg.points()
-    B = residual_kinds(fields, coeff)["bivector-sum"]
+def sweep_values(monkeypatch, B, triples, cfg):
+    """jacobi_identity_check's per-point values and its report."""
     seen = []
 
     def recording_condition(name, residual, *args, **kwargs):
@@ -331,11 +328,60 @@ def test_jacobi_identity_check_matches_the_reference(case, monkeypatch):
 
     monkeypatch.setattr(qbh, "condition", recording_condition)
     report = qbh.jacobi_identity_check(B, triples, cfg)
-    want = ref_cyclic_sums(B, triples, points)
     (got,) = seen
+    return got, report
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_jacobi_identity_check_matches_the_reference(case, monkeypatch):
+    cfg, fields, coeff, triples = layout_problem(case)
+    points = cfg.points()
+    B = residual_kinds(fields, coeff)["bivector-sum"]
+    got, report = sweep_values(monkeypatch, B, triples, cfg)
+    want = ref_cyclic_sums(B, triples, points)
     assert_same_bits(got, want)
     assert report.conditions == (condition("cyclic-sum", want, points),)
     assert np.isfinite(want).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_the_contraction_has_the_einsums_bits(n, samples, monkeypatch):
+    """The sweep adds the nonzero entries of [[B,B]] in einsum's order.
+    One test function, in each place of a triple, is undefined where
+    x1 < 0; products with the gradient of exp(700 x1), about 7e306 at
+    x1 = 1, overflow."""
+    chart = qk.CoordinateChart(tuple(f"x{i}" for i in range(1, n + 1)))
+    rng = np.random.default_rng(20 + n)
+    fields = random_fields(chart, rng, degree=1 if n > 3 else 2, count=4)
+    coeff = qk.random_polynomial(chart, rng, degree=1)
+    B = residual_kinds(fields, coeff)["bivector-sum"]
+    p, q, r = (qk.random_polynomial(chart, rng, degree=2) for _ in range(3))
+    root = qk.parse_expression(f"sqrt(x1) + {chart.names[-1]}", chart)
+    huge = qk.parse_expression("exp(700 * x1)", chart)
+    triples = [(p, q, r), (root, p, huge), (huge, huge, q), (q, root, r), (r, p, root)]
+    cfg = make_cfg(chart, samples=samples, seed=40 + n)
+    # each triple alone too, so that no triple's NaN hides another's
+    for chosen in [triples] + [[triple] for triple in triples]:
+        want = ref_cyclic_sums(B, chosen, cfg.points())
+        got, report = sweep_values(monkeypatch, B, chosen, cfg)
+        assert_same_bits(got, want)
+        assert report.conditions == (condition("cyclic-sum", want, cfg.points()),)
+    if samples == 200:
+        assert np.isnan(got).any() and np.isfinite(got).any()
+
+
+def test_the_sweep_calls_no_einsum(monkeypatch):
+    cfg, fields, coeff, triples = layout_problem("3")
+    B = residual_kinds(fields, coeff)["bivector-sum"]
+    want = ref_cyclic_sums(B, triples, cfg.points())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(qbh.np, "einsum", refuse)
+    got, _ = sweep_values(monkeypatch, B, triples, cfg)
+    assert_same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +396,28 @@ def test_in_order_sums_have_numpys_bits_up_to_seven_terms(n):
     in_order = np.sqrt(functools.reduce(np.add, (rows * rows).T))
     same = in_order == np.linalg.norm(rows, axis=1)
     assert same.all() == (n <= criteria._IN_ORDER_MAX_N)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_einsum_contracts_a_trivector_in_c_order(n, samples):
+    """The fact behind ``qbh._contract``: on C-ordered operands, numpy's
+    einsum adds ((T^{ijk} dF_i) dG_j) dK_k over all n^3 entries one at
+    a time in C order, with the bits of this in-place loop."""
+    rng = np.random.default_rng(n)
+
+    def draw(*shape):
+        scale = 2.0 ** rng.integers(-30, 30, (samples,) + shape)
+        return rng.standard_normal((samples,) + shape) * scale
+
+    T, dF, dG, dK = draw(n, n, n), draw(n), draw(n), draw(n)
+    out = np.zeros(samples)
+    for i, j, k in np.ndindex(n, n, n):
+        term = T[:, i, j, k] * dF[:, i]
+        term *= dG[:, j]
+        term *= dK[:, k]
+        out += term
+    assert_same_bits(np.einsum("mijk,mi,mj,mk->m", T, dF, dG, dK), out)
 
 
 def spy_on_row_residuals(monkeypatch):
