@@ -248,58 +248,37 @@ def _two_column_solve(factors, target: np.ndarray) -> np.ndarray:
         return np.stack([(y1 - r12 * c1) / r11, c1]).T
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, rescaled where it overflowed (see
-    ``_rescale_overflowed``)."""
+def _in_order_norms(rows: np.ndarray, out=None) -> np.ndarray:
+    """Euclidean norm of each column of the (n, m) ``rows``, the squares
+    summed in component order (relative error <= (n - 1) u, Higham 2002,
+    4.2) into ``out`` if given. A norm whose squares overflowed is
+    recomputed from its column scaled by the power of two that puts its
+    largest entry in [0.5, 1), which is exact."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-    return _rescale_overflowed(norms, rows)
-
-
-def _rescale_overflowed(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``norms``, the norms of the rows (m, n) of ``rows``, with each one
-    whose sum of squares overflowed recomputed from its row scaled by
-    the power of two that puts its largest entry in [0.5, 1), which is
-    exact, so a finite row has a finite norm. The rescaled rows are
-    summed C-ordered, as ``_row_norms`` sums."""
-    redo = norms == np.inf
-    if redo.any():
-        huge = np.ascontiguousarray(rows[redo])
-        exponent = np.frexp(np.abs(huge).max(axis=1))[1]
-        scaled = np.linalg.norm(np.ldexp(huge, -exponent[:, None]), axis=1)
-        norms[redo] = np.ldexp(scaled, exponent)
-    return norms
-
-
-# numpy (2.4) sums a C-ordered row of at most this many values in order
-# and a longer one pairwise, so only up to this many components does a
-# sum over component rows, taken in order, have the bits of
-# ``np.linalg.norm`` on C-ordered rows. This is a fact of numpy's
-# summation, not a tunable; ``tests/test_layout.py`` pins both sides.
-_IN_ORDER_MAX_N = 7
-
-
-def _two_column_residuals(columns, coeffs, target_rows) -> np.ndarray:
-    """Norms |t - (c1 a + c2 b)| at every point, on component rows:
-    ``columns`` (2, n, m) holds a and b, ``coeffs`` (2, m) holds c1 and
-    c2 and ``target_rows`` (n, m) holds t, with n <= _IN_ORDER_MAX_N.
-    Each difference d_i is formed elementwise and the sum of the d_i^2
-    is taken in i order, so the norms have the bits of ``_row_norms`` on
-    the C-ordered differences, and the differences those of the
-    ``mik,mk->mi`` einsum this replaces. Like that einsum, the fit does
-    not warn."""
-    (a, b), (c1, c2) = columns, coeffs
-    with np.errstate(all="ignore"):
-        fitted = a * c1
-        fitted += b * c2
-    rows = target_rows - fitted
-    with np.errstate(over="ignore"):
-        squares = np.multiply(rows, rows, out=fitted)
+        squares = np.multiply(rows, rows, out=out)
         total = squares[0]
         for square in squares[1:]:
             total += square
         norms = np.sqrt(total, out=total)
-    return _rescale_overflowed(norms, rows.T)
+    redo = norms == np.inf
+    if redo.any():
+        huge = rows[:, redo]
+        exponent = np.frexp(np.abs(huge).max(axis=0))[1]
+        norms[redo] = np.ldexp(_in_order_norms(np.ldexp(huge, -exponent)), exponent)
+    return norms
+
+
+def _residual_norms(columns, coeffs, target_rows) -> np.ndarray:
+    """Norms |t - (c_1 a_1 + ... + c_k a_k)| at every point, on
+    component rows: ``columns`` (k, n, m) holds the a_j, ``coeffs``
+    (k, m) the c_j and ``target_rows`` (n, m) t. The fit is formed
+    elementwise, in place, and does not warn; the difference's squares
+    are summed into the fit's buffer by ``_in_order_norms``."""
+    with np.errstate(all="ignore"):
+        fitted = columns[0] * coeffs[0]
+        for a, c in zip(columns[1:], coeffs[1:]):
+            fitted += a * c
+    return _in_order_norms(target_rows - fitted, out=fitted)
 
 
 def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
@@ -307,18 +286,11 @@ def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
     basis.stack[i]: (coefficients (m, k), residual norms (m,), notes).
     Rows that are undefined or whose basis is not independent are NaN
     and counted in the notes. Rows the two-column closed form settled
-    are solved from its factors, every other row by ``_least_squares``.
-
-    The coefficients are the ``.T`` view of a C-ordered (k, m) array.
-    For k = 2 and n <= _IN_ORDER_MAX_N (every span of the shipped
-    fixtures) the fit, the difference and the sum of squares run on the
-    component rows of ``basis.stack.T`` and ``target.T``, with no copy.
-    Other shapes take the C-ordered route: a ``mik,mk->mi`` einsum on a
-    C-ordered copy of the stack and ``_row_norms``, as numpy sums longer
-    rows pairwise (see the layout note in ``residuals``). On both routes
-    only the ``rest`` rows are copied for ``_least_squares``.
+    are solved from its factors, every other row by ``_least_squares``
+    on a copy. The coefficients are the ``.T`` view of a C-ordered
+    (k, m) array; the residuals are taken on component rows, uncopied.
     """
-    m, n, k = basis.stack.shape
+    m, _, k = basis.stack.shape
     defined = basis.defined & finite_points(target)
     solvable = defined & basis.independent
     closed = solvable & basis.settled
@@ -332,12 +304,7 @@ def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
         A = np.ascontiguousarray(basis.stack[rest])
         coeffs[:, rest] = _least_squares(A, target[rest]).T
     # NaN coefficients make the residual NaN at every unsolved row
-    if k == 2 and n <= _IN_ORDER_MAX_N:
-        residuals = _two_column_residuals(basis.stack.T, coeffs, target.T)
-    else:
-        stack = np.ascontiguousarray(basis.stack)
-        fitted = np.einsum("mik,mk->mi", stack, np.ascontiguousarray(coeffs.T))
-        residuals = _row_norms(np.subtract(target, fitted, order="C"))
+    residuals = _residual_norms(basis.stack.T, coeffs, target.T)
     degenerate = int((defined & ~solvable).sum())
     undefined = int((~defined).sum())
     notes = []

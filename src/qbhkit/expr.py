@@ -409,24 +409,26 @@ def _ndiff(node, coord):
 
 def gradient_at(f: "ScalarExpr", points) -> np.ndarray:
     """The components of df over ``points`` (a PointCloud or Point
-    objects), shape (len(points), dimension). Column i is bit for bit
+    objects), shape (len(points), dimension), stored component-major
+    (see the layout note in ``residuals``). Column i is bit for bit
     ``f.diff(names[i]).sample(points)``.
 
     A polynomial in the form ``nsum``/``nprod`` build, a sum of terms
     that are each an optional leading constant followed by coordinates,
     is differentiated from its terms: no derivative node is built and no
-    value joins the cloud's cache. Any other tree takes the symbolic
-    route.
+    value joins the cloud's cache. Any other tree, and any column whose
+    constant terms fold to an overflow, takes the symbolic route.
     """
     cloud = PointCloud.of(f.chart, points)
-    names = f.chart.names
     terms = _monomials(f.node)
-    if terms is None:
-        return np.column_stack([f.diff(name).sample(cloud) for name in names])
-    with np.errstate(all="ignore"):
-        return np.column_stack(
-            [_monomial_derivative(terms, name, cloud) for name in names]
-        )
+    columns = []
+    for name in f.chart.names:
+        column = None
+        if terms is not None:
+            with np.errstate(all="ignore"):
+                column = _monomial_derivative(terms, name, cloud)
+        columns.append(f.diff(name).sample(cloud) if column is None else column)
+    return np.array(columns).T
 
 
 def _monomials(node):
@@ -458,8 +460,9 @@ def _monomial_derivative(terms, name, cloud):
     the product-rule terms in tree order, each ``nprod``'s constant
     times the other coordinates from left to right (a factor 1.0 leaves
     every bit as it is), summed in place in order; the constant ones are
-    folded into one float and added last, as ``nsum`` does, unless that
-    fold overflows (see ``_unfolded_derivative``).
+    folded into one float and added last, as ``nsum`` does. Where that
+    fold overflows, ``nsum`` keeps the constants apart, and this returns
+    None.
     ``_eval_array`` turns every non-finite node value into NaN, and
     products and sums never make a non-finite value finite again, so
     doing it once at the end gives the same bits.
@@ -483,38 +486,12 @@ def _monomial_derivative(terms, name, cloud):
             else:
                 total += value
     if not math.isfinite(const):
-        total = _unfolded_derivative(terms, name, columns)
-        return _undefined_to_nan(np.broadcast_to(total, len(cloud)).copy())
+        return None
     if total is None:
         total = np.full(len(cloud), const)
     elif const != 0.0:
         total += const
     return _undefined_to_nan(total)
-
-
-def _unfolded_derivative(terms, name, columns):
-    """``_monomial_derivative``'s sum where the fold of its constant
-    terms overflows. ``nsum`` then keeps every operand in order: each
-    term's derivative, which is 0 for a term without ``name`` or with
-    coefficient 0, its coefficient for a linear term, and its
-    product-rule terms otherwise. They are added from left to right, as
-    ``_eval_array`` adds a sum's values."""
-    operands = []
-    for coeff, factors in terms:
-        hits = [i for i, factor in enumerate(factors) if factor == name]
-        if not hits or coeff == 0.0:
-            operands.append(np.float64(0.0))
-            continue
-        for i in hits:
-            rest = factors[:i] + factors[i + 1 :]
-            value = np.float64(coeff)
-            for other in rest:
-                value = value * columns[other]
-            operands.append(value)
-    total = operands[0] + operands[1]
-    for value in operands[2:]:
-        total = total + value
-    return total
 
 
 # ---------------------------------------------------------------------------

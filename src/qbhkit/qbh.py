@@ -37,7 +37,7 @@ from .fields import (
 )
 from .criteria import check_delta, hamiltonian_condition
 from .reports import CriterionReport, make_report
-from .residuals import condition, require_nonvanishing, values_at
+from .residuals import condition, finite_points, require_nonvanishing, values_at
 from .sampling import VerifyConfig
 
 
@@ -212,7 +212,8 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
 
 def _contract(T, dF, dG, dK):
     """T(dF, dG, dK) at each point, for the C-ordered (m, n, n, n)
-    antisymmetric T and (m, n) gradients.
+    antisymmetric T and (m, n) gradients (component-major, as
+    ``gradient_at`` returns them).
 
     numpy's einsum over all n^3 entries adds the products
     ((T^{ijk} dF_i) dG_j) dK_k one entry at a time in C order (i, j, k).
@@ -229,10 +230,5 @@ def _contract(T, dF, dG, dK):
             term *= dG[:, j]
             term *= dK[:, k]
             out += term
-    # column by column: a reduction over the short rows of C-ordered
-    # gradients costs numpy several times more (see residuals' layout note)
-    finite = np.ones(len(T), dtype=bool)
-    for column in (*dF.T, *dG.T, *dK.T):
-        finite &= np.isfinite(column)
-    out[~finite] = np.nan
+    out[~(finite_points(dF) & finite_points(dG) & finite_points(dK))] = np.nan
     return out

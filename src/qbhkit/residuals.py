@@ -27,26 +27,24 @@ the points are one contiguous row. A reduction over components (max,
 abs, isfinite, all) then runs elementwise across those rows instead of
 over the short inner axis of an (m, ...) array, which costs numpy far
 more per point; these reductions are exact, so their order does not
-matter. A floating-point sum over components (a norm, an einsum) keeps
-the order it has on C-ordered (m, ...) arrays, because numpy may sum an
-array of another layout in another order and so round differently:
+matter. A floating-point sum over components (a norm, an einsum) is
+taken in an order fixed by the code, not by the layout numpy is handed,
+because numpy may sum an array of another layout in another order and
+so round differently:
 
-- on component rows, where the order is known. The two-column span
-  factors and solutions (``criteria._two_column_factor``,
-  ``_two_column_solve``) sum over the rows of (n, m) arrays in an
-  ``im,im->m`` einsum. A span expansion in two fields on n <= 7
-  coordinates (every span of the shipped fixtures) forms its fit, its
-  difference and its sum of squares on component rows and sums the
-  squares in component order, which is the order in which numpy sums a
-  C-ordered row of at most 7 values; n <= 7 is that fact of numpy's
-  summation, not a tunable;
-- else on a C-ordered copy: span expansions in other numbers of fields
-  or on 8 or more coordinates, whose rows numpy sums pairwise, and the
-  sums over whole matrices in ``criteria._least_squares``;
-- entry by entry, on C-ordered arrays: the Jacobi sweep's contraction
-  (``qbh._contract``) of the (m, n, n, n) trivector with three (m, n)
-  gradients adds the products of its nonzero entries in the C order in
-  which ``np.einsum("mijk,mi,mj,mk->m", ...)`` adds all n^3 of them.
+- on component rows, in component order. The two-column span factors
+  and solutions (``criteria._two_column_factor``, ``_two_column_solve``)
+  sum over the rows of (n, m) arrays in an ``im,im->m`` einsum. A span
+  expansion in any number of fields on any number of coordinates forms
+  its fit, its difference and its sum of squares on component rows
+  (``criteria._residual_norms``). ``criteria._least_squares`` sums over
+  whole matrices only to test for overflow, on a C-ordered copy of the
+  rows it solves;
+- entry by entry: the Jacobi sweep's contraction (``qbh._contract``) of
+  the C-ordered (m, n, n, n) trivector with three component-major
+  (m, n) gradients adds the products of its nonzero entries in the C
+  order in which ``np.einsum("mijk,mi,mj,mk->m", ...)`` adds all n^3 of
+  them on C-ordered operands.
 """
 from __future__ import annotations
 

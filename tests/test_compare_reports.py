@@ -122,10 +122,10 @@ def test_runs_in_one_interpreter_match_the_cli_and_warn_once_each(tool, monkeypa
     assert first["stderr"].count("RuntimeWarning: overflow") == 1
 
 
-def test_matrix_runs_every_subcommand_on_both_sides_of_the_row_route(tool, tmp_path):
-    """Span residuals are summed row by row up to 7 coordinates and
-    C-ordered from 8 on; the matrix runs every subcommand on a chart of
-    each size, among its 182 runs."""
+def test_matrix_runs_every_subcommand_on_many_coordinate_charts(tool, tmp_path):
+    """Sums over 8 or more components are where numpy's pairwise order
+    and an in-order sum part; the matrix runs every subcommand on charts
+    of 7 and 8 coordinates, among its 182 runs."""
     import qbhkit as qk
 
     shipped = Path(__file__).parents[1] / "src" / "qbhkit" / "problems"
@@ -136,6 +136,72 @@ def test_matrix_runs_every_subcommand_on_both_sides_of_the_row_route(tool, tmp_p
         assert qk.load_problem(path).chart.dimension == n
         runs = [argv[:2] for argv in matrix if path in argv]
         assert runs == [list(command) for command in tool.SUBCOMMANDS]
+
+
+# What the span checks report on the 8- and 9-coordinate edge inputs,
+# recorded with their residuals' squares summed pairwise by numpy, which
+# summing them in component order must keep: every check fails (exit 1)
+# with no point skipped, and only compatibility's six informative span
+# conditions carry a note.
+MANY_COORDINATE_CONDITIONS = {
+    "poisson": ("poisson-pair", ("self-schouten", "bracket-in-span"), ()),
+    "automorphism": (
+        "automorphism",
+        ("lie-derivative", "bracket-x1-in-span", "bracket-x2-in-span"),
+        (),
+    ),
+    "compat": (
+        "compatibility",
+        ("schouten",),
+        (
+            "span-x1-x2-bracket",
+            "span-xh-x3-bracket",
+            "span-xh-x1-bracket",
+            "span-xh-x2-bracket",
+            "span-x3-x1-bracket",
+            "span-x3-x2-bracket",
+        ),
+    ),
+    "jacobi": (
+        "jacobi",
+        (
+            "bracket-plus-xh",
+            "bracket-xh-x1-in-span",
+            "bracket-xh-x2-in-span",
+            "automorphism-trace",
+            "schouten-identity",
+            "invariance",
+        ),
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("what", sorted(MANY_COORDINATE_CONDITIONS))
+def test_span_checks_on_many_coordinates_keep_their_verdicts(tool, tmp_path, n, what):
+    import io
+
+    from qbhkit.cli import run_command
+
+    path = tmp_path / f"{n}-coordinate.prob"
+    path.write_text(tool._many_coordinates(n), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code, _ = run_command(
+        ["check", what, "--input", str(path), "--format", "json"], stdout, stderr
+    )
+    assert (code, stderr.getvalue()) == (1, "")
+    got = json.loads(stdout.getvalue())
+    criterion, gating, informative = MANY_COORDINATE_CONDITIONS[what]
+    want = [(f"{criterion}:{name}", False, 0, []) for name in gating]
+    want += [
+        (f"{criterion}:{name}", False, 0, ["informative (not gating)"])
+        for name in informative
+    ]
+    assert got["pass"] is False and got["samples"] == 100
+    assert [
+        (c["name"], c["pass"], c["skipped"], c["notes"]) for c in got["criteria"]
+    ] == want
 
 
 def test_a_per_point_value_away_from_the_maximum_shows(tool, monkeypatch):

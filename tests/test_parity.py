@@ -19,7 +19,7 @@ import pytest
 
 import qbhkit as qk
 from qbhkit.chart import Point
-from qbhkit.criteria import _expand_rows, _FactoredBasis, _row_norms
+from qbhkit.criteria import _expand_rows, _FactoredBasis, _residual_norms
 from qbhkit.sampling import _REJECTION_BUDGET, _passes_guards
 
 from helpers import rotation_cfg
@@ -174,7 +174,11 @@ def planted_stack(rng, m, n, k):
     return stack, target
 
 
-SHAPES = [(3, 2), (2, 2), (3, 3), (4, 2), (2, 3), (3, 1)]
+SHAPES = [
+    (3, 2), (2, 2), (3, 3), (4, 2), (2, 3), (3, 1),
+    # from 8 components on numpy sums a C-ordered row pairwise
+    (8, 2), (9, 2), (9, 3), (9, 1),
+]
 
 
 @pytest.mark.parametrize("n, k", SHAPES)
@@ -364,13 +368,16 @@ def test_span_expand_keeps_per_point_views():
 @pytest.mark.parametrize("power", [-400, 0, 520, 700, 1000])
 def test_residual_norms_scale_exactly_with_the_rows(power):
     # scaling a row by a power of two scales its norm by the same power,
-    # also where the squares would overflow
+    # also where the squares would overflow; a fit with zero coefficients
+    # leaves the target rows as the differences
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((500, 3))
     rows[::7, 1] = 0.0
     rows[::11] = 0.0
     want = np.ldexp(np.linalg.norm(rows, axis=1), power)
-    np.testing.assert_array_equal(_row_norms(np.ldexp(rows, power)), want)
+    columns = rng.standard_normal((2, 3, 500))
+    got = _residual_norms(columns, np.zeros((2, 500)), np.ldexp(rows, power).T)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_span_residual_of_a_huge_target_is_finite():

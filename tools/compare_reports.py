@@ -14,9 +14,9 @@ Each tree runs the whole matrix in an interpreter of its own, one
 - every ``check`` subcommand, ``coeffs lemma4`` and ``build qbh`` on
   each shipped problem file (those of SRC_B) and on the edge inputs:
   X1 = 1e200 d/dx with X2 = d/dy + x d/dz, 1e200 d/dx with
-  1e200 d/dx + d/dy, and charts of 1, 2, 7, 8 and 9 coordinates (span
-  residuals are summed row by row up to 7 coordinates, C-ordered from 8
-  on);
+  1e200 d/dx + d/dy, and charts of 1, 2, 7, 8 and 9 coordinates (from
+  8 components on, numpy sums a C-ordered row pairwise, so a change of
+  summation order shows there);
 - ``check poisson`` on 40 generated problems (``perfbench/generate.py``
   of this checkout, seed 15).
 
@@ -179,7 +179,7 @@ expr = x * y
 [function F]
 expr = y
 """,
-    # span sums over 7 components run row by row, over 8 or more C-ordered
+    # numpy sums a C-ordered row of 7 values in order, of 8 or more pairwise
     "seven-coordinate": _many_coordinates(7),
     "eight-coordinate": _many_coordinates(8),
     "nine-coordinate": _many_coordinates(9),
