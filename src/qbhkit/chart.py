@@ -30,11 +30,12 @@ MAX_SAMPLE_VALUES = 1_000_000
 # still reads the cache, but keeps its new values only for the call. A
 # domain draws one cloud (see ``sampling.sample_points``), so every check
 # of a run shares that cloud and this one bound. Counted after one
-# ``example run`` of each shipped fixture: at 200 points no run reaches
-# the bound, and rotation's cache holds the most (206 entries, 33 837
-# values); at 1 000 points rotation's passes it (152 032 values), and at
-# 5 000 rotation's (140 005) and linear-abelian's (155 003) do, where
-# arithmetic rather than per-node dispatch is the cost.
+# ``example run`` of each shipped fixture, where a structure evaluated
+# by several checks is one node and one entry: at 200 points no run
+# reaches the bound, and rotation's cache holds the most (77 entries,
+# 12 614 values); at 1 000 points none does either (rotation's holds
+# 63 014), and at 5 000 rotation's passes it (140 003), where arithmetic
+# rather than per-node dispatch is the cost.
 MAX_CACHED_VALUES = 2**17
 
 

@@ -1,24 +1,29 @@
 """Symbolic scalar expressions over a coordinate chart.
 
-Expression trees are immutable; nodes hash by identity so derivative
-construction, simplification and evaluation can memoise over shared
-subterms (derivatives reuse their operands, so trees are really DAGs).
-Every composite node keeps its operands in one tuple, ``args``, so a
-walk that does not depend on the kind of node (operands, coordinates,
-fingerprints, tree comparison, evaluation of operands) is written once.
-Simplified forms, derivatives, fingerprints and the coordinates a node
-depends on are cached on the nodes themselves and reused by every later
-call; values are cached on the point cloud they were evaluated over.
-Simplification is best effort: constant folding, 0/1 identities,
-flattening, and cancellation of structurally identical terms in sums.
-Deciding that an expression vanishes is the job of sampled numeric
-verification, not of this module.
+Expression trees are immutable, and built of interned nodes: while a
+node is alive, building a node of the same structure returns it, so
+structurally equal subterms are one object and trees are really DAGs.
+Nodes hash by identity, so derivative construction, simplification and
+evaluation memoise over them, and each distinct subterm is built,
+differentiated, simplified and evaluated once. Every composite node
+keeps its operands in one tuple, ``args``, so a walk that does not
+depend on the kind of node (operands, coordinates, fingerprints,
+evaluation of operands) is written once. Simplified forms, derivatives,
+fingerprints and the coordinates a node depends on are cached on the
+nodes themselves and reused by every later call; values are cached on
+the point cloud they were evaluated over. Simplification is best
+effort: constant folding, 0/1 identities, flattening, and cancellation
+of structurally identical terms in sums. Deciding that an expression
+vanishes is the job of sampled numeric verification, not of this
+module.
 """
 from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +54,12 @@ class Node:
     a ``Power``, the arguments of a ``Call``, which also names its
     function in ``func``. The leaves ``Const`` and ``Coord`` have none.
 
+    Composites and coordinates are interned: while a node is alive,
+    building one of the same structure returns that node (see
+    ``_NODES``), so structurally equal subterms are one object, and
+    what is computed for one is computed for all. Constants are not
+    interned; as operands they count by value.
+
     ``depth`` counts the nodes on the longest path from this node down
     to a leaf. It is fixed at construction, which raises
     ExpressionTooDeepError above ``MAX_NODE_DEPTH``. Each node also
@@ -56,9 +67,12 @@ class Node:
     ``_fingerprint`` and ``_coordinates`` computed for it, so a later
     call on any tree that contains the node reuses the work. All four
     are functions of the node's structure alone, so a cached result is
-    the one a fresh call would build. No node refers to itself through
-    these caches, so a tree is freed as soon as its last reference
-    goes, without the cyclic garbage collector.
+    the one a fresh call would build. The derivatives of exp(u),
+    sqrt(u) and b^e contain the node itself, and those of sin(u) and
+    cos(u) lead back to it, so derivatives are held by weak reference.
+    No node then refers to itself through its caches, and a tree is
+    freed as soon as its last reference goes, without the cyclic
+    garbage collector.
     """
 
     __slots__ = ()
@@ -90,9 +104,37 @@ def _depth_over(operands) -> int:
     return deepest + 1
 
 
+# The live interned nodes, {key: weak reference}. A composite's key is
+# its class, its function for a Call, and its operands in order: a
+# composite or coordinate operand as itself (they hash by identity), a
+# constant by value (see ``_by_value``). A coordinate's key is its class and name.
+# An entry goes when its node dies, so the table keeps no node alive,
+# and a tree built after another has been freed shares none of its work.
+_NODES = {}
+# what an entry's weak reference calls with itself when its node dies:
+# the entry goes (the reference is only ``pop``'s unused default)
+_forget = _NODES.pop
+
+
+def _by_value(key):
+    """``key`` with each constant in it replaced by the type of its
+    value, so that Const(2) and Const(2.0), which print apart, stay
+    apart; its value; and the sign of a zero, so that -0.0 and 0.0 do
+    too."""
+    parts = []
+    for part in key:
+        if part.__class__ is Const:
+            value = part.value
+            part = (value.__class__, value, value == 0 and math.copysign(1.0, value))
+        parts.append(part)
+    return tuple(parts)
+
+
 # The constructors write the instance dict directly. That builds a node
 # about 1.5 times as fast as the __init__ a frozen dataclass generates
-# followed by a __post_init__ that adds the depth.
+# followed by a __post_init__ that adds the depth. An interned node is
+# built in ``__new__`` alone, so one found in the table is returned as
+# it is.
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -107,8 +149,17 @@ class Const(Node):
 class Coord(Node):
     name: str
 
-    def __init__(self, name):
-        self.__dict__["name"] = name
+    def __new__(cls, name):
+        key = (cls, name)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.__dict__["name"] = name
+        _NODES[key] = weakref.ref(node, partial(_forget, key))
+        return node
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -117,10 +168,23 @@ class _Composite(Node):
 
     args: tuple
 
-    def __init__(self, args):
-        state = self.__dict__
-        state["args"] = args
+    def __new__(cls, args):
+        key = (cls,) + args
+        for arg in args:
+            if arg.__class__ is Const:
+                key = _by_value(key)
+                break
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        state = node.__dict__
         state["depth"] = _depth_over(args)
+        state["args"] = args
+        _NODES[key] = weakref.ref(node, partial(_forget, key))
+        return node
 
 
 class Neg(_Composite):
@@ -148,11 +212,24 @@ class Call(Node):
     func: str
     args: tuple
 
-    def __init__(self, func, args):
-        state = self.__dict__
+    def __new__(cls, func, args):
+        key = (cls, func) + args
+        for arg in args:
+            if arg.__class__ is Const:
+                key = _by_value(key)
+                break
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        state = node.__dict__
+        state["depth"] = _depth_over(args)
         state["func"] = func
         state["args"] = args
-        state["depth"] = _depth_over(args)
+        _NODES[key] = weakref.ref(node, partial(_forget, key))
+        return node
 
 
 ZERO = Const(0.0)
@@ -182,9 +259,8 @@ def nsum(terms) -> Node:
     flat = []
     const = 0.0
     for term in terms:
-        subterms = term.args if isinstance(term, Sum) else (term,)
-        for sub in subterms:
-            if isinstance(sub, Const):
+        for sub in term.args if term.__class__ is Sum else (term,):
+            if sub.__class__ is Const:
                 const += sub.value
             else:
                 flat.append(sub)
@@ -209,12 +285,13 @@ def nprod(factors) -> Node:
     while i < len(queue):
         factor = queue[i]
         i += 1
-        if isinstance(factor, Product):
-            queue[i:i] = list(factor.args)
-        elif isinstance(factor, Neg):
+        kind = factor.__class__
+        if kind is Product:
+            queue[i:i] = factor.args
+        elif kind is Neg:
             const = -const
             queue.insert(i, factor.args[0])
-        elif isinstance(factor, Const):
+        elif kind is Const:
             const *= factor.value
         else:
             flat.append(factor)
@@ -224,12 +301,10 @@ def nprod(factors) -> Node:
         return _unfolded_product(queue)
     if not flat:
         return Const(const)
+    if const != 1.0 and const != -1.0:
+        return Product((Const(const),) + tuple(flat))
     core = flat[0] if len(flat) == 1 else Product(tuple(flat))
-    if const == 1.0:
-        return core
-    if const == -1.0:
-        return nneg(core)
-    return Product((Const(const),) + tuple(flat))
+    return core if const == 1.0 else nneg(core)
 
 
 def _unfolded_product(queue):
@@ -324,9 +399,12 @@ def ndiff(node: Node, coord: str) -> Node:
     derivatives = node.__dict__.get("derivatives")
     if derivatives is None:
         derivatives = node.__dict__["derivatives"] = {}
-    result = derivatives.get(coord)
+    ref = derivatives.get(coord)
+    result = None if ref is None else ref()
     if result is None:
-        result = derivatives[coord] = _ndiff(node, coord)
+        result = _ndiff(node, coord)
+        # weakly: a derivative may contain or lead back to the node
+        derivatives[coord] = weakref.ref(result)
     return result
 
 
@@ -356,9 +434,6 @@ def _ndiff(node, coord):
             return nquot(du, denominator)
         num = nsum([nprod([du, denominator]), nneg(nprod([numerator, dv]))])
         return nquot(num, npow(denominator, Const(2.0)))
-    # The derivatives of b^e, exp(u) and sqrt(u) contain the node they
-    # differentiate. They get a fresh copy of it, since the derivative is
-    # cached on the node and the node itself would make a cycle.
     if isinstance(node, Power):
         base, exponent = node.args
         db = ndiff(base, coord)
@@ -375,7 +450,7 @@ def _ndiff(node, coord):
         pieces = [nprod([de, ncall("ln", (base,))])]
         if not _is_const(db, 0.0):
             pieces.append(nquot(nprod([exponent, db]), base))
-        return nprod([Power(node.args), nsum(pieces)])
+        return nprod([node, nsum(pieces)])
     if isinstance(node, Call):
         if node.func == "atan2":
             y, x = node.args
@@ -397,11 +472,11 @@ def _ndiff(node, coord):
         if func == "tan":
             return nquot(du, npow(ncall("cos", (arg,)), Const(2.0)))
         if func == "exp":
-            return nprod([Call(func, node.args), du])
+            return nprod([node, du])
         if func == "ln":
             return nquot(du, arg)
         if func == "sqrt":
-            return nquot(du, nprod([Const(2.0), Call(func, node.args)]))
+            return nquot(du, nprod([Const(2.0), node]))
         if func == "atan":
             return nquot(du, nsum([ONE, npow(arg, Const(2.0))]))
     raise TypeError(f"cannot differentiate node {node!r}")
@@ -566,29 +641,8 @@ def nsimplify(node: Node) -> Node:
     result = node.__dict__.get("simplified")
     if result is None:
         result = _nsimplify(node)
-        if _same_tree(result, node):
-            # a rebuilt copy: keep the node, so that simplifying a
-            # simplified tree builds nothing and its values stay shared
-            result = node
         node.__dict__["simplified"] = _SELF if result is node else result
     return node if result is _SELF else result
-
-
-def _same_tree(a: Node, b: Node) -> bool:
-    """Whether ``a`` and ``b`` print as the same tree: the same kinds of
-    node, functions, coordinates and constants, operand by operand. It
-    stops at shared operands, so it walks only what a rebuild made new."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Const):
-        return repr(a.value) == repr(b.value)
-    if isinstance(a, Coord):
-        return a.name == b.name
-    if isinstance(a, Call) and a.func != b.func:
-        return False
-    return len(a.args) == len(b.args) and all(map(_same_tree, a.args, b.args))
 
 
 # how each composite kind but Sum is rebuilt from simplified operands

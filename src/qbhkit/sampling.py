@@ -19,7 +19,7 @@ import numpy as np
 
 from .chart import MAX_SAMPLE_VALUES, CoordinateChart, Point, PointCloud
 from .errors import GuardTooRestrictiveError
-from .expr import Coord, Const, ScalarExpr, nprod, nsum
+from .expr import Coord, Const, Product, ScalarExpr, nprod, nsum
 from .fields import VectorField
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -233,16 +233,21 @@ def fd_lie_bracket(X: VectorField, Y: VectorField, p: Point, h: float = 1e-5) ->
 def random_polynomial(chart: CoordinateChart, rng, degree: int = 3) -> ScalarExpr:
     """A dense random polynomial of total degree <= degree with
     coefficients uniform in [-1, 1], deterministic for a given rng state."""
-    combos = [
-        combo
+    coords = [Coord(name) for name in chart.names]
+    monomials = [
+        monomial
         for total in range(degree + 1)
-        for combo in combinations_with_replacement(chart.names, total)
+        for monomial in combinations_with_replacement(coords, total)
     ]
     # one draw of all coefficients continues the stream exactly as one
     # draw per monomial would
-    coeffs = rng.uniform(-1.0, 1.0, len(combos)).tolist()
+    coeffs = rng.uniform(-1.0, 1.0, len(monomials)).tolist()
+    # a term is the product nprod builds: where the coefficient is not
+    # 0 or +-1 and coordinates follow it, that is the product of both
     terms = [
-        nprod([Const(coeff)] + [Coord(name) for name in combo])
-        for coeff, combo in zip(coeffs, combos)
+        Product((Const(coeff),) + monomial)
+        if monomial and coeff not in (0.0, 1.0, -1.0)
+        else nprod([Const(coeff), *monomial])
+        for coeff, monomial in zip(coeffs, monomials)
     ]
     return ScalarExpr(chart, nsum(terms))

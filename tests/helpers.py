@@ -1,10 +1,15 @@
 """Shared builders for the test suite."""
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import qbhkit as qk
+from qbhkit.expr import Call, Const, Coord
 
 
 def make_cfg(chart, lo=-1.0, hi=1.0, samples=60, seed=7, guards=(), box=None, tol=None):
@@ -102,6 +107,23 @@ def perfbench_module(name):
     return module
 
 
+def fresh_runs(argvs, no_gc=False):
+    """What tests/fresh_runs.py prints for the CLI calls ``argvs`` (a
+    list of argv lists), made one after another in a fresh interpreter
+    on the library this suite imports."""
+    src = str(Path(qk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, str(Path(__file__).with_name("fresh_runs.py")), json.dumps(argvs)]
+    proc = subprocess.run(
+        argv + (["--no-gc"] if no_gc else []),
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def generated_problem_text(seed, index):
     """Problem ``index`` of seed ``seed`` of the generated-poisson
     benchmark workload, from perfbench/generate.py."""
@@ -128,3 +150,20 @@ DEEP_EXPRESSIONS = {
     "sin-chain-165": "sin(" * 165 + "y" + ")" * 165,
     "division-chain-2000": "y" + "/2" * 2000,
 }
+
+
+def same_tree(a, b):
+    """Whether nodes ``a`` and ``b`` print as the same tree: the same
+    kinds of node, functions, coordinates and constants, operand by
+    operand. A structural oracle that does not rely on interning."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Const):
+        return repr(a.value) == repr(b.value)
+    if isinstance(a, Coord):
+        return a.name == b.name
+    if isinstance(a, Call) and a.func != b.func:
+        return False
+    return len(a.args) == len(b.args) and all(map(same_tree, a.args, b.args))

@@ -12,7 +12,7 @@ from qbhkit.cli import run_command
 from qbhkit.fixtures import fixture_names
 from qbhkit.reports import render_json
 
-from helpers import DEEP_EXPRESSIONS
+from helpers import DEEP_EXPRESSIONS, fresh_runs, generated_problem_text
 
 NON_POISSON = """
 [space]
@@ -178,6 +178,21 @@ def test_cached_results_do_not_outlive_their_problems(tmp_path):
         run(index)
     # a checked problem's nodes number in the hundreds
     assert live_nodes() - before < 50
+
+
+def test_no_interned_node_outlives_its_run(tmp_path):
+    # with the cycle collector off, after each of 40 generated problems
+    # the table of interned nodes is back to what it held before: every
+    # node of a run is freed by reference counting alone, and none is
+    # left for the next run to reuse
+    argvs = []
+    for index in range(40):
+        path = tmp_path / f"gen{index}.prob"
+        path.write_text(generated_problem_text(1, index))
+        argvs.append(["check", "poisson", "--input", str(path), "--format", "json"])
+    counts = fresh_runs(argvs, no_gc=True)
+    assert [run[2] for run in counts["runs"]] == [counts["live_before"]] * 40
+    assert counts["cyclic"] == 0
 
 
 def test_unknown_field_name(exp_path):

@@ -16,6 +16,7 @@ from qbhkit.criteria import _FactoredBasis
 from helpers import (
     exp_cfg,
     exp_triple,
+    fresh_runs,
     make_cfg,
     non_poisson_pair,
     rotation_cfg,
@@ -172,17 +173,21 @@ DECISIONS = {
 
 
 # (node derivatives built by ``expr._ndiff``, composite values computed
-# by ``expr._combine``) in one `example run`: the derivative caches, the
-# cloud's value cache and the Jacobi sweep's term-wise gradients keep
-# these down, so a change that loses a share of them changes a count
+# by ``expr._combine``) in one `example run` in a fresh interpreter:
+# interning, the derivative caches, the cloud's value cache and the
+# Jacobi sweep's term-wise gradients keep these down, so a change that
+# loses a share of them changes a count. Rotation at 5 000 samples
+# evaluates more composites than at 200 because its cloud's cache
+# reaches ``MAX_CACHED_VALUES``.
 NODE_WORK = {
-    "exp-realization": (81, 12),
-    "rotation": (122, 160),
-    "so3-jacobi": (36, 6),
+    "exp-realization": (80, 5),
+    "rotation": (84, 69),
+    "so3-jacobi": (30, 3),
     "heisenberg-jacobi": (16, 0),
-    "linear-abelian": (29, 28),
-    "hojman-2d": (16, 0),
+    "linear-abelian": (15, 16),
+    "hojman-2d": (14, 0),
 }
+ROTATION_5K_WORK = (84, 97)
 
 
 def counted(counts, key, function):
@@ -193,9 +198,12 @@ def counted(counts, key, function):
     return wrapper
 
 
+def example_argv(name, *options):
+    return ["example", "run", name, "--format", "json", *options]
+
+
 def run_example(name):
-    argv = ["example", "run", name, "--format", "json"]
-    run_command(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    run_command(example_argv(name), stdout=io.StringIO(), stderr=io.StringIO())
 
 
 @pytest.mark.parametrize("name", sorted(DECISIONS))
@@ -210,18 +218,23 @@ def test_each_span_basis_is_factored_once_per_cloud(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(NODE_WORK))
-def test_each_run_differentiates_and_evaluates_a_fixed_number_of_nodes(
-    name, monkeypatch
-):
-    # every tree shares the nodes ZERO and ONE, whose derivatives stay
-    # cached on them after whichever run asked first
-    for node in (expr.ZERO, expr.ONE):
-        monkeypatch.delitem(node.__dict__, "derivatives", raising=False)
-    counts = {"ndiff": 0, "combine": 0}
-    monkeypatch.setattr(expr, "_ndiff", counted(counts, "ndiff", expr._ndiff))
-    monkeypatch.setattr(expr, "_combine", counted(counts, "combine", expr._combine))
-    run_example(name)
-    assert (counts["ndiff"], counts["combine"]) == NODE_WORK[name]
+def test_each_run_differentiates_and_evaluates_a_fixed_number_of_nodes(name):
+    # counted in a fresh interpreter, since interned nodes are shared
+    # with whatever trees this process holds. No node of a run outlives
+    # it, so a second run evaluates as many composites; it may build
+    # fewer derivatives, those of ZERO and ONE, which every tree shares
+    argv = example_argv(name)
+    counts = fresh_runs([argv, argv])
+    (first, combined, live), (_, again, live_again) = counts["runs"]
+    assert (first, combined) == NODE_WORK[name]
+    assert again == combined
+    assert live == live_again == counts["live_before"]
+
+
+def test_rotation_at_5000_samples_does_a_fixed_amount_of_node_work():
+    argv = example_argv("rotation", "--samples", "5000")
+    (run,) = fresh_runs([argv])["runs"]
+    assert tuple(run[:2]) == ROTATION_5K_WORK
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from qbhkit.expr import (
     nprod,
     nsum,
 )
+from qbhkit.fixtures import FIXTURES, fixture_names, load_fixture
 
 from helpers import DEEP_EXPRESSIONS, make_cfg
 
@@ -849,6 +850,35 @@ def test_simplifying_a_simplified_tree_builds_nothing(text):
     assert s.simplified().node is s.node
 
 
+def test_a_composite_is_one_object_per_structure():
+    x, y = Coord("x"), Coord("y")
+    assert Coord("x") is x
+    assert Sum((x, y)) is Sum((x, y))
+    assert Sum((x, y)) is not Sum((y, x))
+    assert Call("sin", (x,)) is Call("sin", (x,))
+    assert Call("sin", (x,)) is not Call("cos", (x,))
+    assert (CHART.coordinate("x") * 2).node is (2 * CHART.coordinate("x")).node
+
+
+def test_a_constant_operand_counts_by_its_type_value_and_sign():
+    x = Coord("x")
+    # constants themselves are not interned
+    assert Const(2.0) is not Const(2.0)
+    assert Product((Const(2.0), x)) is Product((Const(2.0), x))
+    # they print apart, so they are kept apart
+    assert Product((Const(-0.0), x)) is not Product((Const(0.0), x))
+    assert Product((Const(2), x)) is not Product((Const(2.0), x))
+    assert str(qk.ScalarExpr(CHART, Product((Const(2), x)))) == "2 * x"
+
+
+def test_the_table_of_nodes_keeps_none_alive():
+    before = len(expr._NODES)
+    e = Sum((Coord("table_u"), Neg((Coord("table_v"),))))
+    assert len(expr._NODES) == before + 4
+    del e
+    assert len(expr._NODES) == before
+
+
 @pytest.mark.parametrize(
     "e",
     [
@@ -863,20 +893,101 @@ def test_a_node_that_is_its_own_simplified_form_keeps_no_reference_to_itself(e):
     assert all(value is not e.node for value in vars(e.node).values())
 
 
-@pytest.mark.parametrize("text", ["exp(x*y)", "sqrt(x*y)", "x^y", "sin(x*y)"])
-def test_a_differentiated_tree_is_freed_without_the_cycle_collector(text):
-    # the derivatives of exp(u), sqrt(u) and b^e contain a copy of the
-    # node, not the node, so its derivative cache makes no cycle
-    e = qk.parse_expression(text, CHART)
+# coordinates no other test uses, so that no tree another test holds
+# shares a node with the trees built over them
+FREED = qk.CoordinateChart(("freed_u", "freed_v"))
+
+
+@pytest.mark.parametrize(
+    "text, second",
+    [
+        ("exp(freed_u*freed_v)", "freed_u"),
+        ("sqrt(freed_u*freed_v)", "freed_u"),
+        ("freed_u^freed_v", "freed_u"),
+        ("sin(freed_u*freed_v)", "freed_u"),
+        # sin -> cos -> -sin: the second derivative leads back to sin
+        ("cos(freed_u*freed_v)", "freed_v"),
+    ],
+)
+def test_a_differentiated_tree_is_freed_without_the_cycle_collector(text, second):
+    # the derivatives of exp(u), sqrt(u) and b^e contain the node itself,
+    # and those of cos(u) lead back to it through sin(u), so a node holds
+    # its derivatives weakly and its caches make no cycle
+    e = qk.parse_expression(text, FREED)
     node = weakref.ref(e.node)
     gc.disable()
     try:
-        e.diff("x").diff("x").simplified()
-        e.diff("y").simplified()
+        e.diff("freed_u").diff(second).simplified()
+        e.diff("freed_v").simplified()
         del e
         assert node() is None
     finally:
         gc.enable()
+
+
+def strongly_held_nodes(node):
+    """The nodes ``node`` holds by strong reference: in its instance
+    dict, directly or inside a tuple, list or dict there. A weak
+    reference is not followed."""
+    held, stack = [], list(vars(node).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, expr.Node):
+            held.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+    return held
+
+
+def assert_no_node_reaches_itself(roots):
+    """Walk every node reachable from ``roots`` through strong
+    references (operands, simplified forms, cached derivatives) and
+    fail on a cycle; return the number of nodes walked."""
+    state = {}  # id -> True while on the walk's path, False when done
+    for root in roots:
+        if id(root) in state:
+            continue
+        state[id(root)] = True
+        path = [(root, iter(strongly_held_nodes(root)))]
+        while path:
+            node, children = path[-1]
+            child = next(children, None)
+            if child is None:
+                state[id(node)] = False
+                path.pop()
+            elif state.get(id(child)) is True:
+                raise AssertionError(f"{node_to_text(child)} reaches itself")
+            elif id(child) not in state:
+                state[id(child)] = True
+                path.append((child, iter(strongly_held_nodes(child))))
+    return len(state)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_no_node_of_a_fixture_run_reaches_itself(name):
+    # the roots are the problem's expressions and every node evaluated
+    # on the run's cloud; their derivatives and simplified forms are
+    # filled by the run, and derivatives are walked where held strongly
+    spec = load_fixture(name)
+    cfg = spec.config()
+    FIXTURES[name].runner(spec, cfg)
+    roots = [c.node for X in spec.fields.values() for c in X.components]
+    roots += [f.node for f in spec.functions.values()]
+    roots += list(cfg.points().cache)
+    assert any("derivatives" in vars(node) for node in roots)
+    assert assert_no_node_reaches_itself(roots) >= len(set(map(id, roots)))
+
+
+def test_the_walk_finds_a_node_that_reaches_itself():
+    x = Coord("x")
+    e = expr.ncall("exp", (x,))
+    e.__dict__["cached"] = {"x": nprod([e, x])}
+    with pytest.raises(AssertionError, match="reaches itself"):
+        assert_no_node_reaches_itself([e])
+    del e.__dict__["cached"]
+    assert assert_no_node_reaches_itself([e]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ from qbhkit.expr import Coord, Node, ScalarExpr, operands
 from helpers import fresh_copy, make_cfg, nested_cyclic_sums
 
 CHART = qk.CoordinateChart(("x", "y", "z"))
+# the same coordinates under other names, whose trees share no node
+# with those over CHART
+COLD = qk.CoordinateChart(("cold_x", "cold_y", "cold_z"))
 # the narrow box keeps most generated trees defined, for the derivative
 # oracle; the wide one also has points outside ln, sqrt and '^' domains
 NARROW = make_cfg(CHART, lo=0.3, hi=1.2, samples=6, seed=21).points()
@@ -84,18 +87,21 @@ def scale(e, points):
     return np.max(np.where(np.isnan(values), 0.0, values), axis=0)
 
 
-def rebuild(node, copies):
-    """A copy of ``node``'s tree made of new nodes with the same types
-    and payloads, shared where the original's are; ``copies`` maps the
-    ids of copied nodes to their copies."""
+def renamed_copy(node, names, copies):
+    """``node``'s tree built anew through the node classes, with its
+    coordinates renamed by ``names``, so that it shares no interned node
+    with the original; ``copies`` maps the ids of copied nodes to their
+    copies."""
     if id(node) not in copies:
         values = []
         for field in dataclasses.fields(node):
             value = getattr(node, field.name)
             if isinstance(value, Node):
-                value = rebuild(value, copies)
+                value = renamed_copy(value, names, copies)
             elif isinstance(value, tuple):
-                value = tuple(rebuild(v, copies) for v in value)
+                value = tuple(renamed_copy(v, names, copies) for v in value)
+            elif isinstance(node, Coord):
+                value = names[value]
             values.append(value)
         copies[id(node)] = type(node)(*values)
     return copies[id(node)]
@@ -163,9 +169,10 @@ def test_simplifying_a_simplified_tree_returns_it(e):
 def test_cached_results_do_not_depend_on_earlier_calls(e, rng):
     # nodes keep their simplified forms and derivatives: a tree whose
     # subtrees were simplified and differentiated first, in any order,
-    # must give the same results as a fresh copy of it
-    cold = ScalarExpr(CHART, rebuild(e.node, {}))
-    warm = ScalarExpr(CHART, rebuild(e.node, {}))
+    # must give the same results as a cold copy of it. Equal structures
+    # are one node, so the cold copy is built over other coordinates.
+    cold = ScalarExpr(COLD, renamed_copy(e.node, dict(zip(CHART.names, COLD.names)), {}))
+    warm = e
     steps = [
         (ScalarExpr(CHART, node), coord)
         for node in subtrees(warm.node)
@@ -177,12 +184,21 @@ def test_cached_results_do_not_depend_on_earlier_calls(e, rng):
             sub.simplified().diff(rng.choice(CHART.names))
         else:
             sub.diff(coord).simplified()
-    assert str(warm.simplified()) == str(cold.simplified())
-    assert warm.fingerprint() == cold.fingerprint()
+
+    def renamed(text):
+        return text.replace("cold_", "")
+
+    assert str(warm.simplified()) == renamed(str(cold.simplified()))
+    assert warm.fingerprint() == renamed(cold.fingerprint())
     for coord in CHART.names:
-        assert str(warm.diff(coord)) == str(cold.diff(coord))
-        assert str(warm.diff(coord).simplified()) == str(cold.diff(coord).simplified())
-        assert str(warm.simplified().diff(coord)) == str(cold.simplified().diff(coord))
+        cold_coord = "cold_" + coord
+        assert str(warm.diff(coord)) == renamed(str(cold.diff(cold_coord)))
+        assert str(warm.diff(coord).simplified()) == renamed(
+            str(cold.diff(cold_coord).simplified())
+        )
+        assert str(warm.simplified().diff(coord)) == renamed(
+            str(cold.simplified().diff(cold_coord))
+        )
 
 
 @PROPERTY
