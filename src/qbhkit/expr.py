@@ -107,13 +107,24 @@ def _depth_over(operands) -> int:
 # The live interned nodes, {key: weak reference}. A composite's key is
 # its class, its function for a Call, and its operands in order: a
 # composite or coordinate operand as itself (they hash by identity), a
-# constant by value (see ``_by_value``). A coordinate's key is its class and name.
-# An entry goes when its node dies, so the table keeps no node alive,
-# and a tree built after another has been freed shares none of its work.
+# constant by value (see ``_by_value``). A coordinate's key is its class
+# and name. An entry goes when its node dies, so the table keeps no node
+# alive, and a tree built after another has been freed shares none of
+# its work.
 _NODES = {}
-# what an entry's weak reference calls with itself when its node dies:
-# the entry goes (the reference is only ``pop``'s unused default)
-_forget = _NODES.pop
+
+
+def _live(key):
+    """The live node of ``key``, or None."""
+    ref = _NODES.get(key)
+    return None if ref is None else ref()
+
+
+def _enter(key, node):
+    """``node``, entered under ``key`` until it dies: its weak reference
+    then calls ``_NODES.pop(key, reference)``."""
+    _NODES[key] = weakref.ref(node, partial(_NODES.pop, key))
+    return node
 
 
 def _by_value(key):
@@ -130,11 +141,22 @@ def _by_value(key):
     return tuple(parts)
 
 
+def _composite_key(head, args):
+    """The key of a composite: ``head``, then the operands ``args``."""
+    key = head + args
+    for arg in args:
+        if arg.__class__ is Const:
+            return _by_value(key)
+    return key
+
+
 # The constructors write the instance dict directly. That builds a node
 # about 1.5 times as fast as the __init__ a frozen dataclass generates
 # followed by a __post_init__ that adds the depth. An interned node is
 # built in ``__new__`` alone, so one found in the table is returned as
-# it is.
+# it is. A copy of a node, or an unpickled one, is built from its
+# structure (``__reduce__``), without its caches, so a copy of a
+# composite or coordinate is the live node itself.
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -144,6 +166,9 @@ class Const(Node):
     def __init__(self, value):
         self.__dict__["value"] = value
 
+    def __reduce__(self):
+        return (Const, (self.value,))
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Coord(Node):
@@ -151,15 +176,15 @@ class Coord(Node):
 
     def __new__(cls, name):
         key = (cls, name)
-        ref = _NODES.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        node.__dict__["name"] = name
-        _NODES[key] = weakref.ref(node, partial(_forget, key))
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.__dict__["name"] = name
+            _enter(key, node)
         return node
+
+    def __reduce__(self):
+        return (Coord, (self.name,))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -169,22 +194,18 @@ class _Composite(Node):
     args: tuple
 
     def __new__(cls, args):
-        key = (cls,) + args
-        for arg in args:
-            if arg.__class__ is Const:
-                key = _by_value(key)
-                break
-        ref = _NODES.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        state = node.__dict__
-        state["depth"] = _depth_over(args)
-        state["args"] = args
-        _NODES[key] = weakref.ref(node, partial(_forget, key))
+        key = _composite_key((cls,), args)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            state = node.__dict__
+            state["depth"] = _depth_over(args)
+            state["args"] = args
+            _enter(key, node)
         return node
+
+    def __reduce__(self):
+        return (type(self), (self.args,))
 
 
 class Neg(_Composite):
@@ -213,23 +234,19 @@ class Call(Node):
     args: tuple
 
     def __new__(cls, func, args):
-        key = (cls, func) + args
-        for arg in args:
-            if arg.__class__ is Const:
-                key = _by_value(key)
-                break
-        ref = _NODES.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        state = node.__dict__
-        state["depth"] = _depth_over(args)
-        state["func"] = func
-        state["args"] = args
-        _NODES[key] = weakref.ref(node, partial(_forget, key))
+        key = _composite_key((cls, func), args)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            state = node.__dict__
+            state["depth"] = _depth_over(args)
+            state["func"] = func
+            state["args"] = args
+            _enter(key, node)
         return node
+
+    def __reduce__(self):
+        return (Call, (self.func, self.args))
 
 
 ZERO = Const(0.0)

@@ -2,9 +2,11 @@
 simplification. The derivative oracle is a central finite difference
 with step h * max(1, |p_c|)."""
 import ast
+import copy
 import gc
 import math
 import operator
+import pickle
 import weakref
 
 import numpy as np
@@ -871,6 +873,19 @@ def test_a_constant_operand_counts_by_its_type_value_and_sign():
     assert str(qk.ScalarExpr(CHART, Product((Const(2), x)))) == "2 * x"
 
 
+@pytest.mark.parametrize(
+    "copy_of",
+    [copy.copy, copy.deepcopy, lambda node: pickle.loads(pickle.dumps(node))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_node_is_the_node_of_its_structure(copy_of):
+    e = qk.parse_expression("sin(x*y) + 2*atan2(y, x)^z", CHART)
+    e.diff("x")  # derivatives are held weakly, and are not copied
+    assert copy_of(e.node) is e.node
+    text = str(e)
+    assert str(qk.ScalarExpr(CHART, pickle.loads(pickle.dumps(e.node)))) == text
+
+
 def test_the_table_of_nodes_keeps_none_alive():
     before = len(expr._NODES)
     e = Sum((Coord("table_u"), Neg((Coord("table_v"),))))
@@ -981,9 +996,9 @@ def test_no_node_of_a_fixture_run_reaches_itself(name):
 
 
 def test_the_walk_finds_a_node_that_reaches_itself():
-    x = Coord("x")
+    x = Coord("walk_w")
     e = expr.ncall("exp", (x,))
-    e.__dict__["cached"] = {"x": nprod([e, x])}
+    e.__dict__["cached"] = {"walk_w": nprod([e, x])}
     with pytest.raises(AssertionError, match="reaches itself"):
         assert_no_node_reaches_itself([e])
     del e.__dict__["cached"]
