@@ -107,10 +107,10 @@ def _depth_over(operands) -> int:
 # The live interned nodes, {key: weak reference}. A composite's key is
 # its class, its function for a Call, and its operands in order: a
 # composite or coordinate operand as itself (they hash by identity), a
-# constant by value (see ``_by_value``). A coordinate's key is its class
-# and name. An entry goes when its node dies, so the table keeps no node
-# alive, and a tree built after another has been freed shares none of
-# its work.
+# constant by value (see ``_composite_key``). A coordinate's key is its
+# class and name. An entry goes when its node dies, so the table keeps
+# no node alive, and a tree built after another has been freed shares
+# none of its work.
 _NODES = {}
 
 
@@ -127,27 +127,23 @@ def _enter(key, node):
     return node
 
 
-def _by_value(key):
-    """``key`` with each constant in it replaced by the type of its
-    value, so that Const(2) and Const(2.0), which print apart, stay
-    apart; its value; and the sign of a zero, so that -0.0 and 0.0 do
-    too."""
-    parts = []
-    for part in key:
-        if part.__class__ is Const:
-            value = part.value
-            part = (value.__class__, value, value == 0 and math.copysign(1.0, value))
-        parts.append(part)
-    return tuple(parts)
-
-
 def _composite_key(head, args):
-    """The key of a composite: ``head``, then the operands ``args``."""
-    key = head + args
+    """The key of a composite: ``head``, then the operands ``args``, each
+    constant as the type of its value, so that Const(2) and Const(2.0),
+    which print apart, stay apart; its value; and the sign of a zero, so
+    that -0.0 and 0.0 do too."""
     for arg in args:
         if arg.__class__ is Const:
-            return _by_value(key)
-    return key
+            break
+    else:
+        return head + args
+    parts = list(head)
+    for arg in args:
+        if arg.__class__ is Const:
+            value = arg.value
+            arg = (value.__class__, value, value == 0 and math.copysign(1.0, value))
+        parts.append(arg)
+    return tuple(parts)
 
 
 # The constructors write the instance dict directly. That builds a node

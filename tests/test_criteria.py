@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qbhkit as qk
-from qbhkit import criteria, expr
+from qbhkit import criteria
 from qbhkit.cli import run_command
 from qbhkit.criteria import _FactoredBasis
 
