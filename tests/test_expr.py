@@ -921,6 +921,7 @@ FREED = qk.CoordinateChart(("freed_u", "freed_v"))
         # sin -> cos -> -sin: the second derivative leads back to sin
         ("cos(freed_u*freed_v)", "freed_v"),
     ],
+    ids=["exp(x*y)", "sqrt(x*y)", "x^y", "sin(x*y)", "cos(x*y)"],
 )
 def test_a_differentiated_tree_is_freed_without_the_cycle_collector(text, second):
     # the derivatives of exp(u), sqrt(u) and b^e contain the node itself,
