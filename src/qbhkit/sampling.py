@@ -19,7 +19,7 @@ import numpy as np
 
 from .chart import MAX_SAMPLE_VALUES, CoordinateChart, Point, PointCloud
 from .errors import GuardTooRestrictiveError
-from .expr import Coord, Const, Product, ScalarExpr, nprod, nsum
+from .expr import Coord, Const, ScalarExpr, nprod, nsum
 from .fields import VectorField
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -242,12 +242,8 @@ def random_polynomial(chart: CoordinateChart, rng, degree: int = 3) -> ScalarExp
     # one draw of all coefficients continues the stream exactly as one
     # draw per monomial would
     coeffs = rng.uniform(-1.0, 1.0, len(monomials)).tolist()
-    # a term is the product nprod builds: where the coefficient is not
-    # 0 or +-1 and coordinates follow it, that is the product of both
     terms = [
-        Product((Const(coeff),) + monomial)
-        if monomial and coeff not in (0.0, 1.0, -1.0)
-        else nprod([Const(coeff), *monomial])
+        nprod([Const(coeff), *monomial])
         for coeff, monomial in zip(coeffs, monomials)
     ]
     return ScalarExpr(chart, nsum(terms))

@@ -309,29 +309,3 @@ def test_random_polynomial_draws_as_one_draw_per_monomial(n, degree):
         assert same_tree(got.node, want.node)
         assert str(got) == str(want)
     assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()
-
-
-class ListRng:
-    """A generator whose uniform draws are ``values``, in order."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def uniform(self, low, high, size=None):
-        if size is None:
-            return self.values.pop(0)
-        drawn, self.values = self.values[:size], self.values[size:]
-        return np.array(drawn)
-
-
-@pytest.mark.parametrize(
-    "coeffs",
-    [[0.0, -1.0, 1.0, -0.0, 0.5, -1.0], [1.0, 0.25, -0.0, 1.0, 0.0, -0.75]],
-)
-def test_random_polynomial_folds_coefficients_as_nprod_does(coeffs):
-    # coefficients 0 and +-1 fold away in nprod; the other terms are
-    # built directly as its product of the coefficient and coordinates
-    chart = qk.CoordinateChart(("x", "y"))
-    got = qk.random_polynomial(chart, ListRng(coeffs), degree=2)
-    want = per_monomial_polynomial(chart, ListRng(coeffs), 2)
-    assert same_tree(got.node, want.node)
