@@ -166,9 +166,14 @@ class PointCloud(Sequence):
     @classmethod
     def of(cls, chart: CoordinateChart, points) -> "PointCloud":
         """``points`` itself when it is a PointCloud, else a cloud of
-        the given Point objects, in order."""
+        the given Point objects, in order. Raises ChartMismatchError
+        for a cloud or a Point of another chart."""
         if isinstance(points, PointCloud):
+            _require_chart(chart, points)
             return points
+        points = list(points)
+        for p in points:
+            _require_chart(chart, p)
         return cls(chart, [p.values for p in points])
 
     def __len__(self):
@@ -184,12 +189,16 @@ class PointCloud(Sequence):
             yield Point(self.chart, tuple(row))
 
 
+def _require_chart(chart: CoordinateChart, obj) -> None:
+    """Raise unless ``obj`` is on ``chart``; the same chart object
+    costs one identity test."""
+    if obj.chart is not chart and obj.chart != chart:
+        raise ChartMismatchError(f"chart mismatch: {chart} vs {obj.chart}")
+
+
 def require_same_chart(*objs):
     """Raise unless every argument shares one chart; return it."""
     chart = objs[0].chart
     for other in objs[1:]:
-        if other.chart != chart:
-            raise ChartMismatchError(
-                f"chart mismatch: {chart} vs {other.chart}"
-            )
+        _require_chart(chart, other)
     return chart

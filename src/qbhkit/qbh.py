@@ -11,7 +11,6 @@ trivial and the pair of structures is genuinely bi-Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -28,16 +27,18 @@ from .fields import (
     TrivectorSum,
     VectorField,
     _as_bivector_sum,
+    _det3,
+    _index_combinations,
     contract_hamiltonian,
+    independent_components_at,
     poisson_bracket,
     schouten_bb,
-    trivector_components_at,
     wedge,
     zero_field,
 )
 from .criteria import check_delta, hamiltonian_condition
 from .reports import CriterionReport, make_report
-from .residuals import condition, finite_points, require_nonvanishing, values_at
+from .residuals import condition, require_nonvanishing, values_at
 from .sampling import VerifyConfig
 
 
@@ -176,15 +177,21 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
 
     The cyclic sum is -1/2 [[B,B]](dF, dG, dK) under the fields.py
     Schouten convention; each term c X^Y of B is folded into (cX)^Y.
-    Points where a component of B or a cyclic sum is undefined are
-    skipped and counted. The contraction adds the products of the
-    entries of [[B,B]] with distinct indices in the order, and so with
-    the bits, of ``np.einsum("mijk,mi,mj,mk->m", ...)`` on the full
-    array (see ``_contract``).
+    By antisymmetry [[B,B]](dF, dG, dK) is the sum over i < j < k of
+    T^{ijk} det[dF, dG, dK]_{ijk}: the independent components of
+    [[B,B]] times the 3x3 minors of the gradients, added on component
+    rows in ``combinations`` order (see the layout note in
+    ``residuals``). The minors of every triple are formed at once, from
+    one stack of all the gradients. Points where a component of B or of
+    a gradient is undefined are skipped and counted, and so are points
+    where a product overflows. Raises ValueError unless every triple
+    holds exactly three functions.
     """
-    triples = list(test_functions)
+    triples = [tuple(triple) for triple in test_functions]
     if not triples:
         raise ValueError("at least one test-function triple is required")
+    if any(len(triple) != 3 for triple in triples):
+        raise ValueError("each test-function triple must hold three functions")
     B = _as_bivector_sum(B)
     points = cfg.points()
     wedges = [wedge(biv.left.scaled(c), biv.right) for c, biv in B.terms]
@@ -192,14 +199,19 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
     for a in wedges:
         for b in wedges:
             tensor = tensor + schouten_bb(a, b)
-    T = trivector_components_at(tensor, points)
-    rows = []
-    for F, G, K in triples:
-        dF, dG, dK = (gradient_at(f, points) for f in (F, G, K))
-        rows.append(-0.5 * _contract(T, dF, dG, dK))
-    # a point is usable if B and the cyclic sum of every triple are defined
-    defined = np.isfinite(values_at(B, points))
-    per_point = np.where(defined, np.abs(np.vstack(rows)).max(axis=0), np.nan)
+    T, _ = independent_components_at(tensor, points)
+    # the gradient rows of every test function, (3t, n, m); the minors
+    # of the t triples are then (C(n,3), t, m)
+    grads = np.array([gradient_at(f, points).T for triple in triples for f in triple])
+    dF, dG, dK = (grads[s::3].transpose(1, 0, 2) for s in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        minors = _det3(dF, dG, dK, *_index_combinations(B.chart.dimension, 3))
+        sums = np.zeros(minors.shape[1:])
+        for component, minor in zip(T.T, minors):
+            sums += component * minor
+    # a point is usable if B and every gradient are defined there
+    defined = np.isfinite(values_at(B, points)) & np.isfinite(grads).all(axis=(0, 1))
+    per_point = np.where(defined, np.abs(-0.5 * sums).max(axis=0), np.nan)
     cond = condition("cyclic-sum", per_point, points)
     return make_report(
         "jacobi-identity",
@@ -208,27 +220,3 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
         cfg.tol,
         notes=(f"{len(triples)} test-function triple(s)",),
     )
-
-
-def _contract(T, dF, dG, dK):
-    """T(dF, dG, dK) at each point, for the C-ordered (m, n, n, n)
-    antisymmetric T and (m, n) gradients (component-major, as
-    ``gradient_at`` returns them).
-
-    numpy's einsum over all n^3 entries adds the products
-    ((T^{ijk} dF_i) dG_j) dK_k one entry at a time in C order (i, j, k).
-    Only the n(n-1)(n-2) entries with distinct indices are nonzero, so
-    this adds just those, in the same order; a zero entry adds +-0,
-    which changes at most the sign of a zero. At a point where a
-    gradient component is not finite, the zero entries made the sum NaN
-    (0 * inf), and so does this.
-    """
-    out = np.zeros(len(T))
-    with np.errstate(all="ignore"):
-        for i, j, k in permutations(range(T.shape[1]), 3):
-            term = T[:, i, j, k] * dF[:, i]
-            term *= dG[:, j]
-            term *= dK[:, k]
-            out += term
-    out[~(finite_points(dF) & finite_points(dG) & finite_points(dK))] = np.nan
-    return out

@@ -30,21 +30,18 @@ more per point; these reductions are exact, so their order does not
 matter. A floating-point sum over components (a norm, an einsum) is
 taken in an order fixed by the code, not by the layout numpy is handed,
 because numpy may sum an array of another layout in another order and
-so round differently:
-
-- on component rows, in component order. The two-column span factors
-  and solutions (``criteria._two_column_factor``, ``_two_column_solve``)
-  sum over the rows of (n, m) arrays in an ``im,im->m`` einsum. A span
-  expansion in any number of fields on any number of coordinates forms
-  its fit, its difference and its sum of squares on component rows
-  (``criteria._residual_norms``). ``criteria._least_squares`` sums over
-  whole matrices only to test for overflow, on a C-ordered copy of the
-  rows it solves;
-- entry by entry: the Jacobi sweep's contraction (``qbh._contract``) of
-  the C-ordered (m, n, n, n) trivector with three component-major
-  (m, n) gradients adds the products of its nonzero entries in the C
-  order in which ``np.einsum("mijk,mi,mj,mk->m", ...)`` adds all n^3 of
-  them on C-ordered operands.
+so round differently. Every such sum runs on component rows, in
+component order. The two-column span factors and solutions
+(``criteria._two_column_factor``, ``_two_column_solve``) sum over the
+rows of (n, m) arrays in an ``im,im->m`` einsum. A span expansion in any
+number of fields on any number of coordinates forms its fit, its
+difference and its sum of squares on component rows
+(``criteria._residual_norms``). The Jacobi sweep
+(``qbh.jacobi_identity_check``) adds the products of the independent
+components T^{ijk} of a trivector with the 3x3 minors of the gradients
+in ``combinations`` order, one component row at a time.
+``criteria._least_squares`` sums over whole matrices only to test for
+overflow, on a C-ordered copy of the rows it solves.
 """
 from __future__ import annotations
 

@@ -460,3 +460,41 @@ def test_wedge_chart_mismatch():
     b = qk.CoordinateChart(("u", "v"))
     with pytest.raises(qk.ChartMismatchError):
         qk.wedge(qk.coordinate_field(a, "x"), qk.coordinate_field(b, "u"))
+
+
+@pytest.mark.parametrize(
+    "other",
+    [("x", "y"), ("a", "b", "c"), ("x", "y", "z", "w")],
+    ids=["fewer", "renamed", "more"],
+)
+def test_points_of_another_chart_are_refused(other):
+    # before the check, an expression on (x, y, z) sampled on a cloud of
+    # (x, y, z, w) read the first three columns and returned values
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    f = qk.parse_expression("x*y + z", chart)
+    X, Y, Z = random_fields(chart, np.random.default_rng(2), degree=1, count=3)
+    B = qk.wedge(X, Y)
+    entry_points = (
+        f.sample,
+        X.components_at,
+        lambda points: qk.expr.gradient_at(f, points),
+        lambda points: qk.span_expand(X, (Y, Z), points, qk.ToleranceConfig()),
+        lambda points: qk.fields.independent_components_at(B, points),
+        lambda points: qk.fields.independent_components_at(
+            qk.schouten_bb(B, B), points
+        ),
+    )
+    own = make_cfg(chart, samples=5, seed=1).points()
+    cloud = make_cfg(qk.CoordinateChart(other), samples=5, seed=1).points()
+    for call in entry_points:
+        call(own)
+        call(list(own))
+        for points in (cloud, list(cloud)):
+            with pytest.raises(qk.ChartMismatchError):
+                call(points)
+    # a test function of another chart in the Jacobi sweep
+    g = qk.parse_expression(" + ".join(other), qk.CoordinateChart(other))
+    cfg = make_cfg(chart, samples=5, seed=1)
+    qk.jacobi_identity_check(B, [(f, f, f)], cfg)
+    with pytest.raises(qk.ChartMismatchError):
+        qk.jacobi_identity_check(B, [(f, g, f)], cfg)

@@ -10,10 +10,14 @@ formulas the arrays had when they were C-ordered (m, ...) arrays. A
 depends on the layout it is handed; a 3-coordinate chart stays below it
 and also carries a pair whose products overflow. Span residuals are
 summed in component order on every chart and for every number of
-fields; their reference takes the same order on C-ordered rows.
+fields; their reference takes the same order on C-ordered rows. The
+Jacobi sweep's sums of components times minors have the bits of a
+reference that reads the full trivector, and stay within a rounding
+bound of a dense einsum over all its entries.
 """
 import functools
 from itertools import combinations
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,9 +25,10 @@ import pytest
 
 import qbhkit as qk
 import qbhkit.criteria as criteria
+import qbhkit.fields as fields_module
 import qbhkit.qbh as qbh
 from qbhkit.criteria import _FactoredBasis
-from qbhkit.fields import TrivectorSum, _as_bivector_sum
+from qbhkit.fields import TrivectorSum, _as_bivector_sum, independent_components_at
 from qbhkit.residuals import condition, values_at
 
 from helpers import make_cfg, random_fields
@@ -184,21 +189,74 @@ def ref_gradient(f, points):
     return np.column_stack([f.diff(name).sample(points) for name in f.chart.names])
 
 
-def ref_cyclic_sums(B, triples, points):
-    """jacobi_identity_check's per-point values."""
+def ref_composite_trivector(B, points):
+    """The full (m, n, n, n) [[B,B]] the sweep contracts."""
     B = _as_bivector_sum(B)
     wedges = [qk.wedge(biv.left.scaled(c), biv.right) for c, biv in B.terms]
     tensor = TrivectorSum.zero(B.chart)
     for a in wedges:
         for b in wedges:
             tensor = tensor + qk.schouten_bb(a, b)
-    T = ref_trivector_components(tensor, points)
+    return ref_trivector_components(tensor, points)
+
+
+def ref_cyclic_sums(B, triples, points):
+    """jacobi_identity_check's per-point values: per triple, the entries
+    T^{ijk}, i < j < k, of the full [[B,B]] times the determinants of
+    the gradients' columns i, j, k, added in ``combinations`` order."""
+    T = ref_composite_trivector(B, points)
+    n = T.shape[1]
     rows = []
     for F, G, K in triples:
-        dF, dG, dK = (ref_gradient(f, points) for f in (F, G, K))
-        rows.append(-0.5 * np.einsum("mijk,mi,mj,mk->m", T, dF, dG, dK))
+        u, v, w = (ref_gradient(f, points) for f in (F, G, K))
+        total = np.zeros(len(points))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, j, k in combinations(range(n), 3):
+                det = (
+                    u[:, i] * (v[:, j] * w[:, k] - v[:, k] * w[:, j])
+                    - u[:, j] * (v[:, i] * w[:, k] - v[:, k] * w[:, i])
+                    + u[:, k] * (v[:, i] * w[:, j] - v[:, j] * w[:, i])
+                )
+                total += T[:, i, j, k] * det
+        defined = np.isfinite(np.hstack([u, v, w])).all(axis=1)
+        rows.append(np.where(defined, -0.5 * total, np.nan))
     defined = np.isfinite(ref_values_at(B, points))
     return np.where(defined, np.abs(np.vstack(rows)).max(axis=0), np.nan)
+
+
+def einsum_cyclic_sums(B, triples, points):
+    """(values, bounds): the per-point values of the sweep with each
+    cyclic sum taken as ``np.einsum("mijk,mi,mj,mk->m", ...)`` over all
+    n^3 entries of the full [[B,B]], and a bound on their distance from
+    the sweep's values at each point where both are finite.
+
+    A cyclic sum is -1/2 of a sum of the n(n-1)(n-2) products
+    T^{ijk} dF_i dG_j dK_k with distinct indices. Each product passes
+    through at most n^3 + 2 roundings in einsum (3 multiplications, the
+    n^3 - 1 additions) and C(n,3) + 5 in the sweep (2 multiplications
+    and 3 additions in a minor, the factor T, the C(n,3) - 1 additions
+    over the components). By recursive summation (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 4.2), the two
+    differ by at most (gamma_{n^3+2} + gamma_{C(n,3)+5}) times
+    1/2 sum |T^{ijk} dF_i dG_j dK_k|, with gamma_r = r u / (1 - r u)
+    and u = eps / 2. The bound taken, (n^3 + C(n,3) + 8) eps times the
+    sum of magnitudes, is larger than that; the maximum over triples
+    moves a value by no more than the largest of the triples' bounds."""
+    T = ref_composite_trivector(B, points)
+    n = T.shape[1]
+    factor = (n**3 + comb(n, 3) + 8) * np.finfo(float).eps
+    values, bounds = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for F, G, K in triples:
+            dF, dG, dK = (ref_gradient(f, points) for f in (F, G, K))
+            values.append(-0.5 * np.einsum("mijk,mi,mj,mk->m", T, dF, dG, dK))
+            magnitude = np.einsum(
+                "mijk,mi,mj,mk->m", np.abs(T), np.abs(dF), np.abs(dG), np.abs(dK)
+            )
+            bounds.append(factor * magnitude)
+    defined = np.isfinite(ref_values_at(B, points))
+    values = np.where(defined, np.abs(np.vstack(values)).max(axis=0), np.nan)
+    return values, np.vstack(bounds).max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +408,28 @@ def test_jacobi_identity_check_matches_the_reference(case, monkeypatch):
     assert np.isfinite(want).any()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
-@pytest.mark.parametrize("samples", [1, 7, 200])
-def test_the_contraction_has_the_einsums_bits(n, samples, monkeypatch):
-    """The sweep adds the nonzero entries of [[B,B]] in einsum's order.
-    One test function, in each place of a triple, is undefined where
-    x1 < 0; products with the gradient of exp(700 x1), about 7e306 at
-    x1 = 1, overflow."""
+def assert_near_the_einsum(B, triples, points, got):
+    """``got`` is finite where the dense einsum is, and within its
+    bound there (see ``einsum_cyclic_sums``)."""
+    want, bound = einsum_cyclic_sums(B, triples, points)
+    finite = np.isfinite(want)
+    assert_same_bits(np.isfinite(got), finite)
+    assert (np.abs(got[finite] - want[finite]) <= bound[finite]).all()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_jacobi_identity_check_is_near_a_dense_einsum(case, monkeypatch):
+    cfg, fields, coeff, triples = layout_problem(case)
+    B = residual_kinds(fields, coeff)["bivector-sum"]
+    got, _ = sweep_values(monkeypatch, B, triples, cfg)
+    assert_near_the_einsum(B, triples, cfg.points(), got)
+
+
+def contraction_problem(n, samples):
+    """(B, triple sets, cfg) on n coordinates. One test function, in
+    each place of a triple, is undefined where x1 < 0; products with
+    the gradient of exp(700 x1), about 7e306 at x1 = 1, overflow. Each
+    triple comes alone too, so that no triple's NaN hides another's."""
     chart = qk.CoordinateChart(tuple(f"x{i}" for i in range(1, n + 1)))
     rng = np.random.default_rng(20 + n)
     fields = random_fields(chart, rng, degree=1 if n > 3 else 2, count=4)
@@ -367,8 +440,16 @@ def test_the_contraction_has_the_einsums_bits(n, samples, monkeypatch):
     huge = qk.parse_expression("exp(700 * x1)", chart)
     triples = [(p, q, r), (root, p, huge), (huge, huge, q), (q, root, r), (r, p, root)]
     cfg = make_cfg(chart, samples=samples, seed=40 + n)
-    # each triple alone too, so that no triple's NaN hides another's
-    for chosen in [triples] + [[triple] for triple in triples]:
+    return B, [triples] + [[triple] for triple in triples], cfg
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_the_contraction_sums_minors_in_combinations_order(n, samples, monkeypatch):
+    """The sweep adds T^{ijk} det[dF, dG, dK]_{ijk} over i < j < k in
+    ``combinations`` order, with the reference's bits."""
+    B, triple_sets, cfg = contraction_problem(n, samples)
+    for chosen in triple_sets:
         want = ref_cyclic_sums(B, chosen, cfg.points())
         got, report = sweep_values(monkeypatch, B, chosen, cfg)
         assert_same_bits(got, want)
@@ -377,43 +458,43 @@ def test_the_contraction_has_the_einsums_bits(n, samples, monkeypatch):
         assert np.isnan(got).any() and np.isfinite(got).any()
 
 
-def test_the_sweep_calls_no_einsum(monkeypatch):
-    cfg, fields, coeff, triples = layout_problem("3")
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_the_contraction_is_near_a_dense_einsum(n, samples, monkeypatch):
+    B, triple_sets, cfg = contraction_problem(n, samples)
+    for chosen in triple_sets:
+        got, _ = sweep_values(monkeypatch, B, chosen, cfg)
+        assert_near_the_einsum(B, chosen, cfg.points(), got)
+
+
+def test_the_sweep_reads_the_84_independent_components_on_9_coordinates(monkeypatch):
+    """On 9 coordinates the sweep contracts the C(9,3) = 84 components
+    i < j < k of [[B,B]], not the 9^3 entries of the full array, which
+    it never builds; no einsum runs."""
+    cfg, fields, coeff, triples = layout_problem("9")
     B = residual_kinds(fields, coeff)["bivector-sum"]
     want = ref_cyclic_sums(B, triples, cfg.points())
+    read = []
+
+    def recording(tensor, points):
+        components, diagonal = independent_components_at(tensor, points)
+        read.append(components.shape)
+        return components, diagonal
 
     def refuse(*args, **kwargs):
-        raise AssertionError("np.einsum called")
+        raise AssertionError("the sweep built a full array or ran an einsum")
 
-    monkeypatch.setattr(qbh.np, "einsum", refuse)
+    monkeypatch.setattr(qbh, "independent_components_at", recording)
+    monkeypatch.setattr(fields_module, "trivector_components_at", refuse)
+    monkeypatch.setattr(qk, "trivector_components_at", refuse)
+    monkeypatch.setattr(np, "einsum", refuse)
     got, _ = sweep_values(monkeypatch, B, triples, cfg)
     assert_same_bits(got, want)
+    assert read == [(len(cfg.points()), 84)]
 
 
 # ---------------------------------------------------------------------------
-# einsum's order, and planted span systems
-
-
-@pytest.mark.parametrize("n", [3, 4, 9])
-@pytest.mark.parametrize("samples", [1, 7, 200])
-def test_einsum_contracts_a_trivector_in_c_order(n, samples):
-    """The fact behind ``qbh._contract``: on C-ordered operands, numpy's
-    einsum adds ((T^{ijk} dF_i) dG_j) dK_k over all n^3 entries one at
-    a time in C order, with the bits of this in-place loop."""
-    rng = np.random.default_rng(n)
-
-    def draw(*shape):
-        scale = 2.0 ** rng.integers(-30, 30, (samples,) + shape)
-        return rng.standard_normal((samples,) + shape) * scale
-
-    T, dF, dG, dK = draw(n, n, n), draw(n), draw(n), draw(n)
-    out = np.zeros(samples)
-    for i, j, k in np.ndindex(n, n, n):
-        term = T[:, i, j, k] * dF[:, i]
-        term *= dG[:, j]
-        term *= dK[:, k]
-        out += term
-    assert_same_bits(np.einsum("mijk,mi,mj,mk->m", T, dF, dG, dK), out)
+# planted span systems
 
 
 def planted_systems(n, m=600, seed=0):

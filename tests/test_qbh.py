@@ -254,6 +254,20 @@ def test_cyclic_sum_requires_triples():
         qk.jacobi_identity_check(qk.wedge(x1, x2).as_sum(), [], cfg)
 
 
+@pytest.mark.parametrize(
+    "sizes", [(2, 4), (3, 2), (4,), (3, 3, 1)], ids=["2+4", "3+2", "4", "3+3+1"]
+)
+def test_cyclic_sum_requires_triples_of_three_functions(sizes):
+    # six functions as a pair and a quadruple would otherwise stack like
+    # two triples
+    chart, x1, x2, _, _, _, cfg = exp_system("y")
+    f = chart.coordinate("x")
+    with pytest.raises(ValueError, match="three functions"):
+        qk.jacobi_identity_check(
+            qk.wedge(x1, x2).as_sum(), [(f,) * size for size in sizes], cfg
+        )
+
+
 def test_composite_terms_are_poisson_pairs():
     # HamiltonianSystem invariant: each decomposable term of the
     # composite passes the Poisson-pair check at fixture tolerance

@@ -270,7 +270,7 @@ def _multivectors_the_checks_build(name, monkeypatch):
     for module in (residuals, criteria, qbh):
         monkeypatch.setattr(module, "values_at", recording(values_at))
     monkeypatch.setattr(
-        qbh, "trivector_components_at", recording(qk.trivector_components_at)
+        qbh, "independent_components_at", recording(qbh.independent_components_at)
     )
     run_fixture(name)
     monkeypatch.undo()

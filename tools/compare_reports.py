@@ -31,6 +31,13 @@ difference only in the bits of residuals, worst points and per-point
 values is listed but leaves the exit status 0. Warnings print once per
 source line and run, as in a new process; the source tree's path in a
 warning or a traceback reads ``<src>``.
+
+The matrix cannot see the bits of the Jacobi sweep's contraction: the
+only sweep in it, exp-realization's, contracts a [[pi,pi]] whose
+components are exactly 0 at every sampled point, so its cyclic sums are
+0 in any summation order. (``tests/golden/exp-realization.json`` still
+records 3.69e-13 there, from an older implementation.) The tier-1
+tests in ``tests/test_layout.py`` are the only check of those bits.
 """
 from __future__ import annotations
 
