@@ -291,6 +291,16 @@ def nsum(terms) -> Node:
 
 
 def nprod(factors) -> Node:
+    # a finite constant, not 0 or 1 or -1, then coordinates: the tree the
+    # general path builds, without its walk (``random_polynomial``'s terms)
+    if len(factors) > 1 and factors[0].__class__ is Const:
+        const = 1.0 * factors[0].value
+        if const != 0.0 and abs(const) != 1.0 and math.isfinite(const):
+            for factor in factors[1:]:
+                if factor.__class__ is not Coord:
+                    break
+            else:
+                return Product((Const(const), *factors[1:]))
     flat = []
     const = 1.0
     queue = list(factors)
@@ -495,91 +505,105 @@ def _ndiff(node, coord):
     raise TypeError(f"cannot differentiate node {node!r}")
 
 
-def gradient_at(f: "ScalarExpr", points) -> np.ndarray:
-    """The components of df over ``points`` (a PointCloud or Point
-    objects), shape (len(points), dimension), stored component-major
-    (see the layout note in ``residuals``). Column i is bit for bit
-    ``f.diff(names[i]).sample(points)``.
+def gradient_at(functions, points) -> np.ndarray:
+    """The gradients of ``functions`` (ScalarExprs on one chart) over
+    ``points`` (a PointCloud or Point objects), as a C-ordered array of
+    shape (len(functions), dimension, len(points)) whose entry [r, i] is
+    bit for bit ``functions[r].diff(names[i]).sample(points)``.
 
-    A polynomial in the form ``nsum``/``nprod`` build, a sum of terms
-    that are each an optional leading constant followed by coordinates,
-    is differentiated from its terms: no derivative node is built and no
-    value joins the cloud's cache. Any other tree, and any column whose
-    constant terms fold to an overflow, takes the symbolic route.
+    Polynomials in the form ``nsum``/``nprod`` build, sums of terms that
+    are each an optional leading constant followed by coordinates, are
+    differentiated from their terms: no derivative node is built and no
+    value joins the cloud's cache. Polynomials with the same non-zero
+    terms, as coordinate names in term order, form a group, and each
+    product-rule term is formed once per group, for all its rows at
+    once: the coefficient column times the first remaining coordinate,
+    then times the others from left to right, added in place in term
+    order. That is the tree ``ndiff`` builds, evaluated in
+    ``_eval_array``'s order (a factor 1.0 leaves every bit as it is).
+    The product-rule terms that are constants, those of terms linear in
+    the coordinate, are folded per row in term order, as ``nsum`` folds
+    them, and added last where the fold is not 0. ``_eval_array``
+    turns every non-finite node value into NaN, and products and sums
+    never make a non-finite value finite again, so that is done once at
+    the end. A row whose fold overflows, where ``nsum`` keeps the
+    constants apart, takes the symbolic route for that column; any other
+    tree takes it for every column.
     """
-    cloud = PointCloud.of(f.chart, points)
-    terms = _monomials(f.node)
-    columns = []
-    for name in f.chart.names:
-        column = None
-        if terms is not None:
-            with np.errstate(all="ignore"):
-                column = _monomial_derivative(terms, name, cloud)
-        columns.append(f.diff(name).sample(cloud) if column is None else column)
-    return np.array(columns).T
+    chart = require_same_chart(*functions)
+    cloud = PointCloud.of(chart, points)
+    out = np.empty((len(functions), chart.dimension, len(cloud)))
+    groups = {}
+    for r, f in enumerate(functions):
+        terms = _monomials(f.node)
+        if terms is None:
+            for i, name in enumerate(chart.names):
+                out[r, i] = f.diff(name).sample(cloud)
+            continue
+        rows, coeffs = groups.setdefault(tuple(names for _, names in terms), ([], []))
+        rows.append(r)
+        coeffs.append([coeff for coeff, _ in terms])
+    columns = cloud.columns
+    with np.errstate(all="ignore"):
+        for key, (rows, coeffs) in groups.items():
+            coeffs = np.array(coeffs, float).T[:, :, None]  # a (rows, 1) column per term
+            total, term = np.empty((2, len(rows), len(cloud)))
+            for i, name in enumerate(chart.names):
+                const = np.zeros((len(rows), 1))
+                first = True
+                for t, names in enumerate(key):
+                    for j, factor in enumerate(names):
+                        if factor != name:
+                            continue
+                        rest = names[:j] + names[j + 1 :]
+                        if not rest:
+                            const += coeffs[t]
+                            continue
+                        value = total if first else term
+                        np.multiply(coeffs[t], columns[rest[0]], out=value)
+                        for other in rest[1:]:
+                            value *= columns[other]
+                        if not first:
+                            total += value
+                        first = False
+                if first:
+                    total[...] = const
+                else:
+                    # adding -0.0 leaves every value as it is, -0.0 too
+                    total += np.where(const != 0.0, const, -0.0)
+                out[rows, i] = _undefined_to_nan(total)
+                for r, fold in zip(rows, const[:, 0]):
+                    if not math.isfinite(fold):
+                        out[r, i] = functions[r].diff(name).sample(cloud)
+    return out
 
 
 def _monomials(node):
-    """The terms of ``node`` as (coefficient, coordinate names) pairs,
-    with no names for a constant; None unless every term is a ``Const``,
-    a ``Coord`` or a ``Product`` of an optional leading ``Const`` and
-    one or more ``Coord``."""
+    """The terms of ``node`` that have a coordinate and a coefficient
+    other than 0, the ones its derivatives depend on, as (coefficient,
+    coordinate names) pairs; None unless every term is a ``Const``, a
+    ``Coord`` or a ``Product`` of an optional leading ``Const`` and one
+    or more ``Coord``."""
     terms = []
-    for term in node.args if isinstance(node, Sum) else (node,):
-        if isinstance(term, Const):
-            terms.append((term.value, ()))
+    for term in node.args if node.__class__ is Sum else (node,):
+        kind = term.__class__
+        if kind is Const:
             continue
-        factors = term.args if isinstance(term, Product) else (term,)
+        factors = term.args if kind is Product else (term,)
         coeff = 1.0
-        if isinstance(factors[0], Const):
+        if factors[0].__class__ is Const:
             coeff = factors[0].value
             factors = factors[1:]
-        if not factors or not all(isinstance(c, Coord) for c in factors):
+        names = []
+        for factor in factors:
+            if factor.__class__ is not Coord:
+                return None
+            names.append(factor.name)
+        if not names:
             return None
-        terms.append((coeff, tuple(c.name for c in factors)))
+        if coeff != 0.0:
+            terms.append((coeff, tuple(names)))
     return terms
-
-
-def _monomial_derivative(terms, name, cloud):
-    """``ndiff`` of the ``_monomials`` ``terms`` in ``name``, sampled on
-    ``cloud`` without building it.
-
-    It mirrors the tree ``ndiff`` builds and ``_eval_array``'s order:
-    the product-rule terms in tree order, each ``nprod``'s constant
-    times the other coordinates from left to right (a factor 1.0 leaves
-    every bit as it is), summed in place in order; the constant ones are
-    folded into one float and added last, as ``nsum`` does. Where that
-    fold overflows, ``nsum`` keeps the constants apart, and this returns
-    None.
-    ``_eval_array`` turns every non-finite node value into NaN, and
-    products and sums never make a non-finite value finite again, so
-    doing it once at the end gives the same bits.
-    """
-    columns = cloud.columns
-    total = None
-    const = 0.0
-    for coeff, factors in terms:
-        for i, factor in enumerate(factors):
-            if factor != name or coeff == 0.0:
-                continue
-            rest = factors[:i] + factors[i + 1 :]
-            if not rest:
-                const += coeff
-                continue
-            value = coeff * columns[rest[0]]
-            for other in rest[1:]:
-                value *= columns[other]
-            if total is None:
-                total = value
-            else:
-                total += value
-    if not math.isfinite(const):
-        return None
-    if total is None:
-        total = np.full(len(cloud), const)
-    elif const != 0.0:
-        total += const
-    return _undefined_to_nan(total)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .chart import CoordinateChart, Point, PointCloud, require_same_chart
-from .expr import ScalarExpr, constant, nprod, nsum, evaluate_at_points
+from .expr import ScalarExpr, _composite_key, constant, nprod, nsum, evaluate_at_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +84,16 @@ class VectorField:
         if isinstance(factor, (int, float)):
             factor = constant(self.chart, factor)
         require_same_chart(self, factor)
-        return VectorField(
-            self.chart,
-            tuple((factor * c).simplified() for c in self.components),
-        )
+        components = tuple((factor * c).simplified() for c in self.components)
+        if all(
+            _composite_key((), (a.node,)) == _composite_key((), (b.node,))
+            for a, b in zip(components, self.components)
+        ):
+            # each component is itself, or a constant of its type, value
+            # and sign (a factor 1 leaves a simplified field so): the field
+            # itself, with the brackets cached on it
+            return self
+        return VectorField(self.chart, components)
 
     def components_at(self, points) -> np.ndarray:
         """Component values, shape (len(points), dimension). NaN marks

@@ -176,13 +176,17 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
     """Max |{{F,G},K} + {{G,K},F} + {{K,F},G}| over triples and points.
 
     The cyclic sum is -1/2 [[B,B]](dF, dG, dK) under the fields.py
-    Schouten convention; each term c X^Y of B is folded into (cX)^Y.
-    By antisymmetry [[B,B]](dF, dG, dK) is the sum over i < j < k of
+    Schouten convention; each term c X^Y of B is folded into (cX)^Y,
+    which for c = 1 and X simplified is X itself, so the wedges reuse
+    the brackets cached on B's own fields. By antisymmetry
+    [[B,B]](dF, dG, dK) is the sum over i < j < k of
     T^{ijk} det[dF, dG, dK]_{ijk}: the independent components of
     [[B,B]] times the 3x3 minors of the gradients, added on component
     rows in ``combinations`` order (see the layout note in
-    ``residuals``). The minors of every triple are formed at once, from
-    one stack of all the gradients. Points where a component of B or of
+    ``residuals``). The gradients of all the test functions come from
+    one ``gradient_at`` call, which forms those of polynomials with the
+    same terms as one batch, and the minors of every triple are formed
+    at once from that stack. Points where a component of B or of
     a gradient is undefined are skipped and counted, and so are points
     where a product overflows. Raises ValueError unless every triple
     holds exactly three functions.
@@ -202,7 +206,7 @@ def jacobi_identity_check(B, test_functions, cfg: VerifyConfig) -> CriterionRepo
     T, _ = independent_components_at(tensor, points)
     # the gradient rows of every test function, (3t, n, m); the minors
     # of the t triples are then (C(n,3), t, m)
-    grads = np.array([gradient_at(f, points).T for triple in triples for f in triple])
+    grads = gradient_at([f for triple in triples for f in triple], points)
     dF, dG, dK = (grads[s::3].transpose(1, 0, 2) for s in range(3))
     with np.errstate(over="ignore", invalid="ignore"):
         minors = _det3(dF, dG, dK, *_index_combinations(B.chart.dimension, 3))

@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: the order of its runs and its summary."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,38 @@ def test_workloads_and_unfinished_pairs(tool):
     summary = tool.summarize([run("parent", 1, 1.0, workload="c"), failed], METRICS)
     assert summary["c"]["pairs"] == 1 and not summary["c"]["correct"]
     assert "pass_s" not in summary["c"]
+
+
+def test_the_summary_prints_one_line_per_workload_and_metric(tool, tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    benchmark = {"workloads": [{"name": "a"}, {"name": "b"}], "end_to_end": METRICS}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    pass_s = {("parent", "a"): 2.0, ("change", "a"): 1.5, ("parent", "b"): 1.0, ("change", "b"): 0.0}
+    calls = []
+
+    def fake_run_bench(tree, workload, seed, seconds, trace):
+        side = Path(tree).name
+        calls.append((side, workload, seed, seconds, trace))
+        return run(side, seed, pass_s[side, workload] + seed / 100, workload=workload)["result"]
+
+    monkeypatch.setattr(tool, "run_bench", fake_run_bench)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out)]
+    assert tool.main(argv + ["--pairs", "2", "--seconds", "1", "--seed", "5"]) == 0
+    assert len(calls) == 8 and calls[0] == ("parent", "a", 5, "1", 0)
+    assert capsys.readouterr().out.splitlines() == [
+        "a pass_s: parent 2.055, change 1.555 (-24.3%), change better in 2/2 pairs",
+        "a ok_frac: parent 1, change 1 (+0.0%), change better in 0/2 pairs",
+        "b pass_s: parent 1.055, change 0.055 (-94.8%), change better in 2/2 pairs",
+        "b ok_frac: parent 1, change 1 (+0.0%), change better in 0/2 pairs",
+    ]
+    assert json.loads(out.read_text())["summary"]["a"]["pairs"] == 2
+
+
+def test_a_summary_line_without_a_parent_value(tool):
+    runs = [run("parent", 1, 0.0), run("change", 1, 0.5)]
+    summary = tool.summarize(runs, METRICS)
+    assert tool.summary_lines(summary, METRICS)[0] == (
+        "w pass_s: parent 0, change 0.5 (n/a), change better in 0/1 pairs"
+    )

@@ -36,12 +36,16 @@ def report(**changes):
     return base
 
 
-def run(stdout, code=0, stderr="", values=("a1", "b2")):
+CRITERIA = [["poisson-pair", True, []]]
+
+
+def run(stdout, code=0, stderr="", values=("a1", "b2"), criteria=CRITERIA):
     return {
         "stdout": json.dumps(stdout),
         "stderr": stderr,
         "code": code,
         "values": list(values),
+        "criteria": criteria,
     }
 
 
@@ -76,6 +80,10 @@ def test_per_point_value_bits_are_listed_but_pass(tool):
     [
         (run(report()), run(report(), values=("a1",)), "arrays"),
         (run(report()), run(report(), code=1), "exit code"),
+        # a criterion's own notes and verdict, which the report leaves out
+        (run(report()), run(report(), criteria=[["poisson-pair", True, ["x"]]]), "notes"),
+        (run(report()), run(report(), criteria=[["poisson-pair", False, []]]), "notes"),
+        (run(report()), run(report(), criteria=None), "notes"),
         (run(report()), run(report(), stderr="warning"), "stderr"),
         (run(report()), run(report(**{"pass": False})), "pass"),
         (run(report()), run(report(skipped=3)), "skipped"),
@@ -130,7 +138,7 @@ def test_matrix_runs_every_subcommand_on_many_coordinate_charts(tool, tmp_path):
 
     shipped = Path(__file__).parents[1] / "src" / "qbhkit" / "problems"
     matrix = tool.build_matrix(shipped, tmp_path)
-    assert len(matrix) == 182
+    assert len(matrix) == 185
     for n, label in ((7, "seven-coordinate"), (8, "eight-coordinate")):
         path = str(tmp_path / f"{label}.prob")
         assert qk.load_problem(path).chart.dimension == n
@@ -238,3 +246,61 @@ def test_a_per_point_value_away_from_the_maximum_shows(tool, monkeypatch):
     assert tool.compare([argv], [before], [after], lambda line: None) == 0
     # run_matrix puts back the function it wraps
     assert residuals.values_at is nudged_values_at
+
+
+def test_a_criterions_own_notes_are_recorded_and_compared(tool):
+    argv = ["example", "run", "exp-realization", "--samples", "20", "--format", "json"]
+    (result,) = tool.run_matrix([argv])
+    assert result["code"] == 0
+    criteria = {name: (passed, notes) for name, passed, notes in result["criteria"]}
+    assert criteria["qbh-exact"] == (True, ["exact: True", "bi-hamiltonian: False", "rho = -2.0 * z"])
+    assert criteria["composite-jacobi"] == (True, ["3 test-function triple(s)"])
+    # the report leaves them out
+    assert "rho = " not in result["stdout"]
+    changed = dict(result, criteria=[[n, p, [*notes, "x"]] for n, p, notes in result["criteria"]])
+    lines = []
+    assert tool.compare([argv], [result], [changed], lines.append) == 1
+    assert lines[1].startswith("    criteria [notes] [['delta', True, []], ")
+    # a run that ends without a report records none
+    (usage,) = tool.run_matrix([["check", "poisson"]])
+    assert usage["code"] == 2 and usage["criteria"] is None
+
+
+def test_the_matrix_runs_sweeps_whose_cyclic_sums_are_not_zero(tool, tmp_path):
+    shipped = Path(__file__).parents[1] / "src" / "qbhkit" / "problems"
+    matrix = tool.build_matrix(shipped, tmp_path)
+    sweeps = [argv for argv in matrix if argv[0] == tool.SWEEP]
+    assert sweeps == [[tool.SWEEP, "3"], [tool.SWEEP, "4"], [tool.SWEEP, "9"]]
+    names = ["jacobi-identity", "triple-1", "triple-2", "triple-3"]
+    for result in tool.run_matrix(sweeps):
+        assert (result["code"], result["stderr"]) == (0, "")
+        criteria = json.loads(result["stdout"])["criteria"]
+        assert [c["name"] for c in criteria] == [f"{n}:cyclic-sum" for n in names]
+        assert all(c["max_residual"] > 1.0 and c["skipped"] == 0 for c in criteria)
+        assert result["criteria"] == [
+            [name, False, [f"{3 if i == 0 else 1} test-function triple(s)"]]
+            for i, name in enumerate(names)
+        ]
+        # the per-point cyclic sums of each check
+        assert len(result["values"]) == 4
+
+
+def test_a_gradient_bit_shows_in_the_sweep_runs(tool, monkeypatch):
+    """A relative change of 1e-12 in one test function's gradient moves
+    the per-point cyclic sums of every sweep run, although the function's
+    triple need not be the largest at any point."""
+    import qbhkit.qbh as qbh
+
+    sweeps = [[tool.SWEEP, str(n)] for n in tool.SWEEP_COORDINATES]
+    before = tool.run_matrix(sweeps)
+    gradient_at = qbh.gradient_at
+
+    def nudged_gradient_at(functions, points):
+        grads = gradient_at(functions, points)
+        grads[0] *= 1.0 + 1e-12
+        return grads
+
+    monkeypatch.setattr(qbh, "gradient_at", nudged_gradient_at)
+    after = tool.run_matrix(sweeps)
+    for a, b in zip(before, after):
+        assert ("values", "bits") in [(s, k) for s, k, _ in tool.differences(a, b)]

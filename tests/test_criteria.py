@@ -180,7 +180,7 @@ DECISIONS = {
 # evaluates more composites than at 200 because its cloud's cache
 # reaches ``MAX_CACHED_VALUES``.
 NODE_WORK = {
-    "exp-realization": (80, 5),
+    "exp-realization": (77, 5),
     "rotation": (84, 69),
     "so3-jacobi": (30, 3),
     "heisenberg-jacobi": (16, 0),

@@ -629,11 +629,11 @@ def fresh_points(chart, samples=200, seed=3, lo=-1.0, hi=1.0):
     return qk.PointCloud(chart, cfg.points().values)
 
 
-def gradient_and_reference(monkeypatch, f, points):
-    """(gradient_at's value, the derivatives' column stack, how many node
-    derivatives gradient_at built), on a fresh cloud ``points``. Where
-    gradient_at builds no derivative it also caches no value. Its value
-    is stored component-major, as per-point component arrays are."""
+def gradient_and_reference(monkeypatch, functions, points):
+    """(gradient_at's value, the stack of the derivatives' values, how
+    many node derivatives gradient_at built), on a fresh cloud
+    ``points``. Where gradient_at builds no derivative it also caches no
+    value. Both values are C-ordered (len(functions), n, len(points))."""
     built = []
     ndiff = expr._ndiff
 
@@ -642,12 +642,14 @@ def gradient_and_reference(monkeypatch, f, points):
         return ndiff(node, coord)
 
     monkeypatch.setattr(expr, "_ndiff", recording_ndiff)
-    got = gradient_at(f, points)
+    got = gradient_at(functions, points)
     monkeypatch.setattr(expr, "_ndiff", ndiff)
     assert built or not points.cache
-    want = np.column_stack([f.diff(name).sample(points) for name in f.chart.names])
-    assert got.shape == want.shape == (len(points), f.chart.dimension)
-    assert got.T.flags.c_contiguous and want.flags.c_contiguous
+    want = np.array(
+        [[f.diff(name).sample(points) for name in f.chart.names] for f in functions]
+    )
+    assert got.shape == want.shape == (len(functions), want.shape[1], len(points))
+    assert got.flags.c_contiguous
     return got, want, len(built)
 
 
@@ -659,7 +661,7 @@ def test_polynomial_gradients_equal_the_symbolic_route(monkeypatch, n, degree):
     for seed in range(2):
         f = qk.random_polynomial(chart, rng, degree=degree)
         points = fresh_points(chart, seed=seed)
-        got, want, built = gradient_and_reference(monkeypatch, f, points)
+        got, want, built = gradient_and_reference(monkeypatch, [f], points)
         assert got.tobytes() == want.tobytes()
         assert built == 0
 
@@ -680,7 +682,7 @@ def test_unit_coefficients_take_their_routes(monkeypatch, n, coeffs, symbolic):
     f = quadratic(chart_of(n), coeffs)
     assert any(isinstance(t, Neg) for t in f.node.args) == symbolic
     got, want, built = gradient_and_reference(
-        monkeypatch, f, fresh_points(f.chart)
+        monkeypatch, [f], fresh_points(f.chart)
     )
     assert got.tobytes() == want.tobytes()
     assert (built > 0) == symbolic
@@ -689,7 +691,7 @@ def test_unit_coefficients_take_their_routes(monkeypatch, n, coeffs, symbolic):
 @pytest.mark.parametrize("text", ["x2", "3.5", "0", "x1 * x2 * x2", "2 * x3"])
 def test_single_terms_equal_the_symbolic_route(monkeypatch, text):
     f = qk.parse_expression(text, CHART_N)
-    got, want, built = gradient_and_reference(monkeypatch, f, fresh_points(CHART_N))
+    got, want, built = gradient_and_reference(monkeypatch, [f], fresh_points(CHART_N))
     assert got.tobytes() == want.tobytes()
     assert built == 0
 
@@ -703,7 +705,7 @@ def test_terms_nprod_would_not_build_equal_the_symbolic_route(monkeypatch):
         for node in (term, Sum((term, x3)), Sum((x3, term, Const(2.0)))):
             f = qk.ScalarExpr(CHART_N, node)
             points = fresh_points(CHART_N)
-            got, want, built = gradient_and_reference(monkeypatch, f, points)
+            got, want, built = gradient_and_reference(monkeypatch, [f], points)
             assert got.tobytes() == want.tobytes()
             assert built == 0
 
@@ -725,7 +727,7 @@ def test_a_lone_coordinate_derivative_equals_the_symbolic_route(monkeypatch):
     for text in ("x1 * x2", "x1 * x2 + x3", "2 * x1 * x2"):
         f = qk.parse_expression(text, CHART_N)
         got, want, built = gradient_and_reference(
-            monkeypatch, f, fresh_points(CHART_N)
+            monkeypatch, [f], fresh_points(CHART_N)
         )
         assert got.tobytes() == want.tobytes()
         assert built == 0
@@ -752,7 +754,7 @@ def test_overflowing_polynomial_gradients_equal_the_symbolic_route(
     doubled = qk.ScalarExpr(chart, nsum([f.node, f.node]))
     for g in (f, doubled):
         points = fresh_points(chart, lo=lo, hi=hi, seed=n)
-        got, want, built = gradient_and_reference(monkeypatch, g, points)
+        got, want, built = gradient_and_reference(monkeypatch, [g], points)
         assert got.tobytes() == want.tobytes()
         assert (built > 0) == (g is doubled and doubled_fold_overflows)
     assert np.isnan(got).any()
@@ -766,16 +768,16 @@ def test_gradients_with_an_overflowing_fold_equal_the_symbolic_route(monkeypatch
     # the constants of d/dx fold to an overflow, so that column is built
     # symbolically, where nsum keeps them unfolded, in order
     f = qk.parse_expression(text, CHART)
-    got, want, built = gradient_and_reference(monkeypatch, f, fresh_points(CHART))
+    got, want, built = gradient_and_reference(monkeypatch, [f], fresh_points(CHART))
     assert got.tobytes() == want.tobytes()
     assert built > 0
-    assert np.isnan(got[:, 0]).any() and np.isfinite(got[:, 0]).any()
+    assert np.isnan(got[0, 0]).any() and np.isfinite(got[0, 0]).any()
 
 
 @pytest.mark.parametrize("text", ["x^2", "sin(x)", "x*y - x/(y + 2)", "-x*y"])
 def test_other_trees_take_the_symbolic_route(monkeypatch, text):
     f = qk.parse_expression(text, CHART)
-    got, want, built = gradient_and_reference(monkeypatch, f, fresh_points(CHART))
+    got, want, built = gradient_and_reference(monkeypatch, [f], fresh_points(CHART))
     assert got.tobytes() == want.tobytes()
     assert built > 0
 
@@ -783,7 +785,110 @@ def test_other_trees_take_the_symbolic_route(monkeypatch, text):
 def test_gradient_at_takes_points_or_a_cloud():
     f = qk.random_polynomial(CHART, np.random.default_rng(4), degree=3)
     cloud = fresh_points(CHART, samples=7)
-    assert gradient_at(f, list(cloud)).tobytes() == gradient_at(f, cloud).tobytes()
+    assert gradient_at([f], list(cloud)).tobytes() == gradient_at([f], cloud).tobytes()
+
+
+def sweep_polynomials():
+    """The nine test functions of exp-realization's Jacobi sweep, as
+    ``fixtures`` draws them."""
+    spec = load_fixture("exp-realization")
+    rng = np.random.default_rng(spec.domain.seed)
+    return [qk.random_polynomial(spec.chart, rng) for _ in range(9)]
+
+
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_the_sweeps_polynomials_take_one_batch_with_the_symbolic_bits(monkeypatch, samples):
+    functions = sweep_polynomials()
+    chart = functions[0].chart
+    got, want, built = gradient_and_reference(
+        monkeypatch, functions, fresh_points(chart, samples=samples)
+    )
+    assert got.tobytes() == want.tobytes()
+    assert built == 0
+
+
+def term(coeff, *names):
+    return Product((Const(coeff), *(Coord(name) for name in names)))
+
+
+def test_a_mixed_batch_equals_the_symbolic_route_row_by_row(monkeypatch):
+    # the first three rows have one list of non-zero terms, with an int
+    # coefficient, a -0.0 and a 0 one (terms of no list); then rows of
+    # other lists, a row whose constant fold in d/dx1 overflows beside
+    # one of its list whose fold does not, a tree that is no polynomial,
+    # and a row whose fold in d/dx1 is 0 beside one whose fold is not,
+    # where d/dx1 has a single product that underflows to -0.0
+    x3 = Coord("x3")
+    doubled = [
+        qk.ScalarExpr(CHART_N, nsum([f.node, f.node]))
+        for f in (
+            quadratic(CHART_N, (1.5e308, 1.5e308, -1e308)),
+            quadratic(CHART_N, (0.75, -2.0)),
+        )
+    ]
+    rng = np.random.default_rng(8)
+    functions = [
+        Sum((term(2, "x1", "x2"), term(0.5, "x1"), x3, Const(3.0))),
+        Sum((term(1.5, "x1", "x2"), term(-0.0, "x2", "x2"), term(0.5, "x1"), x3)),
+        Sum((term(-4.0, "x1", "x2"), term(0.25, "x1"), term(0.0, "x3", "x3"), x3)),
+        qk.random_polynomial(CHART_N, rng, degree=2),
+        doubled[0],
+        qk.parse_expression("sin(x1) * x2 + x3", CHART_N),
+        qk.random_polynomial(CHART_N, rng, degree=3),
+        doubled[1],
+        qk.random_polynomial(CHART_N, rng, degree=2),
+        Sum((term(-5e-324, "x1", "x2"), term(0.5, "x1"), term(-0.5, "x1"))),
+        Sum((term(-5e-324, "x1", "x2"), term(0.5, "x1"), term(0.25, "x1"))),
+    ]
+    functions = [
+        f if isinstance(f, qk.ScalarExpr) else qk.ScalarExpr(CHART_N, f)
+        for f in functions
+    ]
+    lists = [
+        [names for _, names in expr._monomials(f.node)]
+        for f in functions[:5] + functions[6:]
+    ]
+    assert lists[0] == lists[1] == lists[2] == [("x1", "x2"), ("x1",), ("x3",)]
+    assert lists[4] == lists[6] != lists[3]
+    got, want, built = gradient_and_reference(monkeypatch, functions, fresh_points(CHART_N))
+    assert got.tobytes() == want.tobytes()
+    assert built > 0
+    # the overflowing row is NaN where its symbolic route is, the other
+    # doubled row is finite
+    assert np.isnan(got[4, 0]).any() and np.isfinite(got[7]).all()
+    assert np.signbit(got[9, 0][got[9, 0] == 0.0]).any()
+    assert (got[10, 0] > 0.0).all()
+    for r, f in enumerate(functions):
+        alone, _, _ = gradient_and_reference(monkeypatch, [f], fresh_points(CHART_N))
+        assert alone[0].tobytes() == got[r].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# nprod of a constant and coordinates
+
+
+@pytest.mark.parametrize("value", [2, 2.5, -3.0, -7, 1e-300, 1, 1.0, -1, -1.0, 0, 0.0, -0.0])
+@pytest.mark.parametrize("rest", ["coordinates", "one coordinate", "a call"])
+def test_nprod_of_a_constant_and_coordinates_builds_the_general_tree(value, rest):
+    x, y = Coord("x"), Coord("y")
+    others = {
+        "coordinates": [x, y, x],
+        "one coordinate": [y],
+        "a call": [x, expr.ncall("sin", (y,))],
+    }[rest]
+    got = nprod([Const(value), *others])
+    # a leading 1.0 sends nprod down its general path, whose fold is
+    # 1.0 * 1.0 * value, the same float as 1.0 * value
+    general = nprod([Const(1.0), Const(value), *others])
+    assert type(got) is type(general)
+    if isinstance(got, Const):
+        assert repr(got.value) == repr(general.value)
+    else:
+        assert got is general
+    assert node_to_text(got) == node_to_text(general)
+    assert expr._fingerprint(got) == expr._fingerprint(general)
+    constants = [a for a in got.args if isinstance(a, Const)]
+    assert all(type(c.value) is float for c in constants)
 
 
 # ---------------------------------------------------------------------------

@@ -477,7 +477,7 @@ def test_points_of_another_chart_are_refused(other):
     entry_points = (
         f.sample,
         X.components_at,
-        lambda points: qk.expr.gradient_at(f, points),
+        lambda points: qk.expr.gradient_at([f], points),
         lambda points: qk.span_expand(X, (Y, Z), points, qk.ToleranceConfig()),
         lambda points: qk.fields.independent_components_at(B, points),
         lambda points: qk.fields.independent_components_at(

@@ -385,3 +385,72 @@ def test_exp_realization_sweep_differentiates_no_test_function(monkeypatch, samp
     want = ref_cyclic_sums(B, triples, points)
     assert got.tobytes() == want.tobytes()
     assert np.isfinite(want).all()
+
+
+def test_the_sweep_keeps_simplified_fields_at_coefficient_one(monkeypatch):
+    # a term of coefficient 1 wedges its own left field, with the brackets
+    # cached on it, when each of its components is simplified; a field
+    # with a component that is not is rebuilt. Either way the cyclic sums
+    # are those of a sweep that rebuilds every field.
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    rng = np.random.default_rng(12)
+    X, Y, Z = random_fields(chart, rng, degree=1, count=3)
+    U = qk.VectorField(
+        chart, tuple(qk.parse_expression(t, chart) for t in ("x + x", "1", "y*z"))
+    )
+    one = chart.constant(1.0)
+    B = qk.BivectorSum(chart, ((one, qk.wedge(X, Y)), (one, qk.wedge(U, Z))))
+    triples = [tuple(qk.random_polynomial(chart, rng) for _ in range(3))]
+    cfg = make_cfg(chart, samples=50, seed=3)
+
+    lefts, cyclic_sums = [], []
+    schouten = qbh.schouten_bb
+
+    def recording_schouten(b1, b2):
+        lefts.append(b1.left)
+        return schouten(b1, b2)
+
+    def recording_condition(name, residual, *args, **kwargs):
+        cyclic_sums.append(residual)
+        return condition(name, residual, *args, **kwargs)
+
+    monkeypatch.setattr(qbh, "schouten_bb", recording_schouten)
+    monkeypatch.setattr(qbh, "condition", recording_condition)
+    qk.jacobi_identity_check(B, triples, cfg)
+    assert X.scaled(one) is X and U.scaled(one) is not U
+    kept = [f for f in lefts if f is X]
+    rebuilt = [f for f in lefts if f is not X]
+    assert kept and rebuilt and not [f for f in rebuilt if f is U]
+    assert [str(c) for c in rebuilt[0].components] == ["2.0 * x", "1.0", "y * z"]
+
+    def rebuilding_scaled(field, factor):
+        return qk.VectorField(
+            field.chart, tuple((factor * c).simplified() for c in field.components)
+        )
+
+    monkeypatch.setattr(qk.VectorField, "scaled", rebuilding_scaled)
+    qk.jacobi_identity_check(B, triples, cfg)
+    kept_sums, rebuilt_sums = cyclic_sums
+    assert kept_sums.tobytes() == rebuilt_sums.tobytes()
+    assert np.nanmax(kept_sums) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "components",
+    [("-0.0", "x"), ("2", "x"), ("-(2*x)", "y")],
+    ids=["negative-zero", "int", "negated-product"],
+)
+def test_a_factor_one_keeps_a_field_only_where_it_leaves_each_component(components):
+    # 1 * c simplifies to c itself, or to a constant of c's type, value
+    # and sign, except for these components, whose fields are rebuilt
+    chart = qk.CoordinateChart(("x", "y"))
+    nodes = [
+        expr.Const(-0.0) if t == "-0.0" else expr.Const(2) if t == "2"
+        else qk.parse_expression(t, chart).node
+        for t in components
+    ]
+    field = qk.VectorField(chart, tuple(qk.ScalarExpr(chart, n) for n in nodes))
+    assert all(c.simplified().node is c.node for c in field.components)
+    scaled = field.scaled(1.0)
+    assert scaled is not field
+    assert scaled.scaled(1.0) is scaled

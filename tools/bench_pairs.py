@@ -22,6 +22,9 @@ the median and numpy's linear quartiles per side, the number of pairs
 in which the change did better (a tie is not better), the relative
 change of the medians, and the metric's ``better`` and ``bound``. FILE
 is rewritten after every run, so an interrupted run keeps what it has.
+After the last run, one line per workload and end-to-end metric goes to
+stdout: both medians, their relative change and the pairs the change
+did better in.
 """
 from __future__ import annotations
 
@@ -113,6 +116,23 @@ def quartiles(values):
     return [float(q) for q in np.percentile(values, [25, 75])]
 
 
+def summary_lines(summary, metrics):
+    """One line per workload of ``summary`` and end-to-end metric of
+    ``metrics`` it holds."""
+    lines = []
+    for workload, entry in summary.items():
+        for name in (m["name"] for m in metrics if m["name"] in entry):
+            m = entry[name]
+            change = m["relative_change"]
+            lines.append(
+                f"{workload} {name}: parent {m['parent_median']:.6g}, change "
+                f"{m['change_median']:.6g} ("
+                + ("n/a" if change is None else f"{change:+.1%}")
+                + f"), change better in {m['change_better_pairs']}/{entry['pairs']} pairs"
+            )
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree", type=Path)
@@ -177,6 +197,7 @@ def main(argv=None):
             })
             write()
     write()
+    print("\n".join(summary_lines(out["summary"], benchmark["end_to_end"])))
     return 0
 
 

@@ -18,26 +18,33 @@ Each tree runs the whole matrix in an interpreter of its own, one
   8 components on, numpy sums a C-ordered row pairwise, so a change of
   summation order shows there);
 - ``check poisson`` on 40 generated problems (``perfbench/generate.py``
-  of this checkout, seed 15).
+  of this checkout, seed 15);
+- ``qbhkit.jacobi_identity_check`` called in-process (``jacobi-sweep N``)
+  on charts of 3, 4 and 9 coordinates: a composite X ^ Y + c W ^ Z of
+  random linear fields, c a random linear function, whose [[pi,pi]] is
+  not 0, with three triples of ``random_polynomial`` test functions,
+  checked together and one by one. The reports are rendered as
+  ``--format json`` renders them. The only sweep of the CLI runs,
+  exp-realization's, contracts a [[pi,pi]] that is exactly 0 at every
+  sampled point, so its cyclic sums are 0 in any summation order and
+  show no change of the gradients' or the contraction's bits.
+  (``tests/golden/exp-realization.json`` still records 3.69e-13 there,
+  from an older implementation.)
 
 Each run's stdout, stderr and exit code are compared and every
 difference is listed. A report prints only each condition's maximum, so
 each run also records a sha256 digest of every per-point array that
 ``qbhkit.residuals.values_at`` hands a condition or a non-vanishing
-guard to reduce, and the digests are compared in order. The exit status
-is 1 if a verdict, an exit code, a skip count, a note, a key or the key
-order differs, or stderr or the number of per-point arrays does; a
-difference only in the bits of residuals, worst points and per-point
-values is listed but leaves the exit status 0. Warnings print once per
-source line and run, as in a new process; the source tree's path in a
-warning or a traceback reads ``<src>``.
-
-The matrix cannot see the bits of the Jacobi sweep's contraction: the
-only sweep in it, exp-realization's, contracts a [[pi,pi]] whose
-components are exactly 0 at every sampled point, so its cyclic sums are
-0 in any summation order. (``tests/golden/exp-realization.json`` still
-records 3.69e-13 there, from an older implementation.) The tier-1
-tests in ``tests/test_layout.py`` are the only check of those bits.
+guard to reduce, and the digests are compared in order. ``--format
+json`` leaves out a criterion's own notes (``exact: ...``, ``rho = ...``,
+``N test-function triple(s)``), so each run also records the name, the
+verdict and the notes of every criterion of the report the run returns.
+The exit status is 1 if a verdict, an exit code, a skip count, a note, a
+key or the key order differs, or stderr or the number of per-point
+arrays does; a difference only in the bits of residuals, worst points
+and per-point values is listed but leaves the exit status 0. Warnings
+print once per source line and run, as in a new process; the source
+tree's path in a warning or a traceback reads ``<src>``.
 """
 from __future__ import annotations
 
@@ -69,6 +76,8 @@ SUBCOMMANDS = tuple(
 ) + (("coeffs", "lemma4"), ("build", "qbh"))
 GENERATED_SEED = 15
 GENERATED_COUNT = 40
+SWEEP = "jacobi-sweep"
+SWEEP_COORDINATES = (3, 4, 9)
 
 # keys whose floating-point values follow the bits of a residual
 RESIDUAL_KEYS = ("max_residual", "worst_point")
@@ -232,7 +241,43 @@ def build_matrix(shipped: Path, workdir: Path) -> list[list[str]]:
     for index in range(GENERATED_COUNT):
         path = generate.write_problem(str(workdir), GENERATED_SEED, index)
         matrix.append(["check", "poisson", "--input", path, *json_flag])
+    matrix += [[SWEEP, str(n)] for n in SWEEP_COORDINATES]
     return matrix
+
+
+def run_sweep(n: int, stdout):
+    """The run ``jacobi-sweep n`` (see the module note): prints the
+    report as JSON to ``stdout``; returns (0, the RunReport)."""
+    import numpy as np
+
+    import qbhkit as qk
+    from qbhkit.reports import build_run_report, render_json
+
+    chart = qk.CoordinateChart(tuple(f"x{i}" for i in range(1, n + 1)))
+    rng = np.random.default_rng(n)
+    X, Y, W, Z = (
+        qk.VectorField(
+            chart, tuple(qk.random_polynomial(chart, rng, degree=1) for _ in chart.names)
+        )
+        for _ in range(4)
+    )
+    c = qk.random_polynomial(chart, rng, degree=1)
+    B = qk.BivectorSum(
+        chart, ((chart.constant(1.0), qk.wedge(X, Y)), (c, qk.wedge(W, Z)))
+    )
+    triples = [tuple(qk.random_polynomial(chart, rng) for _ in range(3)) for _ in range(3)]
+    box = tuple((0.5, 1.5) for _ in chart.names)
+    domain = qk.SampleDomain(chart, box, (), samples=200, seed=n)
+    cfg = qk.VerifyConfig(domain=domain, tol=qk.ToleranceConfig())
+    # a point's cyclic sum is the largest of its triples', so each triple
+    # is checked alone too, where the bits of all its gradients show
+    reports = [qk.jacobi_identity_check(B, triples, cfg)] + [
+        qk.jacobi_identity_check(B, [t], cfg).renamed(f"triple-{i}")
+        for i, t in enumerate(triples, 1)
+    ]
+    run = build_run_report(f"{SWEEP} {n}", "", reports, cfg, "")
+    print(render_json(run), file=stdout)
+    return 0, run
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -271,8 +316,9 @@ def recorded_values(digests: list):
 
 def run_matrix(matrix) -> list[dict]:
     """Every run of ``matrix`` in this interpreter: its stdout, stderr,
-    exit code (or the traceback of an exception that escaped) and the
-    digests of the per-point arrays its conditions reduced."""
+    exit code (or the traceback of an exception that escaped), the
+    digests of the per-point arrays its conditions reduced, and the
+    name, verdict and notes of each criterion of its report."""
     import qbhkit
     from qbhkit.cli import run_command
 
@@ -281,12 +327,16 @@ def run_matrix(matrix) -> list[dict]:
     for argv in matrix:
         out, err = io.StringIO(), io.StringIO()
         digests = []
+        report = None
         # catch_warnings starts each run's once-per-line warning record afresh
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.showwarning = _print_warning
             try:
                 with recorded_values(digests):
-                    code, _ = run_command(argv, stdout=out, stderr=err)
+                    if argv[0] == SWEEP:
+                        code, report = run_sweep(int(argv[1]), out)
+                    else:
+                        code, report = run_command(argv, stdout=out, stderr=err)
             except Exception:  # reported and compared, not raised
                 code = "traceback"
                 err.write(traceback.format_exc())
@@ -296,6 +346,9 @@ def run_matrix(matrix) -> list[dict]:
                 "stderr": err.getvalue().replace(src, "<src>"),
                 "code": code,
                 "values": digests,
+                "criteria": report and [
+                    [r.name, r.passed, list(r.notes)] for r in report.reports
+                ],
             }
         )
     return results
@@ -358,6 +411,14 @@ def differences(a: dict, b: dict):
             pairs = [("", "text", a["stdout"], b["stdout"])]
         for path, kind, x, y in pairs:
             found.append(("stdout", kind, f"{path or '(output)'}: {x!r} != {y!r}"))
+    criteria_a, criteria_b = a["criteria"], b["criteria"]
+    if criteria_a != criteria_b:
+        if criteria_a and criteria_b and len(criteria_a) == len(criteria_b):
+            # only the criteria that differ
+            criteria_a, criteria_b = (
+                list(side) for side in zip(*(p for p in zip(criteria_a, criteria_b) if p[0] != p[1]))
+            )
+        found.append(("criteria", "notes", f"{criteria_a!r} != {criteria_b!r}"))
     digests_a, digests_b = a["values"], b["values"]
     if len(digests_a) != len(digests_b):
         found.append(
