@@ -23,19 +23,25 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # every evaluated expression node holds another 8 bytes per sample.
 MAX_SAMPLE_VALUES = 1_000_000
 
-# A point cloud keeps the values of the expression nodes evaluated on it
-# for later evaluations while its cache holds fewer than this many
-# values (1 MiB of floats), counted as they are held: an array as one
-# value per point, a constant as one value. Past the bound an evaluation
-# still reads the cache, but keeps its new values only for the call. A
-# domain draws one cloud (see ``sampling.sample_points``), so every check
-# of a run shares that cloud and this one bound. Counted after one
-# ``example run`` of each shipped fixture, where a structure evaluated
-# by several checks is one node and one entry: at 200 points no run
-# reaches the bound, and rotation's cache holds the most (77 entries,
-# 12 614 values); at 1 000 points none does either (rotation's holds
-# 63 014), and at 5 000 rotation's passes it (140 003), where arithmetic
-# rather than per-node dispatch is the cost.
+# A point cloud keeps what is computed on it for later checks while it
+# holds fewer than this many values (1 MiB of floats): the values of the
+# expression nodes evaluated on it, the component rows of the fields
+# evaluated on it and the factored span bases built on it, all counted
+# as they are held, an array as one value per entry, a constant as one
+# value, a basis as the entries of all its arrays. Past the bound an
+# evaluation still reads what is held, but keeps what it computes only
+# for the call. A domain draws one cloud (see ``sampling.sample_points``),
+# so every check of a run shares that cloud and this one bound. Counted
+# after one ``example run`` of each shipped fixture, where a structure
+# evaluated by several checks is one node and one entry, and a field or
+# basis built alike by several checks one row array or one basis: at 200
+# points no run reaches the bound, and rotation's cloud holds the most
+# (77 node values, 10 row arrays and 4 bases, 33 814 values, of which a
+# basis of two fields on three coordinates holds 19 per point); at 1 000
+# points rotation's passes it (148 008) and exp-realization's holds the
+# most of the others (100 020), and at 5 000 every fixture's but
+# hojman-2d's and linear-abelian's passes it, where arithmetic rather
+# than per-node dispatch is the cost.
 MAX_CACHED_VALUES = 2**17
 
 
@@ -137,16 +143,22 @@ class PointCloud(Sequence):
     ``values``, so Point objects exist only where a report names one.
 
     ``cache`` maps expression nodes to their values over this cloud,
-    and ``cached_values`` counts the values it holds. It is filled by
-    evaluation, up to ``MAX_CACHED_VALUES``, so that every
-    evaluation on the cloud reuses the subexpressions already computed.
-    The cloud a domain samples is the one every check of a run
-    evaluates on, so its cache, and its one bound, serve them all. It
-    is keyed by the node object, not its ``id()``: the nodes stay
-    alive as long as the cloud, so no key can be reused.
+    and ``derived`` maps the fields and bases built from those values:
+    a field's key (``fields.field_key``) to its component rows, a
+    read-only C-ordered (n, m) array, and a basis's key to its
+    ``criteria._FactoredBasis``. ``cached_values`` counts the values
+    both hold, under the one bound ``MAX_CACHED_VALUES``, so that every
+    evaluation on the cloud reuses the subexpressions, rows and bases
+    already computed. Every array the cloud holds is read-only, so a
+    consumer that writes to one raises instead of changing a later
+    check; the public evaluators return writable copies. The cloud a
+    domain samples is the one every check of a run evaluates on, so
+    what it holds, and its one bound, serve them all. Both tables are
+    keyed by node objects, not their ``id()``: the nodes stay alive as
+    long as the cloud, so no key can be reused.
     """
 
-    __slots__ = ("chart", "values", "columns", "cache", "cached_values")
+    __slots__ = ("chart", "values", "columns", "cache", "derived", "cached_values")
 
     def __init__(self, chart: CoordinateChart, values):
         values = np.array(values, dtype=float, order="F").reshape(
@@ -161,6 +173,7 @@ class PointCloud(Sequence):
         self.values = values
         self.columns = dict(zip(chart.names, values.T))
         self.cache = {}
+        self.derived = {}
         self.cached_values = 0
 
     @classmethod
@@ -175,6 +188,15 @@ class PointCloud(Sequence):
         for p in points:
             _require_chart(chart, p)
         return cls(chart, [p.values for p in points])
+
+    def hold(self, key, value):
+        """``value`` (an array or a factored basis, with its count of
+        values in ``size``), kept in ``derived`` under ``key`` while the
+        cloud holds fewer than ``MAX_CACHED_VALUES`` values."""
+        if self.cached_values < MAX_CACHED_VALUES:
+            self.derived[key] = value
+            self.cached_values += value.size
+        return value
 
     def __len__(self):
         return self.values.shape[0]

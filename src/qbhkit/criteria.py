@@ -23,7 +23,9 @@ from .expr import ScalarExpr, constant
 from .fields import (
     DecomposableBivector,
     VectorField,
+    component_rows,
     contract_hamiltonian,
+    field_key,
     lie_bracket,
     lie_derivative_bivector,
     schouten_bb,
@@ -134,6 +136,11 @@ class _FactoredBasis:
     from its Gram-Schmidt ``factors`` (q1, q2, r11, r12, r22). Other
     defined rows, and stacks of any other shape (``factors`` None, no
     row settled), take ``_singular_values``.
+
+    Every array it holds is read-only, and ``size`` counts their
+    entries: a basis built by ``of`` is held by its point cloud under
+    the cloud's one bound (see ``PointCloud``), and shared by every
+    check that spans the same fields on it.
     """
 
     def __init__(self, stack: np.ndarray, tol):
@@ -149,13 +156,26 @@ class _FactoredBasis:
         smallest[~settled] = _singular_values(stack, defined & ~settled)[~settled]
         self.stack, self.smallest, self.settled = stack, smallest, settled
         self.independent = defined & (smallest > tol.independence)
+        arrays = (stack, defined, smallest, settled, self.independent)
+        arrays += self.factors or ()
+        for array in arrays:
+            array.setflags(write=False)
+        self.size = sum(array.size for array in arrays)
 
     @classmethod
     def of(cls, fields, points, tol) -> "_FactoredBasis":
-        """The basis of ``fields`` on ``points``, its stack stored
-        component-major: the (m, n, k) view of a C-ordered (k, n, m)
-        array."""
-        return cls(np.stack([X.components_at(points).T for X in fields]).T, tol)
+        """The basis of ``fields`` on the PointCloud ``points``, built
+        once per cloud, fields' keys and independence tolerance, its
+        stack stored component-major: the (m, n, k) view of a C-ordered
+        (k, n, m) array of the fields' component rows."""
+        points = PointCloud.of(fields[0].chart, points)
+        # a tuple of field keys, then a float, which no field's key holds
+        key = (tuple(field_key(X) for X in fields), tol.independence)
+        basis = points.derived.get(key)
+        if basis is None:
+            stack = np.stack([component_rows(X, points) for X in fields]).T
+            basis = points.hold(key, cls(stack, tol))
+        return basis
 
 
 def _usable_points(bases, what):
@@ -325,7 +345,7 @@ def span_expand(V: VectorField, basis, points, tol) -> SpanDecomposition:
     survives, AllPointsSkippedError.
     """
     points = PointCloud.of(V.chart, points)
-    target = V.components_at(points)
+    target = component_rows(V, points).T
     if not isinstance(basis, _FactoredBasis):
         basis = _FactoredBasis.of(basis, points, tol)
     coeffs, residuals, notes = _expand_rows(basis, target)

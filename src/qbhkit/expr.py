@@ -279,10 +279,20 @@ def nsum(terms) -> Node:
                 flat.append(sub)
     if const != 0.0:
         if not math.isfinite(const):
-            # the fold is refused: the operands stay, in order
-            operands = [s for t in terms for s in (t.args if isinstance(t, Sum) else (t,))]
-            return operands[0] if len(operands) == 1 else Sum(tuple(operands))
-        flat.append(Const(const))
+            # the fold overflowed: the constants follow the other terms,
+            # folded as the parser folds them (``_refold``)
+            values = [
+                s.value
+                for t in terms
+                for s in (t.args if t.__class__ is Sum else (t,))
+                if s.__class__ is Const
+            ]
+            values = [v for v in _refold(values, operator.add) if v != 0.0]
+            if len(values) > 1:
+                return Sum(tuple(flat) + tuple(map(Const, values)))
+            flat += map(Const, values)
+        else:
+            flat.append(Const(const))
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -321,7 +331,7 @@ def nprod(factors) -> Node:
     if const == 0.0:
         return ZERO
     if not math.isfinite(const):
-        return _unfolded_product(queue)
+        return _refolded_product(queue, flat)
     if not flat:
         return Const(const)
     if const != 1.0 and const != -1.0:
@@ -330,15 +340,42 @@ def nprod(factors) -> Node:
     return core if const == 1.0 else nneg(core)
 
 
-def _unfolded_product(queue):
+def _refolded_product(queue, flat):
     """The product of the factors in ``queue``, as ``nprod`` flattened
-    them, with their constants left unfolded, in order: the fold
-    overflowed. The sign of the negations goes to the first constant."""
-    factors = [f for f in queue if not isinstance(f, (Product, Neg))]
-    if sum(isinstance(f, Neg) for f in queue) % 2:
-        first = next(i for i, f in enumerate(factors) if isinstance(f, Const))
-        factors[first] = Const(-factors[first].value)
-    return factors[0] if len(factors) == 1 else Product(tuple(factors))
+    them into the other factors ``flat``, when the fold of their
+    constants overflowed: the constants, the sign of the negations
+    given to the first, folded as the parser folds them (``_refold``),
+    then ``flat``."""
+    values = [f.value for f in queue if f.__class__ is Const]
+    if sum(f.__class__ is Neg for f in queue) % 2:
+        values[0] = -values[0]
+    values = _refold(values, operator.mul)
+    if len(values) == 1 and math.isfinite(values[0]):
+        return nprod([Const(values[0])] + flat)
+    # several constants, or one that was not finite when built
+    factors = tuple(map(Const, values)) + tuple(flat)
+    return factors[0] if len(factors) == 1 else Product(factors)
+
+
+def _refold(values, combine):
+    """The finite constants ``values`` of a fold that overflowed, folded
+    left to right by ``combine``, a new constant started wherever the
+    running one would overflow, and folded again until no two
+    neighbours combine to a finite value. The parser folds the printed
+    constants of a sum or product left to right, one operator at a
+    time, so it folds none of these, and print then parse returns the
+    same node."""
+    while True:
+        folded = [values[0]]
+        for value in values[1:]:
+            both = combine(folded[-1], value)
+            if math.isfinite(both):
+                folded[-1] = both
+            else:
+                folded.append(value)
+        if len(folded) == len(values):
+            return folded
+        values = folded
 
 
 def nquot(numerator: Node, denominator: Node) -> Node:
@@ -778,7 +815,8 @@ def _eval_array(node: Node, columns: dict, cache: dict, new: dict):
     Constants stay numpy scalars and broadcast, so a result can be a
     scalar; ``ScalarExpr.sample`` expands it. Sums and products start
     from a fresh array and accumulate in place in term order, so no
-    operand's value, which a cache may keep, is ever written to.
+    operand's value, which a cache may keep, is ever written to. Every
+    array computed here is made read-only before anyone else sees it.
     """
     hit = cache.get(node)
     if hit is None:
@@ -791,6 +829,8 @@ def _eval_array(node: Node, columns: dict, cache: dict, new: dict):
         value = columns[node.name]
     else:
         value = _combine(node, [_eval_array(a, columns, cache, new) for a in node.args])
+        if value.__class__ is np.ndarray:
+            value.setflags(write=False)
     new[node] = value
     return value
 
@@ -843,14 +883,15 @@ def _undefined_to_nan(value):
 
 
 def _evaluate(node: Node, cloud: PointCloud):
-    """``node`` over ``cloud``.
+    """``node`` over ``cloud``: a read-only array of one value per
+    point, or a numpy scalar where it is constant.
 
     Values are read from the cloud's cache, and the values this call
-    computes join it while it holds fewer than ``MAX_CACHED_VALUES``
-    values, counted by ``np.size`` (a constant, a numpy scalar, is one
-    value) in ``cloud.cached_values``. Past the bound they are kept for
-    the call only. The bound is tested once per call, so a cache can
-    pass it by one call's values.
+    computes join it while the cloud holds fewer than
+    ``MAX_CACHED_VALUES`` values, counted by ``np.size`` (a constant, a
+    numpy scalar, is one value) in ``cloud.cached_values``. Past the
+    bound they are kept for the call only. The bound is tested once per
+    call, so a cloud can pass it by one call's values.
     """
     new = {}
     with np.errstate(all="ignore"):

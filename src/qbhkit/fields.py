@@ -18,7 +18,9 @@ other field, so a bracket is built once per pair of field objects and a
 cache keeps no field alive and forms no reference cycle. [X,X] is the
 zero field and [Y,X] is the negation of a cached [X,Y]; neither is
 built again. Repeated brackets are then the same expression nodes, so
-they also share the values a point cloud caches.
+they also share the values a point cloud caches, and fields whose
+components are the same nodes share one array of component rows on it
+(``component_rows``).
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .chart import CoordinateChart, Point, PointCloud, require_same_chart
-from .expr import ScalarExpr, _composite_key, constant, nprod, nsum, evaluate_at_points
+from .expr import ScalarExpr, _composite_key, _evaluate, constant, nprod, nsum
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +101,11 @@ class VectorField:
         """Component values, shape (len(points), dimension). NaN marks
         points where a component is undefined.
 
-        The array is stored component-major: it is the transposed view
-        of a C-ordered (dimension, len(points)) array, so each
-        component's values are one contiguous row of ``.T``, over which
-        a reduction across components runs elementwise."""
-        cloud = PointCloud.of(self.chart, points)
-        return np.array([evaluate_at_points(c, cloud) for c in self.components]).T
+        The array is a writable copy, stored component-major: it is the
+        transposed view of a C-ordered (dimension, len(points)) array,
+        so each component's values are one contiguous row of ``.T``,
+        over which a reduction across components runs elementwise."""
+        return np.array(component_rows(self, PointCloud.of(self.chart, points))).T
 
     def at(self, point: Point) -> np.ndarray:
         return np.array([c.at(point) for c in self.components])
@@ -136,6 +137,30 @@ class VectorField:
             if not comp.is_zero():
                 parts.append(f"({comp}) d/d{name}")
         return " + ".join(parts) if parts else "0"
+
+
+def field_key(X: VectorField) -> tuple:
+    """The key of X's components: its component nodes, each constant as
+    ``expr._composite_key`` keys it, so that fields built alike, whose
+    components are the same interned nodes, have one key."""
+    return _composite_key((), tuple(c.node for c in X.components))
+
+
+def component_rows(X: VectorField, cloud: PointCloud) -> np.ndarray:
+    """X's component values over ``cloud`` as a read-only C-ordered
+    (dimension, len(cloud)) array, one row per component, built once
+    per cloud and field key and held in ``cloud.derived`` (see
+    ``PointCloud``). Row i holds the bits of
+    ``X.components[i].sample(cloud)``."""
+    key = field_key(X)
+    rows = cloud.derived.get(key)
+    if rows is None:
+        rows = np.empty((len(X.components), len(cloud)))
+        for row, c in zip(rows, X.components):
+            row[...] = _evaluate(c.node, cloud)
+        rows.setflags(write=False)
+        cloud.hold(key, rows)
+    return rows
 
 
 def zero_field(chart: CoordinateChart) -> VectorField:
@@ -392,19 +417,19 @@ def independent_components_at(M, points):
     gives an inf or NaN entry, silently.
 
     Both arrays are component-major, like ``components_at``: each is
-    computed one component row at a time from the fields' rows, with
-    the same elementwise operations in the same order as on (m, n)
-    arrays, and returned as the (len(points), ...) view.
+    computed one component row at a time from the fields' rows
+    (``component_rows``) and the coefficients' values, read where the
+    cloud holds them, with the same elementwise operations in the same
+    order as on (m, n) arrays, and returned as the (len(points), ...)
+    view.
     """
     if isinstance(M, TrivectorSum):
         points = PointCloud.of(M.chart, points)
         i, j, k = _index_combinations(M.chart.dimension, 3)
         out = np.zeros((len(i), len(points)))
-        for coeff, (U, V, W) in M.terms:
-            c = evaluate_at_points(coeff, points)
-            u = U.components_at(points).T
-            v = V.components_at(points).T
-            w = W.components_at(points).T
+        for coeff, fields in M.terms:
+            c = _evaluate(coeff.node, points)
+            u, v, w = (component_rows(X, points) for X in fields)
             with np.errstate(over="ignore", invalid="ignore"):
                 out += c * _det3(u, v, w, i, j, k)
         return out.T, None
@@ -414,9 +439,9 @@ def independent_components_at(M, points):
     out = np.zeros((len(i), len(points)))
     diagonal = np.zeros((B.chart.dimension, len(points)))
     for coeff, biv in B.terms:
-        c = evaluate_at_points(coeff, points)
-        u = biv.left.components_at(points).T
-        v = biv.right.components_at(points).T
+        c = _evaluate(coeff.node, points)
+        u = component_rows(biv.left, points)
+        v = component_rows(biv.right, points)
         with np.errstate(over="ignore", invalid="ignore"):
             out += c * (u[i] * v[j] - u[j] * v[i])
             diagonal += c * (u * v - u * v)

@@ -177,7 +177,7 @@ def load_fixture(name: str) -> ProblemSpec:
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; known: {fixture_names()}")
     text = (
-        resources.files("qbhkit")
+        resources.files(__package__)
         .joinpath(f"problems/{name}.prob")
         .read_text(encoding="utf-8")
     )

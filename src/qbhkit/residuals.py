@@ -23,7 +23,11 @@ is reached.
 Layout. Per-point component arrays keep the public shape (m, ...), m
 points first, but are stored component-major: each is the transposed
 view of a C-ordered (..., m) array, so every component's values over
-the points are one contiguous row. A reduction over components (max,
+the points are one contiguous row. A field's rows are that C-ordered
+(n, m) array itself (``fields.component_rows``), and a span basis's
+stack the (m, n, k) view of its fields' rows stacked; the point cloud
+holds each once, read-only, with its node values and under their one
+bound (see ``chart.PointCloud``), and the checks read them in place. A reduction over components (max,
 abs, isfinite, all) then runs elementwise across those rows instead of
 over the short inner axis of an (m, ...) array, which costs numpy far
 more per point; these reductions are exact, so their order does not
@@ -49,23 +53,31 @@ import math
 
 import numpy as np
 
-from .expr import ScalarExpr, evaluate_at_points
+from .chart import PointCloud
+from .expr import ScalarExpr, _evaluate
 from .fields import (
     BivectorSum,
     DecomposableBivector,
     TrivectorSum,
     VectorField,
+    component_rows,
     independent_components_at,
 )
 from .reports import ConditionResult
 
 
 def values_at(residual, points) -> np.ndarray:
-    """One value per point of ``residual`` (see the module note)."""
+    """One value per point of ``residual`` (see the module note). An
+    expression's values are read where the cloud holds them, as a
+    read-only array (a constant is spread over the points), and a
+    field's from its component rows."""
     if isinstance(residual, ScalarExpr):
-        return evaluate_at_points(residual, points)
+        points = PointCloud.of(residual.chart, points)
+        value = _evaluate(residual.node, points)
+        return value if value.ndim else np.full(len(points), value)
     if isinstance(residual, VectorField):
-        return grid_values(residual.components_at(points))
+        points = PointCloud.of(residual.chart, points)
+        return grid_values(component_rows(residual, points).T)
     if isinstance(residual, (DecomposableBivector, BivectorSum, TrivectorSum)):
         components, diagonal = independent_components_at(residual, points)
         values = grid_values(components)

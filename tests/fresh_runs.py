@@ -5,9 +5,12 @@ symbolic work of each.
 
 Prints one JSON object: ``runs``, per call, [node derivatives (calls of
 ``expr._ndiff``), composite evaluations (calls of ``expr._combine``),
-live interned nodes after the call]; ``live_before``, the live interned
-nodes before the first call; and ``cyclic``, what ``gc.collect()``
-found after the last call.
+live interned nodes after the call, span bases factored (calls of
+``criteria._FactoredBasis.__init__``), span expansions (calls of
+``criteria.span_expand``), component rows materialized (arrays handed
+to ``PointCloud.hold``)]; ``live_before``, the live interned nodes
+before the first call; and ``cyclic``, what ``gc.collect()`` found
+after the last call.
 
 With ``--no-gc`` the first call is made once more before the counted
 ones, to import and set up what a first call does, then the cycle
@@ -22,8 +25,14 @@ import io
 import json
 import sys
 
+import numpy as np
+
+import qbhkit.criteria as criteria
 import qbhkit.expr as expr
+from qbhkit.chart import PointCloud
 from qbhkit.cli import run_command
+
+KEYS = ("ndiff", "combine", "bases", "spans", "rows")
 
 
 def run(argv):
@@ -37,7 +46,7 @@ def main():
         run(argvs[0])
         gc.collect()
         gc.disable()
-    counts = {"ndiff": 0, "combine": 0}
+    counts = dict.fromkeys(KEYS, 0)
 
     def counted(key, function):
         def wrapper(*args):
@@ -46,14 +55,25 @@ def main():
 
         return wrapper
 
+    def counted_rows(hold):
+        def wrapper(cloud, key, value):
+            counts["rows"] += isinstance(value, np.ndarray)
+            return hold(cloud, key, value)
+
+        return wrapper
+
     expr._ndiff = counted("ndiff", expr._ndiff)
     expr._combine = counted("combine", expr._combine)
+    criteria._FactoredBasis.__init__ = counted("bases", criteria._FactoredBasis.__init__)
+    criteria.span_expand = counted("spans", criteria.span_expand)
+    PointCloud.hold = counted_rows(PointCloud.hold)
     live_before = len(expr._NODES)
     runs = []
     for argv in argvs:
-        counts.update(ndiff=0, combine=0)
+        counts.update(dict.fromkeys(KEYS, 0))
         run(argv)
-        runs.append([counts["ndiff"], counts["combine"], len(expr._NODES)])
+        ndiff, combine, bases, spans, rows = (counts[key] for key in KEYS)
+        runs.append([ndiff, combine, len(expr._NODES), bases, spans, rows])
     print(json.dumps({"runs": runs, "live_before": live_before, "cyclic": gc.collect()}))
 
 

@@ -2,15 +2,13 @@
 checks, the structure-coefficient machinery, Jacobi structures, the
 first-order reduction, and linear realizations."""
 import dataclasses
-import io
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import qbhkit as qk
-from qbhkit import criteria
-from qbhkit.cli import run_command
 from qbhkit.criteria import _FactoredBasis
 
 from helpers import (
@@ -161,14 +159,27 @@ def test_span_expand_in_a_basis_degenerate_everywhere_raises_either_way():
 
 
 # (span bases factored, span expansions) in one `example run`: the checks
-# factor each basis once per point cloud and expand every bracket in it
+# factor each basis once per point cloud, shared by every check that
+# spans the same fields on it, and expand every bracket in it
 DECISIONS = {
-    "exp-realization": (6, 9),
-    "rotation": (6, 9),
+    "exp-realization": (4, 9),
+    "rotation": (4, 9),
     "so3-jacobi": (1, 2),
     "heisenberg-jacobi": (1, 2),
     "linear-abelian": (0, 0),
     "hojman-2d": (0, 0),
+}
+
+
+# component rows materialized in one `example run`: one per distinct
+# field per cloud, however many checks read it
+ROWS = {
+    "exp-realization": 6,
+    "rotation": 10,
+    "so3-jacobi": 6,
+    "heisenberg-jacobi": 5,
+    "linear-abelian": 2,
+    "hojman-2d": 1,
 }
 
 
@@ -177,8 +188,8 @@ DECISIONS = {
 # interning, the derivative caches, the cloud's value cache and the
 # Jacobi sweep's term-wise gradients keep these down, so a change that
 # loses a share of them changes a count. Rotation at 5 000 samples
-# evaluates more composites than at 200 because its cloud's cache
-# reaches ``MAX_CACHED_VALUES``.
+# evaluates more composites, factors more bases and materializes more
+# rows than at 200, because its cloud reaches ``MAX_CACHED_VALUES``.
 NODE_WORK = {
     "exp-realization": (77, 5),
     "rotation": (84, 69),
@@ -187,45 +198,43 @@ NODE_WORK = {
     "linear-abelian": (15, 16),
     "hojman-2d": (14, 0),
 }
-ROTATION_5K_WORK = (84, 97)
-
-
-def counted(counts, key, function):
-    def wrapper(*args, **kwargs):
-        counts[key] += 1
-        return function(*args, **kwargs)
-
-    return wrapper
+# (node derivatives, composite evaluations, bases factored, rows
+# materialized)
+ROTATION_5K_WORK = (84, 97, 6, 21)
 
 
 def example_argv(name, *options):
     return ["example", "run", name, "--format", "json", *options]
 
 
-def run_example(name):
-    run_command(example_argv(name), stdout=io.StringIO(), stderr=io.StringIO())
+@functools.cache
+def fresh_counts(name):
+    """What tests/fresh_runs.py counts for two default runs of fixture
+    ``name``, one after the other, in a fresh interpreter: interned
+    nodes are shared with whatever trees this process holds."""
+    argv = example_argv(name)
+    return fresh_runs([argv, argv])
 
 
 @pytest.mark.parametrize("name", sorted(DECISIONS))
-def test_each_span_basis_is_factored_once_per_cloud(name, monkeypatch):
-    counts = {"bases": 0, "spans": 0}
-    init = counted(counts, "bases", _FactoredBasis.__init__)
-    monkeypatch.setattr(_FactoredBasis, "__init__", init)
-    spans = counted(counts, "spans", criteria.span_expand)
-    monkeypatch.setattr(criteria, "span_expand", spans)
-    run_example(name)
-    assert (counts["bases"], counts["spans"]) == DECISIONS[name]
+def test_each_span_basis_is_factored_once_per_cloud(name):
+    for run in fresh_counts(name)["runs"]:
+        assert tuple(run[3:5]) == DECISIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_each_field_is_materialized_once_per_cloud(name):
+    for run in fresh_counts(name)["runs"]:
+        assert run[5] == ROWS[name]
 
 
 @pytest.mark.parametrize("name", sorted(NODE_WORK))
 def test_each_run_differentiates_and_evaluates_a_fixed_number_of_nodes(name):
-    # counted in a fresh interpreter, since interned nodes are shared
-    # with whatever trees this process holds. No node of a run outlives
-    # it, so a second run evaluates as many composites; it may build
-    # fewer derivatives, those of ZERO and ONE, which every tree shares
-    argv = example_argv(name)
-    counts = fresh_runs([argv, argv])
-    (first, combined, live), (_, again, live_again) = counts["runs"]
+    # no node of a run outlives it, so a second run evaluates as many
+    # composites; it may build fewer derivatives, those of ZERO and
+    # ONE, which every tree shares
+    counts = fresh_counts(name)
+    (first, combined, live, *_), (_, again, live_again, *_) = counts["runs"]
     assert (first, combined) == NODE_WORK[name]
     assert again == combined
     assert live == live_again == counts["live_before"]
@@ -234,7 +243,8 @@ def test_each_run_differentiates_and_evaluates_a_fixed_number_of_nodes(name):
 def test_rotation_at_5000_samples_does_a_fixed_amount_of_node_work():
     argv = example_argv("rotation", "--samples", "5000")
     (run,) = fresh_runs([argv])["runs"]
-    assert tuple(run[:2]) == ROTATION_5K_WORK
+    derivatives, evaluations, _, bases, _, rows = run
+    assert (derivatives, evaluations, bases, rows) == ROTATION_5K_WORK
 
 
 # ---------------------------------------------------------------------------

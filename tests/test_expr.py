@@ -150,17 +150,37 @@ def test_a_number_too_large_for_a_float_is_a_syntax_error(text, offset):
     assert qk.parse_expression("1e-999", CHART).node.value == 0.0
 
 
-# Each folds constants whose sum, product or quotient overflows; the
-# fold is refused and the operands stay, in order.
+# Each folds constants whose sum, product or quotient overflows. A
+# quotient's fold is refused; the constants of a sum or product are
+# folded left to right as the parser folds them, a new constant started
+# wherever the running one would overflow, and follow a sum's other terms
+# or lead a product's, so the printed text parses back to the same tree.
 OVERFLOWING_FOLDS = {
     "1e300*1e300*x": "1e+300 * 1e+300 * x",
     "1e300/1e-300*x": "1e+300 / 1e-300 * x",
-    "1e308+1e308+x": "1e+308 + 1e+308 + x",
+    "1e308+1e308+x": "x + 1e+308 + 1e+308",
     "1e308*x + 1e308*x": "1e+308 * x + 1e+308 * x",
-    "x + 1e308 + y + 1e308 - 1e308": "x + y + 1e+308 + 1e+308 - 1e+308",
-    "-(1e300*1e300*x)*2": "(-1e+300) * 1e+300 * x * 2.0",
-    "1e300*1e300*0*x": "1e+300 * 1e+300 * 0.0 * x",
+    "x + 1e308 + y + 1e308 - 1e308": "x + y + 1e+308",
+    "-(1e300*1e300*x)*2": "(-1e+300) * 2e+300 * x",
+    "1e300*1e300*0*x": "0.0",
+    "2*(1e300*1e300*x)": "2e+300 * 1e+300 * x",
+    "2+(1e308+1e308+x)": "x + 1e+308 + 1e+308",
+    "1e300*1e300*1e-300*x": "1e+300 * x",
+    "x*1e300*y*1e300*1e-10": "1e+300 * 1e+290 * x * y",
+    "1e308+1e308-1e308-1e308+x": "x",
+    "1e300*1e300": "1e+300 * 1e+300",
 }
+
+
+def assert_round_trips(f):
+    """Print then parse ``f`` gives the same node: the same interned
+    composite, or a constant of the same value."""
+    g = qk.parse_expression(str(f), f.chart)
+    if isinstance(f.node, Const):
+        assert isinstance(g.node, Const) and repr(g.node.value) == repr(f.node.value)
+    else:
+        assert g.node is f.node
+    assert str(g) == str(f)
 
 
 def recorded_constants(monkeypatch):
@@ -181,9 +201,71 @@ def test_a_fold_that_overflows_is_refused(text, printed, monkeypatch):
     values = recorded_constants(monkeypatch)
     f = qk.parse_expression(text, CHART)
     assert str(f) == printed
-    assert qk.parse_expression(printed, CHART).fingerprint() == f.fingerprint()
+    assert_round_trips(f)
     assert f.simplified().node is f.node
     assert values and all(math.isfinite(v) for v in values)
+
+
+OVERFLOWING_CONSTANTS = ("1e308", "1.5e308", "1e300", "3e200", "1e-300", "2", "0.5")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_constant_built_not_finite_stays_as_it_is(value):
+    # only the API can build one; the parser refuses such a literal
+    x, y = CHART.coordinate("x"), CHART.coordinate("y")
+    inf = CHART.constant(value)
+    for f in (inf * x, x * inf * y, inf * 2.0, inf + x, x + inf + 2.0):
+        assert any(
+            isinstance(n, Const) and repr(n.value) == repr(value)
+            for n in (f.node, *f.node.args)
+        )
+
+
+def overflowing_product(rng, depth):
+    """Random factors joined by ``*``: constants, coordinates and
+    parenthesized products and sums."""
+    factors = []
+    for _ in range(rng.integers(1, 5)):
+        kind = rng.random()
+        if kind < 0.45:
+            factors.append(str(rng.choice(OVERFLOWING_CONSTANTS)))
+        elif kind < 0.75 or depth >= 2:
+            factors.append(str(rng.choice(["x", "y", "z"])))
+        elif kind < 0.9:
+            factors.append("(" + overflowing_product(rng, depth + 1) + ")")
+        else:
+            factors.append("(" + overflowing_text(rng, depth + 1) + ")")
+    return "*".join(factors)
+
+
+def overflowing_text(rng, depth=0):
+    """A random sum of constants and products (``overflowing_product``)
+    whose folds often overflow. A subtracted term is a constant or a
+    product of coordinates: a negated product with a leading constant
+    prints as a product with a negative constant."""
+    terms = []
+    for _ in range(rng.integers(1, 5)):
+        kind = rng.random()
+        sign = " - " if terms and kind < 0.3 else " + " if terms else ""
+        if kind < 0.15:
+            names = rng.choice(["x", "y", "z"], size=rng.integers(1, 3))
+            term = "*".join(names)
+        elif kind < 0.6:
+            term = str(rng.choice(OVERFLOWING_CONSTANTS))
+        else:
+            sign = " + " if terms else ""
+            term = overflowing_product(rng, depth)
+        terms.append(sign + term)
+    return "".join(terms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_print_then_parse_returns_the_same_node(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        f = qk.parse_expression(overflowing_text(rng), CHART)
+        assert_round_trips(f)
+        assert_round_trips(f.simplified())
 
 
 def test_like_terms_merge_unless_the_merge_overflows(monkeypatch):
@@ -1086,15 +1168,23 @@ def assert_no_node_reaches_itself(roots):
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_no_node_of_a_fixture_run_reaches_itself(name):
-    # the roots are the problem's expressions and every node evaluated
-    # on the run's cloud; their derivatives and simplified forms are
-    # filled by the run, and derivatives are walked where held strongly
+    # the roots are the problem's expressions, every node evaluated on
+    # the run's cloud and every node keying the rows and bases it holds;
+    # their derivatives and simplified forms are filled by the run, and
+    # derivatives are walked where held strongly
     spec = load_fixture(name)
     cfg = spec.config()
     FIXTURES[name].runner(spec, cfg)
     roots = [c.node for X in spec.fields.values() for c in X.components]
     roots += [f.node for f in spec.functions.values()]
     roots += list(cfg.points().cache)
+    keys = list(cfg.points().derived)
+    while keys:
+        key = keys.pop()
+        if isinstance(key, tuple):
+            keys.extend(key)
+        elif isinstance(key, expr.Node):
+            roots.append(key)
     assert any("derivatives" in vars(node) for node in roots)
     assert assert_no_node_reaches_itself(roots) >= len(set(map(id, roots)))
 

@@ -9,6 +9,8 @@ import pytest
 
 import qbhkit as qk
 import qbhkit.expr as expr
+import qbhkit.fields as fields
+import qbhkit.residuals as residuals
 import qbhkit.sampling as sampling
 from qbhkit.chart import MAX_CACHED_VALUES
 from qbhkit.expr import Const, Coord, nprod, nsum
@@ -136,6 +138,27 @@ def test_a_fixture_pass_draws_one_cloud_per_config(monkeypatch):
     assert len({id(cloud) for cloud in clouds}) == 6
 
 
+def held_arrays(cloud):
+    """The arrays ``cloud`` holds: its points, its node values, its
+    field rows and every array of its bases."""
+    arrays = [cloud.values]
+    arrays += [v for v in cloud.cache.values() if isinstance(v, np.ndarray)]
+    for value in cloud.derived.values():
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        else:
+            arrays += [value.stack, value.defined, value.smallest, value.settled]
+            arrays += [value.independent, *(value.factors or ())]
+    return arrays
+
+
+def held_values(cloud):
+    """The values ``cloud`` holds by ``np.size``: one per entry of an
+    array, one for a constant, every entry of a basis's arrays."""
+    values = sum(np.size(value) for value in cloud.cache.values())
+    return values + sum(value.size for value in cloud.derived.values())
+
+
 def test_a_config_frees_its_cloud_with_it():
     # no reference cycle holds the cloud or its cache: with the cycle
     # collector off, dropping the config frees them, while the reports
@@ -146,16 +169,13 @@ def test_a_config_frees_its_cloud_with_it():
         cfg = spec.config()
         reports = FIXTURES["rotation"].runner(spec, cfg)
         cloud = cfg.points()
-        assert cloud.cache
-        held = [weakref.ref(cloud.values)]
-        held += [
-            weakref.ref(value)
-            for value in cloud.cache.values()
-            if isinstance(value, np.ndarray)
-        ]
-        # the points and the array of each distinct node evaluated on
-        # them: a structure evaluated by several checks is one node
-        assert len(held) == 64
+        assert cloud.cache and cloud.derived
+        held = [weakref.ref(array) for array in held_arrays(cloud)]
+        # the points, the array of each distinct node evaluated on them,
+        # the rows of each distinct field and the arrays of each distinct
+        # basis: a structure evaluated by several checks is one node, a
+        # field or basis built alike by several checks one entry
+        assert len(held) == 1 + 63 + 10 + 4 * 10
         del cfg, cloud
         assert [ref() for ref in held] == [None] * len(held)
         assert len(reports) > 1
@@ -163,35 +183,81 @@ def test_a_config_frees_its_cloud_with_it():
         gc.enable()
 
 
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_array_a_cloud_holds_is_read_only(name):
+    # node values, field rows and every array of a basis: a consumer
+    # that writes to one raises instead of changing a later check
+    spec = load_fixture(name)
+    cfg = spec.config()
+    FIXTURES[name].runner(spec, cfg)
+    arrays = held_arrays(cfg.points())
+    assert len(arrays) > 1
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+def test_public_results_are_writable_copies():
+    chart, x1, x2, x3, cfg = rotation_cfg()
+    points = cfg.points()
+    x = chart.coordinate("x1")
+    exprs = (x, (x * x + 1.0).simplified(), chart.constant(2.5))
+    fields_ = (x3, qk.lie_bracket(x1, x3))
+    results = [lambda e=e: e.sample(points) for e in exprs]
+    results += [lambda e=e: qk.evaluate_at_points(e, points) for e in exprs]
+    results += [lambda X=X: X.components_at(points) for X in fields_]
+    for result in results:
+        first = result()
+        want = first.copy()
+        assert first.flags.writeable
+        first[...] = np.nan
+        assert result().tobytes() == want.tobytes()
+    # what the cloud holds is as it was
+    assert points.values.flags.writeable is False
+    for X in fields_:
+        rows = points.derived[fields.field_key(X)]
+        assert rows.tobytes() == X.components_at(points).T.tobytes()
+
+
 def test_one_cache_bound_holds_over_a_whole_run(monkeypatch):
-    # every check of the run evaluates on one cloud and fills one cache,
-    # whose entries count as the values they hold (one per point for an
-    # array, one for a constant); the bound is tested once per call, so
-    # only the call that crosses it may end past it, by its own new values
+    # every check of the run evaluates on one cloud, whose node values,
+    # field rows and bases count as the values they hold (one per entry
+    # of an array, one for a constant, every entry of a basis's arrays);
+    # the bound is tested once per evaluation or held row array or
+    # basis, so only the addition that crosses it may end past it, by
+    # its own new values
     evaluate = expr._evaluate
+    hold = qk.PointCloud.hold
     calls = []
 
-    def held(cloud):
-        return sum(np.size(value) for value in cloud.cache.values())
+    def recorded(add):
+        def wrapper(*args):
+            cloud = args[1] if add is evaluate else args[0]
+            before = held_values(cloud)
+            assert cloud.cached_values == before
+            result = add(*args)
+            calls.append((add, cloud, before, held_values(cloud) - before))
+            return result
 
-    def recording_evaluate(node, cloud):
-        before = held(cloud)
-        assert cloud.cached_values == before
-        result = evaluate(node, cloud)
-        calls.append((cloud, before, held(cloud) - before))
-        return result
+        return wrapper
 
-    monkeypatch.setattr(expr, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(expr, "_evaluate", recorded(evaluate))
+    monkeypatch.setattr(fields, "_evaluate", recorded(evaluate))
+    monkeypatch.setattr(residuals, "_evaluate", recorded(evaluate))
+    monkeypatch.setattr(qk.PointCloud, "hold", recorded(hold))
     spec = load_fixture("rotation")
     cfg = spec.config(samples=5000)
     FIXTURES["rotation"].runner(spec, cfg)
     cloud = cfg.points()
-    shared = [(before, added) for c, before, added in calls if c is cloud]
+    shared = [(add, before, added) for add, c, before, added in calls if c is cloud]
+    # node values, rows and bases all join the one count
+    assert {add for add, _, added in shared if added} == {evaluate, hold}
     assert len(shared) > 100
-    under = [added for before, added in shared if before < MAX_CACHED_VALUES]
-    over = [added for before, added in shared if before >= MAX_CACHED_VALUES]
+    under = [added for _, before, added in shared if before < MAX_CACHED_VALUES]
+    over = [added for _, before, added in shared if before >= MAX_CACHED_VALUES]
     assert over and set(over) == {0}
-    assert MAX_CACHED_VALUES <= cloud.cached_values == held(cloud)
+    assert MAX_CACHED_VALUES <= cloud.cached_values == held_values(cloud)
     assert cloud.cached_values <= MAX_CACHED_VALUES + under[-1]
 
 
