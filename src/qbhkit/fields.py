@@ -13,6 +13,16 @@ vanishes exactly when [X,Y] lies in the pointwise span of X and Y.
 ``schouten_bb`` takes that closed form whenever both bivectors wedge the
 same two field objects.
 
+Field operations run on the expression nodes of the components
+(``expr``): an application X(f), a bracket, a scaling, a sum or a
+difference builds each component node with ``nsimplify``, ``nsum``,
+``nprod`` and ``ndiff`` directly, and wraps only the result in a
+``ScalarExpr``. Each public operation checks the chart of its arguments
+once; what it builds from them is on that chart already, so the fields,
+wedges and sums it builds internally are made without checking again
+(``_unchecked``). Constructing a field, wedge or sum from outside
+checks every argument's chart, in one call.
+
 Each field keeps the Lie brackets it has computed, keyed weakly by the
 other field, so a bracket is built once per pair of field objects and a
 cache keeps no field alive and forms no reference cycle. [X,X] is the
@@ -24,7 +34,6 @@ components are the same nodes share one array of component rows on it
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 from weakref import WeakKeyDictionary
@@ -32,7 +41,72 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .chart import CoordinateChart, Point, PointCloud, require_same_chart
-from .expr import ScalarExpr, _composite_key, _evaluate, constant, nprod, nsum
+from .expr import (
+    Const,
+    ScalarExpr,
+    _composite_key,
+    _evaluate,
+    _is_const,
+    constant,
+    ndiff,
+    nneg,
+    nprod,
+    nsimplify,
+    nsum,
+)
+
+
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``,
+    which this module built on one chart: made without ``__post_init__``,
+    so without checking that chart again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
+def _of_nodes(chart: CoordinateChart, nodes) -> "VectorField":
+    """The field on ``chart`` whose components are the nodes ``nodes``."""
+    return _unchecked(
+        VectorField, chart=chart, components=tuple(ScalarExpr(chart, n) for n in nodes)
+    )
+
+
+def _factor_node(owner, factor):
+    """The node of ``factor``, a number or an expression on ``owner``'s
+    chart, as ``constant`` builds it for a number."""
+    if isinstance(factor, (int, float)):
+        return Const(float(factor))
+    require_same_chart(owner, factor)
+    return factor.node
+
+
+def _plus(a, b):
+    return nsimplify(nsum([a, b]))
+
+
+def _minus(a, b):
+    return nsimplify(nsum([a, nneg(b)]))
+
+
+def _apply(X: "VectorField", f):
+    """The node of X(f) = sum_i X^i df/dx^i, simplified, for the node
+    ``f`` on X's chart. A zero component or a zero derivative adds no
+    term."""
+    terms = []
+    for name, comp in zip(X.chart.names, X.components):
+        if _is_const(comp.node, 0.0):
+            continue
+        df = ndiff(f, name)
+        if _is_const(df, 0.0):
+            continue
+        terms.append(nprod([comp.node, df]))
+    return nsimplify(nsum(terms))
+
+
+def _scaled_nodes(factor, X: "VectorField"):
+    """The simplified nodes factor * X^i, for the node ``factor``."""
+    return [nsimplify(nprod([factor, c.node])) for c in X.components]
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +123,12 @@ class VectorField:
             raise ValueError(
                 f"expected {self.chart.dimension} components, got {len(components)}"
             )
-        for comp in components:
-            require_same_chart(self, comp)
+        for name, comp in zip(self.chart.names, components):
+            if not isinstance(comp, ScalarExpr):
+                raise TypeError(
+                    f"component {name!r} is {comp!r}, not a ScalarExpr"
+                )
+        require_same_chart(self, *components)
 
     @classmethod
     def from_mapping(cls, chart: CoordinateChart, mapping) -> "VectorField":
@@ -68,34 +146,23 @@ class VectorField:
     def apply(self, f: ScalarExpr) -> ScalarExpr:
         """Directional derivative sum_i X^i df/dx^i (the derivation action)."""
         require_same_chart(self, f)
-        terms = []
-        for name, comp in zip(self.chart.names, self.components):
-            if comp.is_zero():
-                continue
-            df = f.diff(name)
-            if df.is_zero():
-                continue
-            terms.append(nprod([comp.node, df.node]))
-        return ScalarExpr(self.chart, nsum(terms)).simplified()
+        return ScalarExpr(self.chart, _apply(self, f.node))
 
     def is_zero(self) -> bool:
         """Syntactic test: every component is literally 0."""
         return all(c.is_zero() for c in self.components)
 
     def scaled(self, factor) -> "VectorField":
-        if isinstance(factor, (int, float)):
-            factor = constant(self.chart, factor)
-        require_same_chart(self, factor)
-        components = tuple((factor * c).simplified() for c in self.components)
+        nodes = _scaled_nodes(_factor_node(self, factor), self)
         if all(
-            _composite_key((), (a.node,)) == _composite_key((), (b.node,))
-            for a, b in zip(components, self.components)
+            _composite_key((), (a,)) == _composite_key((), (b.node,))
+            for a, b in zip(nodes, self.components)
         ):
             # each component is itself, or a constant of its type, value
             # and sign (a factor 1 leaves a simplified field so): the field
             # itself, with the brackets cached on it
             return self
-        return VectorField(self.chart, components)
+        return _of_nodes(self.chart, nodes)
 
     def components_at(self, points) -> np.ndarray:
         """Component values, shape (len(points), dimension). NaN marks
@@ -112,24 +179,23 @@ class VectorField:
 
     def _componentwise(self, other: "VectorField", op) -> "VectorField":
         require_same_chart(self, other)
-        return VectorField(
+        return _of_nodes(
             self.chart,
-            tuple(
-                op(a, b).simplified()
-                for a, b in zip(self.components, other.components)
-            ),
+            [op(a.node, b.node) for a, b in zip(self.components, other.components)],
         )
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return self._componentwise(other, operator.add)
+        return self._componentwise(other, _plus)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return self._componentwise(other, operator.sub)
+        return self._componentwise(other, _minus)
 
     def __neg__(self) -> "VectorField":
-        return VectorField(
-            self.chart, tuple(c if c.is_zero() else -c for c in self.components)
+        components = tuple(
+            c if c.is_zero() else ScalarExpr(self.chart, nneg(c.node))
+            for c in self.components
         )
+        return _unchecked(VectorField, chart=self.chart, components=components)
 
     def __str__(self):
         parts = []
@@ -165,14 +231,14 @@ def component_rows(X: VectorField, cloud: PointCloud) -> np.ndarray:
 
 def zero_field(chart: CoordinateChart) -> VectorField:
     zero = constant(chart, 0.0)
-    return VectorField(chart, tuple(zero for _ in chart.names))
+    return _unchecked(VectorField, chart=chart, components=(zero,) * chart.dimension)
 
 
 def coordinate_field(chart: CoordinateChart, name: str) -> VectorField:
     """The coordinate vector field d/d<name>."""
     index = chart.index(name)
     comps = [constant(chart, 1.0 if i == index else 0.0) for i in range(chart.dimension)]
-    return VectorField(chart, tuple(comps))
+    return _unchecked(VectorField, chart=chart, components=tuple(comps))
 
 
 def apply_field(X: VectorField, f: ScalarExpr) -> ScalarExpr:
@@ -195,6 +261,11 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     [Y, X] the negation of a cached [X, Y].
     """
     require_same_chart(X, Y)
+    return _bracket(X, Y)
+
+
+def _bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """``lie_bracket`` of two fields on one chart, unchecked."""
     if X is Y:
         return zero_field(X.chart)
     cache = _brackets(X)
@@ -204,10 +275,13 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         if reverse is not None:
             result = -reverse
         else:
-            comps = []
-            for yi, xi in zip(Y.components, X.components):
-                comps.append((X.apply(yi) - Y.apply(xi)).simplified())
-            result = VectorField(X.chart, tuple(comps))
+            result = _of_nodes(
+                X.chart,
+                [
+                    _minus(_apply(X, yi.node), _apply(Y, xi.node))
+                    for yi, xi in zip(Y.components, X.components)
+                ],
+            )
         cache[Y] = result
     return result
 
@@ -233,7 +307,9 @@ class DecomposableBivector:
     def as_sum(self, coefficient=1.0) -> "BivectorSum":
         if isinstance(coefficient, (int, float)):
             coefficient = constant(self.chart, coefficient)
-        return BivectorSum(self.chart, ((coefficient, self),))
+        else:
+            require_same_chart(self, coefficient)
+        return BivectorSum._of(self.chart, ((coefficient, self),))
 
     def __str__(self):
         return f"({self.left}) ^ ({self.right})"
@@ -243,24 +319,58 @@ def wedge(X: VectorField, Y: VectorField) -> DecomposableBivector:
     return DecomposableBivector(X, Y)
 
 
+def _wedge(X: VectorField, Y: VectorField) -> DecomposableBivector:
+    """``wedge`` of two fields on one chart, unchecked."""
+    return _unchecked(DecomposableBivector, left=X, right=Y)
+
+
 class _WedgeSum:
     """Arithmetic shared by the formal sums of coefficient-weighted
-    wedges: ``terms`` holds (coefficient, wedge) pairs."""
+    wedges: ``terms`` holds (coefficient, wedge) pairs, and a subclass's
+    ``_factors`` gives the fields a wedge is made of.
+
+    Terms whose coefficient or wedge factors are syntactically zero are
+    dropped at construction; any deeper vanishing is certified
+    numerically, never symbolically.
+    """
+
+    def __post_init__(self):
+        require_same_chart(
+            self, *(x for c, w in self.terms for x in (c, *self._factors(w)))
+        )
+        object.__setattr__(self, "terms", self._nonzero(self.terms))
+
+    @classmethod
+    def _nonzero(cls, terms) -> tuple:
+        return tuple(
+            (c, w)
+            for c, w in terms
+            if not (c.is_zero() or any(X.is_zero() for X in cls._factors(w)))
+        )
+
+    @classmethod
+    def _of(cls, chart: CoordinateChart, terms):
+        """The sum of the nonzero ``terms``, built on ``chart``, unchecked."""
+        return _unchecked(cls, chart=chart, terms=cls._nonzero(terms))
 
     @classmethod
     def zero(cls, chart: CoordinateChart):
         return cls(chart, ())
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         require_same_chart(self, other)
-        return type(self)(self.chart, self.terms + other.terms)
+        return _unchecked(type(self), chart=self.chart, terms=self.terms + other.terms)
 
     def scaled(self, factor):
-        if isinstance(factor, (int, float)):
-            factor = constant(self.chart, factor)
-        return type(self)(
+        factor = _factor_node(self, factor)
+        return self._of(
             self.chart,
-            tuple(((factor * c).simplified(), w) for c, w in self.terms),
+            tuple(
+                (ScalarExpr(self.chart, nsimplify(nprod([factor, c.node]))), w)
+                for c, w in self.terms
+            ),
         )
 
     def is_zero(self) -> bool:
@@ -269,24 +379,15 @@ class _WedgeSum:
 
 @dataclass(frozen=True, eq=False)
 class BivectorSum(_WedgeSum):
-    """Formal sum of coefficient-weighted decomposable bivectors.
-
-    The empty sum is the zero bivector. Terms whose coefficient or
-    wedge factors are syntactically zero are dropped at construction;
-    any deeper vanishing is certified numerically, never symbolically.
-    """
+    """Formal sum of coefficient-weighted decomposable bivectors; the
+    empty sum is the zero bivector."""
 
     chart: CoordinateChart
     terms: tuple[tuple[ScalarExpr, DecomposableBivector], ...]
 
-    def __post_init__(self):
-        kept = []
-        for coeff, biv in self.terms:
-            require_same_chart(self, coeff, biv.left, biv.right)
-            if coeff.is_zero() or biv.left.is_zero() or biv.right.is_zero():
-                continue
-            kept.append((coeff, biv))
-        object.__setattr__(self, "terms", tuple(kept))
+    @staticmethod
+    def _factors(biv):
+        return biv.left, biv.right
 
     def __str__(self):
         if not self.terms:
@@ -303,24 +404,28 @@ def _as_bivector_sum(B) -> BivectorSum:
 def contract_hamiltonian(H: ScalarExpr, B: DecomposableBivector) -> VectorField:
     """dH | (X ^ Y) = X(H) * Y - Y(H) * X."""
     require_same_chart(H, B.left)
-    xh = B.left.apply(H)
-    yh = B.right.apply(H)
-    return B.right.scaled(xh) - B.left.scaled(yh)
+    xh = _apply(B.left, H.node)
+    yh = _apply(B.right, H.node)
+    return _of_nodes(
+        H.chart,
+        list(map(_minus, _scaled_nodes(xh, B.right), _scaled_nodes(yh, B.left))),
+    )
 
 
 def poisson_bracket(B, F: ScalarExpr, G: ScalarExpr) -> ScalarExpr:
     """{F, G} under the bivector: sum of c * (X(F) Y(G) - Y(F) X(G))."""
     B = _as_bivector_sum(B)
     require_same_chart(B, F, G)
+    f, g = F.node, G.node
     terms = []
     for coeff, biv in B.terms:
-        xf = biv.left.apply(F)
-        yg = biv.right.apply(G)
-        yf = biv.right.apply(F)
-        xg = biv.left.apply(G)
-        inner = xf * yg - yf * xg
-        terms.append((coeff * inner).node)
-    return ScalarExpr(B.chart, nsum(terms)).simplified()
+        xf = _apply(biv.left, f)
+        yg = _apply(biv.right, g)
+        yf = _apply(biv.right, f)
+        xg = _apply(biv.left, g)
+        inner = nsum([nprod([xf, yg]), nneg(nprod([yf, xg]))])
+        terms.append(nprod([coeff.node, inner]))
+    return ScalarExpr(B.chart, nsimplify(nsum(terms)))
 
 
 def lie_derivative_bivector(X: VectorField, B: DecomposableBivector) -> BivectorSum:
@@ -328,10 +433,10 @@ def lie_derivative_bivector(X: VectorField, B: DecomposableBivector) -> Bivector
     require_same_chart(X, B.left)
     one = constant(X.chart, 1.0)
     terms = (
-        (one, wedge(lie_bracket(X, B.left), B.right)),
-        (one, wedge(B.left, lie_bracket(X, B.right))),
+        (one, _wedge(_bracket(X, B.left), B.right)),
+        (one, _wedge(B.left, _bracket(X, B.right))),
     )
-    return BivectorSum(X.chart, terms)
+    return BivectorSum._of(X.chart, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +450,21 @@ class TrivectorSum(_WedgeSum):
     chart: CoordinateChart
     terms: tuple[tuple[ScalarExpr, tuple[VectorField, VectorField, VectorField]], ...]
 
-    def __post_init__(self):
-        kept = []
-        for coeff, (u, v, w) in self.terms:
-            require_same_chart(self, coeff, u, v, w)
-            if coeff.is_zero() or u.is_zero() or v.is_zero() or w.is_zero():
-                continue
-            kept.append((coeff, (u, v, w)))
-        object.__setattr__(self, "terms", tuple(kept))
+    @staticmethod
+    def _factors(fields):
+        return fields
 
     def __sub__(self, other: "TrivectorSum") -> "TrivectorSum":
         return self + other.scaled(-1.0)
 
 
 def wedge3(U: VectorField, V: VectorField, W: VectorField, coefficient=1.0) -> TrivectorSum:
-    chart = require_same_chart(U, V, W)
     if isinstance(coefficient, (int, float)):
+        chart = require_same_chart(U, V, W)
         coefficient = constant(chart, coefficient)
-    return TrivectorSum(chart, ((coefficient, (U, V, W)),))
+    else:
+        chart = require_same_chart(U, V, W, coefficient)
+    return TrivectorSum._of(chart, ((coefficient, (U, V, W)),))
 
 
 def schouten_bb(B1: DecomposableBivector, B2: DecomposableBivector) -> TrivectorSum:
@@ -372,16 +474,20 @@ def schouten_bb(B1: DecomposableBivector, B2: DecomposableBivector) -> Trivector
     [[X^Y, X^Y]] = 2 [X,Y]^X^Y, built from one Lie bracket instead of
     the four-term expansion.
     """
-    require_same_chart(B1.left, B2.left)
+    chart = require_same_chart(B1.left, B2.left)
     x, y = B1.left, B1.right
     z, w = B2.left, B2.right
     if x is z and y is w:
-        return wedge3(lie_bracket(x, y), x, y, 2.0)
-    return (
-        wedge3(lie_bracket(x, z), y, w, 1.0)
-        + wedge3(lie_bracket(x, w), y, z, -1.0)
-        + wedge3(lie_bracket(y, z), x, w, -1.0)
-        + wedge3(lie_bracket(y, w), x, z, 1.0)
+        terms = [(2.0, (_bracket(x, y), x, y))]
+    else:
+        terms = [
+            (1.0, (_bracket(x, z), y, w)),
+            (-1.0, (_bracket(x, w), y, z)),
+            (-1.0, (_bracket(y, z), x, w)),
+            (1.0, (_bracket(y, w), x, z)),
+        ]
+    return TrivectorSum._of(
+        chart, tuple((constant(chart, c), fields) for c, fields in terms)
     )
 
 

@@ -8,7 +8,9 @@ Prints one JSON object: ``runs``, per call, [node derivatives (calls of
 live interned nodes after the call, span bases factored (calls of
 ``criteria._FactoredBasis.__init__``), span expansions (calls of
 ``criteria.span_expand``), component rows materialized (arrays handed
-to ``PointCloud.hold``)]; ``live_before``, the live interned nodes
+to ``PointCloud.hold``), chart checks (calls of
+``chart.require_same_chart``, through whichever module calls it),
+``ScalarExpr`` objects built]; ``live_before``, the live interned nodes
 before the first call; and ``cyclic``, what ``gc.collect()`` found
 after the last call.
 
@@ -27,12 +29,13 @@ import sys
 
 import numpy as np
 
+import qbhkit.chart as chart
 import qbhkit.criteria as criteria
 import qbhkit.expr as expr
 from qbhkit.chart import PointCloud
 from qbhkit.cli import run_command
 
-KEYS = ("ndiff", "combine", "bases", "spans", "rows")
+KEYS = ("ndiff", "combine", "bases", "spans", "rows", "charts", "exprs")
 
 
 def run(argv):
@@ -67,13 +70,20 @@ def main():
     criteria._FactoredBasis.__init__ = counted("bases", criteria._FactoredBasis.__init__)
     criteria.span_expand = counted("spans", criteria.span_expand)
     PointCloud.hold = counted_rows(PointCloud.hold)
+    original = chart.require_same_chart
+    checks = counted("charts", original)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("qbhkit"):
+            if getattr(module, "require_same_chart", None) is original:
+                module.require_same_chart = checks
+    expr.ScalarExpr.__init__ = counted("exprs", expr.ScalarExpr.__init__)
     live_before = len(expr._NODES)
     runs = []
     for argv in argvs:
         counts.update(dict.fromkeys(KEYS, 0))
         run(argv)
-        ndiff, combine, bases, spans, rows = (counts[key] for key in KEYS)
-        runs.append([ndiff, combine, len(expr._NODES), bases, spans, rows])
+        ndiff, combine, bases, spans, rows, charts, exprs = (counts[key] for key in KEYS)
+        runs.append([ndiff, combine, len(expr._NODES), bases, spans, rows, charts, exprs])
     print(json.dumps({"runs": runs, "live_before": live_before, "cyclic": gc.collect()}))
 
 

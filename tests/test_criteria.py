@@ -203,6 +203,19 @@ NODE_WORK = {
 ROTATION_5K_WORK = (84, 97, 6, 21)
 
 
+# (chart checks, ScalarExpr objects built) in one `example run`: the
+# field operations apply, bracket, scale and add on expression nodes,
+# wrap only their results, and check the chart once each
+FIELD_WORK = {
+    "exp-realization": (185, 273),
+    "rotation": (122, 182),
+    "so3-jacobi": (12, 25),
+    "heisenberg-jacobi": (12, 23),
+    "linear-abelian": (18, 40),
+    "hojman-2d": (16, 21),
+}
+
+
 def example_argv(name, *options):
     return ["example", "run", name, "--format", "json", *options]
 
@@ -228,6 +241,12 @@ def test_each_field_is_materialized_once_per_cloud(name):
         assert run[5] == ROWS[name]
 
 
+@pytest.mark.parametrize("name", sorted(FIELD_WORK))
+def test_each_field_operation_checks_the_chart_once_and_wraps_its_result(name):
+    for run in fresh_counts(name)["runs"]:
+        assert tuple(run[6:8]) == FIELD_WORK[name]
+
+
 @pytest.mark.parametrize("name", sorted(NODE_WORK))
 def test_each_run_differentiates_and_evaluates_a_fixed_number_of_nodes(name):
     # no node of a run outlives it, so a second run evaluates as many
@@ -243,7 +262,7 @@ def test_each_run_differentiates_and_evaluates_a_fixed_number_of_nodes(name):
 def test_rotation_at_5000_samples_does_a_fixed_amount_of_node_work():
     argv = example_argv("rotation", "--samples", "5000")
     (run,) = fresh_runs([argv])["runs"]
-    derivatives, evaluations, _, bases, _, rows = run
+    derivatives, evaluations, _, bases, _, rows, *_ = run
     assert (derivatives, evaluations, bases, rows) == ROTATION_5K_WORK
 
 

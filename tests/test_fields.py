@@ -462,6 +462,75 @@ def test_wedge_chart_mismatch():
         qk.wedge(qk.coordinate_field(a, "x"), qk.coordinate_field(b, "u"))
 
 
+def _chart_fields(names):
+    """(chart, X, Y, f) on a chart of ``names``: two linear fields that
+    do not commute and a function."""
+    chart = qk.CoordinateChart(names)
+    a, b, c = (chart.coordinate(name) for name in names)
+    X = qk.VectorField(chart, (b, a, chart.constant(1.0)))
+    Y = qk.VectorField(chart, (chart.constant(0.0), c, a * b))
+    return chart, X, Y, a * c + b
+
+
+# every field operation, given one argument of another chart
+MISMATCHED = {
+    "apply": lambda X, Y, f, U, V, g: X.apply(g),
+    "lie_bracket": lambda X, Y, f, U, V, g: qk.lie_bracket(X, U),
+    "scaled": lambda X, Y, f, U, V, g: X.scaled(g),
+    "add": lambda X, Y, f, U, V, g: X + U,
+    "sub": lambda X, Y, f, U, V, g: X - U,
+    "contract_hamiltonian": lambda X, Y, f, U, V, g: qk.contract_hamiltonian(
+        g, qk.wedge(X, Y)
+    ),
+    "poisson_bracket": lambda X, Y, f, U, V, g: qk.poisson_bracket(qk.wedge(X, Y), f, g),
+    "lie_derivative_bivector": lambda X, Y, f, U, V, g: qk.lie_derivative_bivector(
+        U, qk.wedge(X, Y)
+    ),
+    "schouten_bb": lambda X, Y, f, U, V, g: qk.schouten_bb(qk.wedge(X, Y), qk.wedge(U, V)),
+    "wedge3": lambda X, Y, f, U, V, g: qk.wedge3(X, Y, U),
+    "wedge3-coefficient": lambda X, Y, f, U, V, g: qk.wedge3(X, Y, Y, g),
+    "BivectorSum": lambda X, Y, f, U, V, g: qk.BivectorSum(
+        X.chart, ((f, qk.wedge(X, Y)), (g, qk.wedge(X, Y)))
+    ),
+    "TrivectorSum": lambda X, Y, f, U, V, g: qk.TrivectorSum(
+        X.chart, ((f, (X, Y, X)), (f, (X, Y, U)))
+    ),
+    "sum-add": lambda X, Y, f, U, V, g: qk.wedge3(X, Y, X) + qk.wedge3(U, V, U),
+    "sum-scaled": lambda X, Y, f, U, V, g: qk.wedge(X, Y).as_sum().scaled(g),
+    "as_sum": lambda X, Y, f, U, V, g: qk.wedge(X, Y).as_sum(g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED))
+def test_every_field_operation_refuses_another_chart(name):
+    _, *own = _chart_fields(("x", "y", "z"))
+    _, *other = _chart_fields(("u", "v", "w"))
+    operation = MISMATCHED[name]
+    operation(*own, *own)
+    with pytest.raises(qk.ChartMismatchError):
+        operation(*own, *other)
+
+
+def test_a_sum_of_another_grade_is_a_type_error():
+    chart, X, Y, f = _chart_fields(("x", "y", "z"))
+    bivectors = qk.wedge(X, Y).as_sum(f)
+    trivectors = qk.wedge3(X, Y, qk.lie_bracket(X, Y))
+    with pytest.raises(TypeError):
+        bivectors + trivectors
+    with pytest.raises(TypeError):
+        trivectors + bivectors
+    with pytest.raises(TypeError):
+        trivectors - bivectors
+
+
+def test_a_component_that_is_no_expression_is_a_type_error():
+    chart = qk.CoordinateChart(("x", "y", "z"))
+    with pytest.raises(TypeError, match="component 'x'"):
+        qk.VectorField(chart, (1.0, 2.0, 3.0))
+    with pytest.raises(TypeError, match="component 'z'"):
+        qk.VectorField(chart, (chart.constant(1.0), chart.coordinate("x"), 3))
+
+
 @pytest.mark.parametrize(
     "other",
     [("x", "y"), ("a", "b", "c"), ("x", "y", "z", "w")],
