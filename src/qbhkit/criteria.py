@@ -47,17 +47,29 @@ JACOBI_STRUCTURE_SIGN = -1.0
 # pointwise helpers
 
 
-def _singular_values(stack: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """k-th singular value of each n x k matrix of the stack where
-    ``defined`` (NaN elsewhere): 0 if n < k, as k vectors in n-space are
-    dependent, else the smallest from one batched values-only SVD. It is
-    bit-identical to that of one ``svd(matrix, compute_uv=False)`` call
-    per matrix, so threshold decisions match a per-point loop."""
-    values = np.full(len(stack), np.nan)
-    if stack.shape[1] < stack.shape[2]:
+def _matrices(columns, rows: np.ndarray) -> np.ndarray:
+    """The C-ordered (count, n, k) stack of the n x k matrices of the
+    basis ``columns`` (k arrays (n, m), column j's component rows) at
+    the points the mask ``rows`` selects: column j of matrix i is
+    columns[j][:, i]."""
+    return np.stack([c[:, rows].T for c in columns], axis=-1)
+
+
+def _singular_values(columns, defined: np.ndarray) -> np.ndarray:
+    """k-th singular value of each n x k matrix of the basis ``columns``
+    (see ``_matrices``) where ``defined`` (NaN elsewhere): 0 if n < k,
+    as k vectors in n-space are dependent, else the smallest from one
+    batched values-only SVD of the matrices at those points, stacked.
+    It is bit-identical to that of one ``svd(matrix, compute_uv=False)``
+    call per matrix, so threshold decisions match a per-point loop."""
+    n, m = columns[0].shape
+    values = np.full(m, np.nan)
+    if n < len(columns):
         values[defined] = 0.0
     elif defined.any():
-        values[defined] = np.linalg.svd(stack[defined], compute_uv=False)[:, -1]
+        values[defined] = np.linalg.svd(
+            _matrices(columns, defined), compute_uv=False
+        )[:, -1]
     return values
 
 
@@ -77,13 +89,15 @@ _BAND = 2.0**-36
 _CLOSED_FORM_MAX_N = int(_BAND / (2 * np.finfo(float).eps))
 
 
-def _two_column_factor(stack: np.ndarray):
+def _two_column_factor(a: np.ndarray, b: np.ndarray):
     """Thin QR factors and smallest singular values of every n x 2
-    matrix of the stack (n >= 2), as whole-array expressions.
+    matrix [a_i, b_i] (n >= 2), its columns given as (n, m) component
+    rows ``a`` and ``b``, as whole-array expressions.
 
     Each matrix is first scaled by the power of two that puts its
     largest entry in [0.5, 1), which is exact and keeps the squares
-    below from overflowing or underflowing. Gram-Schmidt on the columns
+    below from overflowing or underflowing; its largest entry is the
+    larger of its columns' largest, exactly. Gram-Schmidt on the columns
     a, b gives r11 = |a|, q1 = a / r11, r12 = q1.b, r22 = |b - r12 q1|
     and q2 = (b - r12 q1) / r22; least squares through it is backward
     stable (Bjorck 1967). The singular values of [[r11, r12], [0, r22]]
@@ -92,17 +106,15 @@ def _two_column_factor(stack: np.ndarray):
     ||A||_F, (q1, q2, r11, r12, r22)), with q1 and q2 of shape (n, m);
     a zero column gives NaN.
 
-    It works on the columns as contiguous (2, n, m) rows: reductions
-    over the short axes of (m, n, 2) cost more than the arithmetic, and
-    the sums over i in the einsums keep the order they have on those
-    rows. A stack built by ``_FactoredBasis.of`` is stored that way
-    (component-major, see ``residuals``), so ``stack.T`` is not copied;
-    any other stack is copied once.
+    It works on the columns as contiguous rows: reductions over the
+    short axes of (m, n, 2) cost more than the arithmetic, and the sums
+    over i in the einsums keep the order they have on C-ordered rows,
+    which ``_FactoredBasis`` hands in.
     """
-    columns = np.ascontiguousarray(stack.T)
     with np.errstate(all="ignore"):
-        exponent = np.frexp(np.abs(columns).max(axis=(0, 1)))[1]
-        a, b = np.ldexp(columns, -exponent)
+        largest_entry = np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0))
+        exponent = np.frexp(largest_entry)[1]
+        a, b = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
         r11 = np.sqrt(np.einsum("im,im->m", a, a))
         q1 = a / r11
         r12 = np.einsum("im,im->m", q1, b)
@@ -125,56 +137,66 @@ class _FactoredBasis:
     """A span basis on one point cloud, with its independence decided
     once for every test and expansion in it.
 
-    ``stack`` (m, n, k) holds at entry i the n x k matrix whose column j
-    is field j at point i. ``defined`` marks its finite matrices and
-    ``smallest`` their k-th singular values (NaN elsewhere), such
-    that every comparison with the independence tolerance is that of one
-    values-only SVD per matrix; ``independent`` marks the defined
-    matrices above the tolerance. A stack of n x 2 matrices
-    (2 <= n <= 32 768) takes the closed form at the rows it ``settled``:
-    value finite and farther than the band from the tolerance, solved
-    from its Gram-Schmidt ``factors`` (q1, q2, r11, r12, r22). Other
-    defined rows, and stacks of any other shape (``factors`` None, no
-    row settled), take ``_singular_values``.
+    ``columns`` holds k read-only C-ordered (n, m) arrays, column j's
+    component rows: the n x k matrix at point i has column j
+    ``columns[j][:, i]``. A basis built by ``of`` holds its fields' rows
+    as the cloud holds them (``component_rows``), uncopied; a column
+    handed in another layout is copied once into C order, on which
+    every sum over its components runs in component order. ``defined``
+    marks the finite matrices and ``smallest`` their k-th singular
+    values (NaN elsewhere), such that every comparison with the
+    independence tolerance is that of one values-only SVD per matrix;
+    ``independent`` marks the defined matrices above the tolerance. A
+    basis of n x 2 matrices (2 <= n <= 32 768) takes the closed form at
+    the points it ``settled``: value finite and farther than the band
+    from the tolerance, solved from its Gram-Schmidt ``factors`` (q1,
+    q2, r11, r12, r22). Other defined points, and bases of any other
+    shape (``factors`` None, no point settled), take
+    ``_singular_values``.
 
-    Every array it holds is read-only, and ``size`` counts their
-    entries: a basis built by ``of`` is held by its point cloud under
-    the cloud's one bound (see ``PointCloud``), and shared by every
+    Every array it holds is read-only, and ``size`` counts the entries
+    of those it made, not of the rows it was handed: a basis built by
+    ``of`` is held by its point cloud under the cloud's one bound (see
+    ``PointCloud``), which counts the rows already, and shared by every
     check that spans the same fields on it.
     """
 
-    def __init__(self, stack: np.ndarray, tol):
-        n, k = stack.shape[1:]
-        self.defined = defined = finite_points(stack)
-        smallest = np.full(len(stack), np.nan)
-        settled = np.zeros(len(stack), bool)
+    def __init__(self, columns, tol):
+        given = tuple(columns)
+        self.columns = columns = tuple(np.ascontiguousarray(c) for c in given)
+        n, m = columns[0].shape
+        k = len(columns)
+        self.defined = defined = np.logical_and.reduce(
+            [np.isfinite(c).all(axis=0) for c in columns]
+        )
+        smallest = np.full(m, np.nan)
+        settled = np.zeros(m, bool)
         self.factors = None
         if k == 2 and 2 <= n <= _CLOSED_FORM_MAX_N:
-            smallest, band, self.factors = _two_column_factor(stack)
+            smallest, band, self.factors = _two_column_factor(*columns)
             with np.errstate(invalid="ignore"):
                 settled = defined & (np.abs(smallest - tol.independence) > band)
-        smallest[~settled] = _singular_values(stack, defined & ~settled)[~settled]
-        self.stack, self.smallest, self.settled = stack, smallest, settled
+        smallest[~settled] = _singular_values(columns, defined & ~settled)[~settled]
+        self.smallest, self.settled = smallest, settled
         self.independent = defined & (smallest > tol.independence)
-        arrays = (stack, defined, smallest, settled, self.independent)
-        arrays += self.factors or ()
-        for array in arrays:
+        made = [c for c, g in zip(columns, given) if c is not g]
+        made += [defined, smallest, settled, self.independent, *(self.factors or ())]
+        for array in columns + tuple(made):
             array.setflags(write=False)
-        self.size = sum(array.size for array in arrays)
+        self.size = sum(array.size for array in made)
 
     @classmethod
     def of(cls, fields, points, tol) -> "_FactoredBasis":
         """The basis of ``fields`` on the PointCloud ``points``, built
-        once per cloud, fields' keys and independence tolerance, its
-        stack stored component-major: the (m, n, k) view of a C-ordered
-        (k, n, m) array of the fields' component rows."""
+        once per cloud, fields' keys and independence tolerance, on the
+        fields' component rows."""
         points = PointCloud.of(fields[0].chart, points)
         # a tuple of field keys, then a float, which no field's key holds
         key = (tuple(field_key(X) for X in fields), tol.independence)
         basis = points.derived.get(key)
         if basis is None:
-            stack = np.stack([component_rows(X, points) for X in fields]).T
-            basis = points.hold(key, cls(stack, tol))
+            rows = [component_rows(X, points) for X in fields]
+            basis = points.hold(key, cls(rows, tol))
         return basis
 
 
@@ -290,8 +312,8 @@ def _in_order_norms(rows: np.ndarray, out=None) -> np.ndarray:
 
 def _residual_norms(columns, coeffs, target_rows) -> np.ndarray:
     """Norms |t - (c_1 a_1 + ... + c_k a_k)| at every point, on
-    component rows: ``columns`` (k, n, m) holds the a_j, ``coeffs``
-    (k, m) the c_j and ``target_rows`` (n, m) t. The fit is formed
+    component rows: ``columns`` holds the a_j, k arrays (n, m),
+    ``coeffs`` (k, m) the c_j and ``target_rows`` (n, m) t. The fit is formed
     elementwise, in place, and does not warn; the difference's squares
     are summed into the fit's buffer by ``_in_order_norms``."""
     with np.errstate(all="ignore"):
@@ -303,14 +325,15 @@ def _residual_norms(columns, coeffs, target_rows) -> np.ndarray:
 
 def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
     """Least-squares expansion of each target[i] in the columns of
-    basis.stack[i]: (coefficients (m, k), residual norms (m,), notes).
+    basis's matrix i: (coefficients (m, k), residual norms (m,), notes).
     Rows that are undefined or whose basis is not independent are NaN
     and counted in the notes. Rows the two-column closed form settled
     are solved from its factors, every other row by ``_least_squares``
-    on a copy. The coefficients are the ``.T`` view of a C-ordered
-    (k, m) array; the residuals are taken on component rows, uncopied.
+    on the matrices of those rows, stacked. The coefficients are the
+    ``.T`` view of a C-ordered (k, m) array; the residuals are taken on
+    component rows, uncopied.
     """
-    m, _, k = basis.stack.shape
+    m, k = len(basis.defined), len(basis.columns)
     defined = basis.defined & finite_points(target)
     solvable = defined & basis.independent
     closed = solvable & basis.settled
@@ -321,10 +344,10 @@ def _expand_rows(basis: _FactoredBasis, target: np.ndarray):
     rest = solvable & ~closed
     if rest.any():
         # lstsq's overflow test sums over each matrix: hand it C order
-        A = np.ascontiguousarray(basis.stack[rest])
+        A = _matrices(basis.columns, rest)
         coeffs[:, rest] = _least_squares(A, target[rest]).T
     # NaN coefficients make the residual NaN at every unsolved row
-    residuals = _residual_norms(basis.stack.T, coeffs, target.T)
+    residuals = _residual_norms(basis.columns, coeffs, target.T)
     degenerate = int((defined & ~solvable).sum())
     undefined = int((~defined).sum())
     notes = []

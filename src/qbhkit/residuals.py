@@ -24,14 +24,14 @@ Layout. Per-point component arrays keep the public shape (m, ...), m
 points first, but are stored component-major: each is the transposed
 view of a C-ordered (..., m) array, so every component's values over
 the points are one contiguous row. A field's rows are that C-ordered
-(n, m) array itself (``fields.component_rows``), and a span basis's
-stack the (m, n, k) view of its fields' rows stacked; the point cloud
-holds each once, read-only, with its node values and under their one
-bound (see ``chart.PointCloud``), and the checks read them in place. A reduction over components (max,
-abs, isfinite, all) then runs elementwise across those rows instead of
-over the short inner axis of an (m, ...) array, which costs numpy far
-more per point; these reductions are exact, so their order does not
-matter. A floating-point sum over components (a norm, an einsum) is
+(n, m) array itself (``fields.component_rows``), and a span basis
+holds its fields' rows as its columns, uncopied; the point cloud holds
+each row array once, read-only, with its node values and under their
+one bound (see ``chart.PointCloud``), and the checks read them in
+place. A reduction over components (max, abs, isfinite, all) then runs
+elementwise across those rows instead of over the short inner axis of
+an (m, ...) array, which costs numpy far more per point; these
+reductions are exact, so their order does not matter. A floating-point sum over components (a norm, an einsum) is
 taken in an order fixed by the code, not by the layout numpy is handed,
 because numpy may sum an array of another layout in another order and
 so round differently. Every such sum runs on component rows, in

@@ -124,6 +124,13 @@ def fresh_runs(argvs, no_gc=False):
     return json.loads(proc.stdout)
 
 
+def basis_columns(stack):
+    """The columns of the (m, n, k) stack of n x k matrices as a span
+    basis (``criteria._FactoredBasis``) takes them: k (n, m) arrays,
+    column j's component rows, views of ``stack``."""
+    return tuple(stack[:, :, j].T for j in range(stack.shape[2]))
+
+
 def generated_problem_text(seed, index):
     """Problem ``index`` of seed ``seed`` of the generated-poisson
     benchmark workload, from perfbench/generate.py."""

@@ -201,6 +201,10 @@ NODE_WORK = {
 # (node derivatives, composite evaluations, bases factored, rows
 # materialized)
 ROTATION_5K_WORK = (84, 97, 6, 21)
+# the same for exp-realization: a basis holds its fields' rows as the
+# cloud does, so it adds no copy of them to the cloud's count, and the
+# cloud holds every value it evaluates at 5 000 samples
+EXP_5K_WORK = (77, 6, 5, 13)
 
 
 # (chart checks, ScalarExpr objects built) in one `example run`: the
@@ -264,6 +268,13 @@ def test_rotation_at_5000_samples_does_a_fixed_amount_of_node_work():
     (run,) = fresh_runs([argv])["runs"]
     derivatives, evaluations, _, bases, _, rows, *_ = run
     assert (derivatives, evaluations, bases, rows) == ROTATION_5K_WORK
+
+
+def test_exp_realization_at_5000_samples_does_a_fixed_amount_of_node_work():
+    argv = example_argv("exp-realization", "--samples", "5000")
+    (run,) = fresh_runs([argv])["runs"]
+    derivatives, evaluations, _, bases, _, rows, *_ = run
+    assert (derivatives, evaluations, bases, rows) == EXP_5K_WORK
 
 
 # ---------------------------------------------------------------------------

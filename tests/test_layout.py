@@ -31,7 +31,7 @@ from qbhkit.criteria import _FactoredBasis
 from qbhkit.fields import TrivectorSum, _as_bivector_sum, independent_components_at
 from qbhkit.residuals import condition, values_at
 
-from helpers import make_cfg, random_fields
+from helpers import basis_columns, make_cfg, random_fields
 
 # ---------------------------------------------------------------------------
 # the reference: the formulas on C-ordered (m, ...) arrays
@@ -130,10 +130,12 @@ def ref_basis(stack, tol):
     settled = np.zeros(len(stack), bool)
     factors = None
     if k == 2 and 2 <= n <= criteria._CLOSED_FORM_MAX_N:
-        smallest, band, factors = criteria._two_column_factor(stack)
+        columns = map(np.ascontiguousarray, basis_columns(stack))
+        smallest, band, factors = criteria._two_column_factor(*columns)
         with np.errstate(invalid="ignore"):
             settled = defined & (np.abs(smallest - tol.independence) > band)
-    smallest[~settled] = criteria._singular_values(stack, defined & ~settled)[~settled]
+    singular = criteria._singular_values(basis_columns(stack), defined & ~settled)
+    smallest[~settled] = singular[~settled]
     return SimpleNamespace(
         stack=stack,
         defined=defined,
@@ -359,7 +361,11 @@ def test_factored_bases_match_the_reference(case, k):
     basis = (X, Y, Z)[:k]
     got = _FactoredBasis.of(basis, points, cfg.tol)
     want = ref_factored(basis, points, cfg.tol)
-    assert_same_bits(got.stack, want.stack)
+    # the basis holds its fields' rows as the cloud holds them
+    cloud = qk.PointCloud.of(X.chart, points)
+    for column, X_j, want_column in zip(got.columns, basis, basis_columns(want.stack)):
+        assert column is fields_module.component_rows(X_j, cloud)
+        assert_same_bits(column, want_column)
     for name in ("defined", "smallest", "settled", "independent"):
         assert_same_bits(getattr(got, name), getattr(want, name))
     assert want.independent.any() and not want.defined.all()
@@ -534,7 +540,11 @@ def test_planted_two_column_expansions_match_the_reference(n, layout):
     want_c, want_r = ref_expand(want, target)
     if layout == "component-major":
         stack, target = component_major(stack), component_major(target)
-    basis = _FactoredBasis(stack, tol)
+    columns = basis_columns(stack)
+    basis = _FactoredBasis(columns, tol)
+    # a column handed in another layout is copied once into C order
+    copied = [mine is not given for mine, given in zip(basis.columns, columns)]
+    assert copied == [layout == "C-ordered"] * 2
     coeffs, residuals, notes = criteria._expand_rows(basis, target)
     assert_same_bits(coeffs, want_c)
     assert_same_bits(residuals, want_r)

@@ -139,17 +139,18 @@ def test_a_fixture_pass_draws_one_cloud_per_config(monkeypatch):
 
 
 def held_arrays(cloud):
-    """The arrays ``cloud`` holds: its points, its node values, its
-    field rows and every array of its bases."""
+    """The distinct arrays ``cloud`` holds: its points, its node values,
+    its field rows and every array of its bases, whose columns are the
+    rows of their fields."""
     arrays = [cloud.values]
     arrays += [v for v in cloud.cache.values() if isinstance(v, np.ndarray)]
     for value in cloud.derived.values():
         if isinstance(value, np.ndarray):
             arrays.append(value)
         else:
-            arrays += [value.stack, value.defined, value.smallest, value.settled]
+            arrays += [*value.columns, value.defined, value.smallest, value.settled]
             arrays += [value.independent, *(value.factors or ())]
-    return arrays
+    return list({id(array): array for array in arrays}.values())
 
 
 def held_values(cloud):
@@ -172,10 +173,11 @@ def test_a_config_frees_its_cloud_with_it():
         assert cloud.cache and cloud.derived
         held = [weakref.ref(array) for array in held_arrays(cloud)]
         # the points, the array of each distinct node evaluated on them,
-        # the rows of each distinct field and the arrays of each distinct
-        # basis: a structure evaluated by several checks is one node, a
-        # field or basis built alike by several checks one entry
-        assert len(held) == 1 + 63 + 10 + 4 * 10
+        # the rows of each distinct field and the nine arrays each
+        # distinct basis makes, its columns being its fields' rows: a
+        # structure evaluated by several checks is one node, a field or
+        # basis built alike by several checks one entry
+        assert len(held) == 1 + 63 + 10 + 4 * 9
         del cfg, cloud
         assert [ref() for ref in held] == [None] * len(held)
         assert len(reports) > 1
