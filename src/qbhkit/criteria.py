@@ -313,9 +313,9 @@ def _in_order_norms(rows: np.ndarray, out=None) -> np.ndarray:
 def _residual_norms(columns, coeffs, target_rows) -> np.ndarray:
     """Norms |t - (c_1 a_1 + ... + c_k a_k)| at every point, on
     component rows: ``columns`` holds the a_j, k arrays (n, m),
-    ``coeffs`` (k, m) the c_j and ``target_rows`` (n, m) t. The fit is formed
-    elementwise, in place, and does not warn; the difference's squares
-    are summed into the fit's buffer by ``_in_order_norms``."""
+    ``coeffs`` (k, m) the c_j and ``target_rows`` (n, m) t. The fit is
+    formed elementwise, in place, and does not warn; the difference's
+    squares are summed into the fit's buffer by ``_in_order_norms``."""
     with np.errstate(all="ignore"):
         fitted = columns[0] * coeffs[0]
         for a, c in zip(columns[1:], coeffs[1:]):

@@ -178,6 +178,8 @@ class VectorField:
         return np.array([c.at(point) for c in self.components])
 
     def _componentwise(self, other: "VectorField", op) -> "VectorField":
+        if not isinstance(other, VectorField):
+            return NotImplemented
         require_same_chart(self, other)
         return _of_nodes(
             self.chart,

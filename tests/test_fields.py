@@ -523,6 +523,14 @@ def test_a_sum_of_another_grade_is_a_type_error():
         trivectors - bivectors
 
 
+def test_a_field_plus_a_number_is_a_type_error():
+    _, X, _, _ = _chart_fields(("x", "y", "z"))
+    with pytest.raises(TypeError):
+        X + 1
+    with pytest.raises(TypeError):
+        X - 1.0
+
+
 def test_a_component_that_is_no_expression_is_a_type_error():
     chart = qk.CoordinateChart(("x", "y", "z"))
     with pytest.raises(TypeError, match="component 'x'"):
