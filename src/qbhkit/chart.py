@@ -211,16 +211,28 @@ class PointCloud(Sequence):
             yield Point(self.chart, tuple(row))
 
 
+def _no_chart(obj) -> TypeError:
+    return TypeError(f"expected an object on a chart, got {type(obj).__name__} {obj!r}")
+
+
 def _require_chart(chart: CoordinateChart, obj) -> None:
-    """Raise unless ``obj`` is on ``chart``; the same chart object
-    costs one identity test."""
-    if obj.chart is not chart and obj.chart != chart:
-        raise ChartMismatchError(f"chart mismatch: {chart} vs {obj.chart}")
+    """Raise unless ``obj`` is on ``chart`` (TypeError if it has no
+    chart); the same chart object costs one identity test."""
+    try:
+        other = obj.chart
+    except AttributeError:
+        raise _no_chart(obj) from None
+    if other is not chart and other != chart:
+        raise ChartMismatchError(f"chart mismatch: {chart} vs {other}")
 
 
 def require_same_chart(*objs):
-    """Raise unless every argument shares one chart; return it."""
-    chart = objs[0].chart
+    """Raise unless every argument shares one chart; return it. An
+    argument with no chart raises TypeError."""
+    try:
+        chart = objs[0].chart
+    except AttributeError:
+        raise _no_chart(objs[0]) from None
     for other in objs[1:]:
         _require_chart(chart, other)
     return chart

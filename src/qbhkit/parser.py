@@ -13,6 +13,12 @@ Grammar (whitespace insignificant):
 '(' must be one of the known function names; bare identifiers must be
 chart coordinates.
 
+One pattern, ``_TOKEN_RE``, splits the text into ``(kind, text,
+offset)`` tokens: whitespace (skipped), numbers, identifiers, operators
+(each its own kind), and any other character, an error. ``expr`` and
+``term`` are one loop over ``_BINARY`` (precedence climbing), where
+``+ -`` are level 0 and ``* /`` level 1, folding each operator it meets.
+
 Input may nest at most ``MAX_DEPTH`` levels, counted two ways: the
 parser's own nesting (parentheses, calls, unary minus and '^') and the
 operator depth of the result (its ``depth`` less the leaf), which a
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .chart import CoordinateChart
 from .errors import ExprSyntaxError, ExpressionTooDeepError, UnknownIdentifierError
@@ -45,77 +50,58 @@ from .expr import (
 
 MAX_DEPTH = 100
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPERATORS = "+-*/^(),"
+_TOKEN_RE = re.compile(
+    r"\s+"
+    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | one of the operator characters | 'end'
-    text: str
-    pos: int  # character offset
+_BINARY = {  # operator: (precedence level, fold of the two operands)
+    "+": (0, lambda a, b: nsum([a, b])),
+    "-": (0, lambda a, b: nsum([a, nneg(b)])),
+    "*": (1, lambda a, b: nprod([a, b])),
+    "/": (1, nquot),
+}
 
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("num", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("ident", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, pos))
-            pos += 1
-            continue
-        raise ExprSyntaxError(
-            f"unexpected character {ch!r}", _byte_offset(text, pos)
-        )
-    tokens.append(_Token("end", "", n))
-    return tokens
+    for match in _TOKEN_RE.finditer(text):
+        kind, token, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            message = f"unexpected character {token!r}"
+            raise ExprSyntaxError(message, _byte_offset(text, pos))
+        if kind:  # not whitespace
+            tokens.append((token if kind == "op" else kind, token, pos))
+    return tokens + [("end", "", len(text))]
 
 
 class _Parser:
     def __init__(self, text: str, chart: CoordinateChart):
         self.text = text
         self.chart = chart
-        self.tokens = _tokenize(text)
-        self.index = 0
+        self.tokens = iter(_tokenize(text))
+        self.token = next(self.tokens)  # the next token to parse
         self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def advance(self):
+        self.token = next(self.tokens)
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            self.fail(f"expected {kind!r}, found {token.text or 'end of input'!r}")
-        return self.advance()
+    def expect(self, kind: str):
+        if self.token[0] != kind:
+            self.fail(f"expected {kind!r}, found {self.token[1] or 'end of input'!r}")
+        self.advance()
 
     def fail(self, message: str):
-        raise ExprSyntaxError(message, _byte_offset(self.text, self.peek().pos))
+        raise ExprSyntaxError(message, _byte_offset(self.text, self.token[2]))
 
     def nested(self, parse):
         """``parse()`` one level deeper; fails beyond MAX_DEPTH levels."""
@@ -129,84 +115,69 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
     def parse(self):
         node = self.expr()
-        if self.peek().kind != "end":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
+        if self.token[0] != "end":
+            self.fail(f"unexpected trailing input {self.token[1]!r}")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            node = nsum([node, rhs if op == "+" else nneg(rhs)])
-        return node
-
-    def term(self):
+    def expr(self, level=0):
+        """Factors joined by binary operators of ``level`` or above."""
         node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.factor()
-            node = nprod([node, rhs]) if op == "*" else nquot(node, rhs)
+        while (op := _BINARY.get(self.token[0])) and op[0] >= level:
+            self.advance()
+            node = op[1](node, self.expr(op[0] + 1))
         return node
 
     def factor(self):
-        if self.peek().kind == "-":
+        if self.token[0] == "-":
             self.advance()
             return nneg(self.nested(self.factor))
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek().kind == "^":
+        if self.token[0] == "^":
             self.advance()
             return npow(base, self.nested(self.factor))
         return base
 
     def atom(self):
-        token = self.peek()
-        if token.kind == "num":
-            value = float(token.text)
+        kind, text, pos = self.token
+        if kind == "num":
+            value = float(text)
             if not math.isfinite(value):
-                self.fail(f"number {token.text!r} is too large for a float")
+                self.fail(f"number {text!r} is too large for a float")
             self.advance()
             return Const(value)
-        if token.kind == "ident":
+        if kind == "ident":
             self.advance()
-            if self.peek().kind == "(":
-                return self.call(token)
-            if token.text not in self.chart.names:
-                raise UnknownIdentifierError(
-                    token.text, _byte_offset(self.text, token.pos)
-                )
-            return Coord(token.text)
-        if token.kind == "(":
+            if self.token[0] == "(":
+                return self.call(text, pos)
+            if text not in self.chart.names:
+                raise UnknownIdentifierError(text, _byte_offset(self.text, pos))
+            return Coord(text)
+        if kind == "(":
             self.advance()
             node = self.nested(self.expr)
             self.expect(")")
             return node
-        self.fail(f"expected expression, found {token.text or 'end of input'!r}")
+        self.fail(f"expected expression, found {text or 'end of input'!r}")
 
-    def call(self, name: _Token):
-        if name.text in UNARY_FUNCTIONS:
-            arity = 1
-        elif name.text in BINARY_FUNCTIONS:
-            arity = 2
-        else:
-            raise UnknownIdentifierError(
-                name.text, _byte_offset(self.text, name.pos)
-            )
+    def call(self, name: str, pos: int):
+        arity = 1 if name in UNARY_FUNCTIONS else 2 if name in BINARY_FUNCTIONS else 0
+        if not arity:
+            raise UnknownIdentifierError(name, _byte_offset(self.text, pos))
         self.expect("(")
         args = [self.nested(self.expr)]
-        while self.peek().kind == ",":
+        while self.token[0] == ",":
             self.advance()
             args.append(self.nested(self.expr))
         self.expect(")")
         if len(args) != arity:
             raise ExprSyntaxError(
-                f"{name.text} expects {arity} argument(s), got {len(args)}",
-                _byte_offset(self.text, name.pos),
+                f"{name} expects {arity} argument(s), got {len(args)}",
+                _byte_offset(self.text, pos),
             )
-        return ncall(name.text, args)
+        return ncall(name, args)
 
 
 def parse_expression(text: str, chart: CoordinateChart) -> ScalarExpr:
@@ -214,9 +185,8 @@ def parse_expression(text: str, chart: CoordinateChart) -> ScalarExpr:
 
     Raises ExprSyntaxError (with a byte offset) on malformed input, a
     number too large for a float, or input nested deeper than MAX_DEPTH
-    levels, and
-    UnknownIdentifierError for identifiers that are neither chart
-    coordinates nor known functions.
+    levels, and UnknownIdentifierError for identifiers that are neither
+    chart coordinates nor known functions.
     """
     try:
         node = _Parser(text, chart).parse()

@@ -273,7 +273,7 @@ def parse_problem(text: str) -> ProblemSpec:
                         box_map[name] = interval
                 elif key == "guard":
                     guards.append(
-                        Guard(_parse_expr(value, chart, lineno), None)
+                        Guard(_parse_expr(value, chart, lineno), tolerances.guard_eps)
                     )
                 elif key == "samples":
                     samples = _parse_number(value, lineno, int)
@@ -285,7 +285,6 @@ def parse_problem(text: str) -> ProblemSpec:
                     )
 
     box = tuple(box_map.get(name, (-1.0, 1.0)) for name in chart.names)
-    guards = [Guard(g.expression, tolerances.guard_eps) for g in guards]
     try:
         domain = SampleDomain(
             chart, box, tuple(guards), samples=samples, seed=seed

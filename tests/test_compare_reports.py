@@ -133,12 +133,12 @@ def test_runs_in_one_interpreter_match_the_cli_and_warn_once_each(tool, monkeypa
 def test_matrix_runs_every_subcommand_on_many_coordinate_charts(tool, tmp_path):
     """Sums over 8 or more components are where numpy's pairwise order
     and an in-order sum part; the matrix runs every subcommand on charts
-    of 7 and 8 coordinates, among its 182 runs."""
+    of 7 and 8 coordinates, among its 194 runs."""
     import qbhkit as qk
 
     shipped = Path(__file__).parents[1] / "src" / "qbhkit" / "problems"
     matrix = tool.build_matrix(shipped, tmp_path)
-    assert len(matrix) == 185
+    assert len(matrix) == 194
     for n, label in ((7, "seven-coordinate"), (8, "eight-coordinate")):
         path = str(tmp_path / f"{label}.prob")
         assert qk.load_problem(path).chart.dimension == n

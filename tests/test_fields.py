@@ -539,6 +539,25 @@ def test_a_component_that_is_no_expression_is_a_type_error():
         qk.VectorField(chart, (chart.constant(1.0), chart.coordinate("x"), 3))
 
 
+NO_CHART = {
+    "wedge(X, 1)": lambda X: qk.wedge(X, 1),
+    "X.apply(1.0)": lambda X: X.apply(1.0),
+    "lie_bracket(X, 1)": lambda X: qk.lie_bracket(X, 1),
+    "wedge3(X, X, 1)": lambda X: qk.wedge3(X, X, 1),
+    "contract_hamiltonian(1, wedge(X, X))": lambda X: qk.contract_hamiltonian(
+        1, qk.wedge(X, X)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NO_CHART)
+def test_an_argument_with_no_chart_is_a_type_error(name):
+    _, X, _, _ = _chart_fields(("x", "y", "z"))
+    # named by its type and value, not "'int' object has no attribute 'chart'"
+    with pytest.raises(TypeError, match=r"on a chart, got (int 1|float 1\.0)$"):
+        NO_CHART[name](X)
+
+
 @pytest.mark.parametrize(
     "other",
     [("x", "y"), ("a", "b", "c"), ("x", "y", "z", "w")],

@@ -19,6 +19,13 @@ Each tree runs the whole matrix in an interpreter of its own, one
   summation order shows there);
 - ``check poisson`` on 40 generated problems (``perfbench/generate.py``
   of this checkout, seed 15);
+- ``check poisson`` on one problem file per malformed expression
+  (``MALFORMED_EXPRESSIONS``: an unexpected character, an unknown
+  identifier, a multibyte character before the error, trailing input, a
+  missing ``)``, a call of the wrong arity, a number too large for a
+  float and 101 nested parentheses), and ``check hamiltonian`` on
+  rotation with malformed ``--H`` text, so that every parse error's
+  message, byte offset and exit code compare;
 - ``qbhkit.jacobi_identity_check`` called in-process (``jacobi-sweep N``)
   on charts of 3, 4 and 9 coordinates: a composite X ^ Y + c W ^ Z of
   random linear fields, c a random linear function, whose [[pi,pi]] is
@@ -101,6 +108,30 @@ def _many_coordinates(n: int) -> str:
         + ["", "[function F]", f"expr = x1 * {names[-1]}", ""]
         + ["[domain]", "box = " + " ".join(f"{c}:0.5:1.5" for c in names), ""]
     )
+
+
+# the X1 component of a problem file that ``check poisson`` must refuse
+MALFORMED_EXPRESSIONS = {
+    "unexpected-character": "x $ y",
+    "unknown-identifier": "x + w",
+    "multibyte-before-error": "x\u00a0*\u00a0y)",
+    "trailing-input": "x y",
+    "missing-parenthesis": "sin(x + y",
+    "wrong-arity": "atan2(x)",
+    "too-large-number": "2 * 1e999",
+    "nested-101": "(" * 101 + "x" + ")" * 101,
+}
+MALFORMED_PROBLEM = """
+[space]
+coordinates = x y z
+
+[field X1]
+x = {}
+
+[field X2]
+y = 1
+"""
+MALFORMED_H = "x1 * (x2 +"
 
 
 EDGE_INPUTS = {
@@ -241,6 +272,14 @@ def build_matrix(shipped: Path, workdir: Path) -> list[list[str]]:
     for index in range(GENERATED_COUNT):
         path = generate.write_problem(str(workdir), GENERATED_SEED, index)
         matrix.append(["check", "poisson", "--input", path, *json_flag])
+    for label, expression in MALFORMED_EXPRESSIONS.items():
+        path = workdir / f"malformed-{label}.prob"
+        path.write_text(MALFORMED_PROBLEM.format(expression), encoding="utf-8")
+        matrix.append(["check", "poisson", "--input", str(path), *json_flag])
+    rotation = str(shipped / "rotation.prob")
+    matrix.append(
+        ["check", "hamiltonian", "--input", rotation, "--H", MALFORMED_H, *json_flag]
+    )
     matrix += [[SWEEP, str(n)] for n in SWEEP_COORDINATES]
     return matrix
 
